@@ -83,9 +83,6 @@ def load_scenario(path):
         sc.morse_data = raw["morse_data"]
 
     flow = FlowConfig()
-    positive = {"dt_init", "t_max", "tol_converge", "blowup_factor",
-                "mass_threshold", "concentration_rho", "dt_min",
-                "monotonicity_slack"}
     for key in _FLOW_KEYS & set(raw):
         value = raw[key]
         if key in ("record_every", "max_steps", "dt_growth_every"):
@@ -100,8 +97,6 @@ def load_scenario(path):
         else:
             if not isinstance(value, (int, float)) or value <= 0:
                 fail(key, "must be a positive number")
-            if key in positive and value <= 0:
-                fail(key, "must be positive")
         setattr(flow, key, value)
     sc.flow = flow
     return sc

@@ -52,8 +52,3 @@ def bubble(p, eps, basis, residual_tol=BUBBLE_RESIDUAL_TOL):
             f"bubble(eps={eps}) projection residual {resid:.3e} exceeds "
             f"{residual_tol:.1e}; increase J or eps")
     return field
-
-
-def bubble_automorphism(p, eps, n):
-    """The automorphism whose conformal-factor weight is bubble(p, eps)."""
-    return concentrating_automorphism(np.asarray(p, dtype=complex), eps, n)

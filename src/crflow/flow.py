@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateDenominator, NonPositiveFactor,
                      PositivityLoss, StepRejected)
+from .polynomials import PolyCalculus
 from .spectral import Field, grad_inner_values, horizontal_grad_sq_values
 
 
@@ -364,15 +365,12 @@ class RunResult:
 
 def _f_data_at(f, point):
     """(f, |grad_S f|, Lap_b f) at an arbitrary sphere point."""
-    from .polynomials import tangent_sphere_gradient
     basis = f.basis
-    mono = basis.monomial_coeffs(f.coeffs)
+    calc = PolyCalculus(basis.space, basis.monomial_coeffs(f.coeffs))
     pt = np.asarray(point, dtype=complex)[None, :]
-    fval = float(np.real(basis.space.evaluate(mono, pt)[0]))
-    _, gnorm = tangent_sphere_gradient(basis.space, mono, pt)
-    lap_mono = basis.space.sub_laplacian(mono)
-    lap = float(np.real(basis.space.evaluate(lap_mono, pt)[0]))
-    return fval, float(gnorm[0]), lap
+    _, gnorm = calc.tangent_gradient(pt)
+    return (float(calc.value(pt)[0]), float(gnorm[0]),
+            float(calc.sub_laplacian_value(pt)[0]))
 
 
 def run(u0, f, config=None):

@@ -16,7 +16,7 @@ Key facts used throughout:
   * sub-Laplacian:    Lap_b = (Lap_S - T^2) / 4
 """
 
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +95,8 @@ class MonomialSpace:
         """Flat target indices for the outer product of two sub-spaces.
 
         Returns idx of shape (dim_a * dim_b,) mapping pairwise monomial
-        products into this space; requires maxdeg >= deg_a + deg_b.
+        products into this space; requires maxdeg >= deg_a + deg_b.  No
+        caller in the package; perfbench/tracing.py traces it as a layer.
         """
         idx = np.empty(space_a.dim * space_b.dim, dtype=np.int64)
         pos = 0
@@ -106,12 +107,6 @@ class MonomialSpace:
                 idx[pos] = self.index[key]
                 pos += 1
         return idx
-
-    def multiply(self, ca, cb, table, dim_b):
-        """Coefficients of (poly a) * (poly b) given a product_table."""
-        out = np.zeros(self.dim, dtype=np.result_type(ca, cb, float))
-        np.add.at(out, table, np.outer(ca, cb).ravel())
-        return out
 
     # ------------------------------------------------------------------
     # evaluation and calculus at points
@@ -145,39 +140,32 @@ class MonomialSpace:
             out += coeff[block] @ vals
         return out
 
+    @cached_property
+    def wirtinger_maps(self):
+        """For d/dx_i (entry i) and d/d conj(x_i) (entry nc + i): the
+        monomials it does not kill, their images and the exponent factors.
+        Each map is injective, so images never collide."""
+        maps = []
+        for conj in (False, True):
+            for i in range(self.nc):
+                src, tgt, fac = [], [], []
+                for col, (a, b) in enumerate(self.mons):
+                    e = b if conj else a
+                    if e[i]:
+                        low = tuple(e[t] - (t == i) for t in range(self.nc))
+                        src.append(col)
+                        tgt.append(self.index[(a, low) if conj else (low, b)])
+                        fac.append(e[i])
+                maps.append((np.array(src, dtype=np.int64),
+                             np.array(tgt, dtype=np.int64), np.array(fac, dtype=float)))
+        return maps
+
     def wirtinger_gradients(self, coeff):
         """Coefficient vectors of d/dx_i and d/d conj(x_i), each in this space."""
-        dz = np.zeros((self.nc, self.dim), dtype=complex)
-        dzb = np.zeros((self.nc, self.dim), dtype=complex)
-        for col, (a, b) in enumerate(self.mons):
-            c = coeff[col]
-            if c == 0:
-                continue
-            for i in range(self.nc):
-                if a[i]:
-                    a2 = tuple(a[j] - (j == i) for j in range(self.nc))
-                    dz[i, self.index[(a2, b)]] += a[i] * c
-                if b[i]:
-                    b2 = tuple(b[j] - (j == i) for j in range(self.nc))
-                    dzb[i, self.index[(a, b2)]] += b[i] * c
-        return dz, dzb
-
-
-def real_ambient_gradient(space, coeff, points, _grads=None):
-    """Gradient of the (real) polynomial in ambient R^{2nc} coordinates.
-
-    Returns an array of shape (N, 2 nc): derivatives with respect to
-    (Re x_1, Im x_1, ..., Re x_nc, Im x_nc).
-    """
-    dz, dzb = space.wirtinger_gradients(coeff) if _grads is None else _grads
-    N = np.asarray(points).shape[0]
-    out = np.empty((N, 2 * space.nc))
-    for i in range(space.nc):
-        gz = space.evaluate(dz[i], points)
-        gzb = space.evaluate(dzb[i], points)
-        out[:, 2 * i] = np.real(gz + gzb)          # d/d Re(x_i)
-        out[:, 2 * i + 1] = np.real(1j * (gz - gzb))  # d/d Im(x_i)
-    return out
+        grads = np.zeros((2 * self.nc, self.dim), dtype=complex)
+        for r, (src, tgt, fac) in enumerate(self.wirtinger_maps):
+            grads[r, tgt] = fac * coeff[src]
+        return grads[:self.nc], grads[self.nc:]
 
 
 class PolyCalculus:
@@ -197,8 +185,16 @@ class PolyCalculus:
         return np.real(self.space.evaluate(self._lap, points))
 
     def ambient_gradient(self, points):
-        return real_ambient_gradient(self.space, self.coeff, points,
-                                     _grads=self._grads)
+        """Gradient of the (real) polynomial in ambient R^{2nc} coordinates:
+        shape (N, 2 nc), derivatives along (Re x_1, Im x_1, ..., Im x_nc)."""
+        dz, dzb = self._grads
+        out = np.empty((np.asarray(points).shape[0], 2 * self.space.nc))
+        for i in range(self.space.nc):
+            gz = self.space.evaluate(dz[i], points)
+            gzb = self.space.evaluate(dzb[i], points)
+            out[:, 2 * i] = np.real(gz + gzb)          # d/d Re(x_i)
+            out[:, 2 * i + 1] = np.real(1j * (gz - gzb))  # d/d Im(x_i)
+        return out
 
     def tangent_gradient(self, points):
         points = np.asarray(points, dtype=complex)
@@ -232,21 +228,3 @@ class PolyCalculus:
         radial = float(np.dot(grad_at(X), X))
         Q = np.linalg.qr(np.concatenate([X[:, None], np.eye(D)], axis=1))[0][:, 1:D]
         return np.linalg.eigvalsh(Q.T @ (H - radial * np.eye(D)) @ Q)
-
-
-def tangent_sphere_gradient(space, coeff, points):
-    """Riemannian gradient of the restriction to the unit sphere.
-
-    Ambient gradient minus its radial component, in real coordinates;
-    returns (grad (N, 2nc), norms (N,)).
-    """
-    points = np.asarray(points, dtype=complex)
-    amb = real_ambient_gradient(space, coeff, points)
-    X = np.empty((points.shape[0], 2 * space.nc))
-    X[:, 0::2] = points.real
-    X[:, 1::2] = points.imag
-    rad = np.sum(amb * X, axis=1)
-    tang = amb - rad[:, None] * X
-    return tang, np.linalg.norm(tang, axis=1)
-
-

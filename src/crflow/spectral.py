@@ -10,10 +10,14 @@ scaled so the total measure equals the chart-side volume integral.
 
 The sub-Laplacian is diagonal: on the bidegree-(j,k) block its eigenvalue is
 (4 j k + 2 n (j + k)) / c, with c calibrated so the linear coordinate
-functions carry eigenvalue n/2.
+functions carry eigenvalue n/2.  The horizontal-gradient pairing is computed
+from first derivatives on the basis, Gamma_b(u, w) = (2 sum_i (d_i u dbar_i w
++ dbar_i u d_i w) - (E u)(E w) - (T u)(T w)) / 4, with d_i = d/dx_i, dbar_i =
+d/d conj(x_i), E = j + k and T = i (j - k) on the (j,k) block.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from math import pi
 
@@ -150,6 +154,7 @@ class Basis:
       bidegrees        : list of (j, k) per basis function
       eigenvalues      : (nb,) sub-Laplacian eigenvalues, >= 0
       poly             : (nb, dim msJ) coefficients in the monomial space
+      wirtinger        : (2(n+1), nb, nb) derivative matrices, built lazily
       vol              : total measure of the sphere
     """
 
@@ -160,15 +165,13 @@ class Basis:
             raise ValueError("J must be >= 1")
         nc = n + 1
         deg = 2 * J + 4
+        blocks = [(j, m - j) + _harmonic_nullspace(nc, j, m - j)
+                  for m in range(J + 1) for j in range(m + 1)]
         # predict sizes before allocating
         M = deg + 1
         T, _ = _simplex_rule(n, deg // 2 + 1)
         n_nodes = len(T) * M ** nc
-        nb = 0
-        for m in range(J + 1):
-            for j in range(m + 1):
-                mons, null = _harmonic_nullspace(nc, j, m - j)
-                nb += null.shape[1]
+        nb = sum(null.shape[1] for _, _, _, null in blocks)
         if nb * n_nodes > budget:
             raise BudgetExceeded(
                 f"basis needs {nb} x {n_nodes} grid entries, over budget {budget:.0f}")
@@ -178,8 +181,6 @@ class Basis:
         self.vol = float(self.weights.sum())
         c = _calibrate_scale(n)
         self.space = MonomialSpace(nc, J)
-        self._space2 = None
-        self._table2 = None
 
         mon_vals = {}
 
@@ -196,29 +197,26 @@ class Basis:
             return mon_vals[ab]
 
         rows, eigs, tags, polys = [], [], [], []
-        for m in range(J + 1):
-            for j in range(m + 1):
-                k = m - j
-                mons, null = _harmonic_nullspace(nc, j, k)
-                if null.shape[1] == 0:
-                    continue
-                vals = np.stack([monomial_values(ab) for ab in mons])
-                block = null.T @ vals                       # (dim, N)
-                G = (block * self.weights) @ block.conj().T
-                evals, evecs = np.linalg.eigh(G)
-                keep = evals > 1e-12 * evals.max()
-                R = evecs[:, keep] / np.sqrt(evals[keep])
-                onb = R.T @ block
-                onb_poly = R.T @ null.T                     # coords in mons
-                lam = (4.0 * j * k + 2.0 * n * (j + k)) / c
-                for t in range(onb.shape[0]):
-                    rows.append(onb[t])
-                    eigs.append(lam)
-                    tags.append((j, k))
-                    pvec = np.zeros(self.space.dim, dtype=complex)
-                    for ci, ab in enumerate(mons):
-                        pvec[self.space.index[ab]] = onb_poly[t, ci]
-                    polys.append(pvec)
+        for j, k, mons, null in blocks:
+            if null.shape[1] == 0:
+                continue
+            vals = np.stack([monomial_values(ab) for ab in mons])
+            block = null.T @ vals                       # (dim, N)
+            G = (block * self.weights) @ block.conj().T
+            evals, evecs = np.linalg.eigh(G)
+            keep = evals > 1e-12 * evals.max()
+            R = evecs[:, keep] / np.sqrt(evals[keep])
+            onb = R.T @ block
+            onb_poly = R.T @ null.T                     # coords in mons
+            lam = (4.0 * j * k + 2.0 * n * (j + k)) / c
+            for t in range(onb.shape[0]):
+                rows.append(onb[t])
+                eigs.append(lam)
+                tags.append((j, k))
+                pvec = np.zeros(self.space.dim, dtype=complex)
+                for ci, ab in enumerate(mons):
+                    pvec[self.space.index[ab]] = onb_poly[t, ci]
+                polys.append(pvec)
 
         self.funcs = np.ascontiguousarray(np.stack(rows))
         self.analysis = np.ascontiguousarray(self.funcs.conj() * self.weights)
@@ -239,25 +237,47 @@ class Basis:
         """Quadrature integral of grid values (complex allowed)."""
         return complex(self.weights @ np.asarray(values))
 
-    # -- degree-2J machinery (lazy) --------------------------------------
+    # -- first-order calculus (lazy) ------------------------------------
 
-    @property
-    def space2(self):
-        if self._space2 is None:
-            self._space2 = MonomialSpace(self.n + 1, 2 * self.J)
-            self._table2 = self._space2.product_table(self.space, self.space)
-        return self._space2
+    @cached_property
+    def wirtinger(self):
+        """(2(n+1), nb, nb) coefficient matrices of d/dx_i (rows 0..n) and
+        d/d conj(x_i) (rows n+1..2n+1): coeffs of the derivative of u are
+        u.coeffs @ wirtinger[r].
+
+        d/dx_i commutes with the ambient Laplacian, so it maps the harmonic
+        block H_{j,k} into H_{j-1,k} (and d/d conj(x_i) into H_{j,k-1}); each
+        block's derivative is solved against the target block's polynomials.
+        """
+        nc = self.n + 1
+        members, columns = {}, {}
+        for s, jk in enumerate(self.bidegrees):
+            members.setdefault(jk, []).append(s)
+        for col, (a, b) in enumerate(self.space.mons):
+            columns.setdefault((sum(a), sum(b)), []).append(col)
+        out = np.zeros((2 * nc, self.nb, self.nb), dtype=complex)
+        for r, (src_m, tgt_m, fac) in enumerate(self.space.wirtinger_maps):
+            dpoly = np.zeros_like(self.poly)
+            dpoly[:, tgt_m] = fac * self.poly[:, src_m]
+            for (j, k), src in members.items():
+                target = (j - 1, k) if r < nc else (j, k - 1)
+                if min(target) < 0:
+                    continue
+                tgt, cols = members[target], columns[target]
+                Q = self.poly[np.ix_(tgt, cols)]
+                dP = dpoly[np.ix_(src, cols)]
+                X = np.linalg.lstsq(Q.T, dP.T, rcond=None)[0].T
+                resid = float(np.abs(X @ Q - dP).max())
+                if resid > 1e-10 * max(1.0, float(np.abs(dP).max())):
+                    raise RuntimeError(
+                        f"derivative of block ({j},{k}) leaves H_{target}: "
+                        f"residual {resid:.1e}")
+                out[r][np.ix_(src, tgt)] = X
+        return out
 
     def monomial_coeffs(self, coeffs):
         """Monomial-space representation of a field given basis coefficients."""
         return np.asarray(coeffs, dtype=complex) @ self.poly
-
-    def product_monomial(self, ca, cb):
-        """Monomial rep (degree <= 2J) of the product of two basis fields."""
-        space2 = self.space2
-        ma = self.monomial_coeffs(ca)
-        mb = self.monomial_coeffs(cb)
-        return space2.multiply(ma, mb, self._table2, self.space.dim)
 
     def gram_error(self):
         G = (self.funcs * self.weights) @ self.funcs.conj().T
@@ -348,20 +368,27 @@ def inner(u, w):
     return complex(np.sum(u.coeffs * np.conj(w.coeffs)))
 
 
+def _first_order_values(u):
+    """Grid values of d/dx_i u, d/d conj(x_i) u (i = 0..n), E u and T u."""
+    basis = u.basis
+    jk = np.array(basis.bidegrees)
+    euler = jk.sum(axis=1) * u.coeffs
+    hopf = 1j * (jk[:, 0] - jk[:, 1]) * u.coeffs
+    return basis.synthesize(np.vstack([u.coeffs @ basis.wirtinger, euler, hopf]))
+
+
 def grad_inner_values(u, w):
     """Exact grid values of the horizontal-gradient pairing <grad u, grad w>.
 
-    Polarized carre-du-champ: (Lap(uw) - u Lap w - w Lap u) / 2, with the
-    product formed symbolically in the degree-2J monomial space and the
-    sub-Laplacian applied there.
+    Bilinear (no conjugation), from first derivatives of the basis fields:
+    (2 sum_i (d_i u dbar_i w + dbar_i u d_i w) - (E u)(E w) - (T u)(T w)) / 4,
+    i.e. the ambient gradient pairing minus its radial (Euler) and Hopf
+    components, scaled as Lap_b = (Lap_S - T^2)/4.
     """
-    basis = u.basis
-    space2 = basis.space2
-    m_uw = basis.product_monomial(u.coeffs, w.coeffs)
-    lap_uw = space2.evaluate(space2.sub_laplacian(m_uw), basis.nodes)
-    lap_u = basis.synthesize(-basis.eigenvalues * u.coeffs)
-    lap_w = basis.synthesize(-basis.eigenvalues * w.coeffs)
-    return 0.5 * (lap_uw - u.values * lap_w - w.values * lap_u)
+    nc = u.basis.n + 1
+    U, W = _first_order_values(u), _first_order_values(w)
+    ambient = np.sum(U[:nc] * W[nc:2 * nc] + U[nc:2 * nc] * W[:nc], axis=0)
+    return (2.0 * ambient - U[-2] * W[-2] - U[-1] * W[-1]) / 4.0
 
 
 def horizontal_grad_sq_values(u):

@@ -197,6 +197,35 @@ def test_grad_sq_nonnegative_up_to_truncation(basis8):
     assert g.values.real.min() > -1e-8 * np.abs(g.values).max()
 
 
+def low_degree_field(basis, seed, real):
+    # coefficients only in bidegrees j + k <= 4, so products stay in degree J = 8
+    rng = np.random.default_rng(seed)
+    c = np.zeros(basis.nb, dtype=complex)
+    low = [i for i, (j, k) in enumerate(basis.bidegrees) if j + k <= 4]
+    c[low] = rng.normal(size=len(low)) + 1j * rng.normal(size=len(low))
+    u = Field.from_coeffs(basis, c)
+    return Field.from_values(basis, np.real(u.values)) if real else u
+
+
+def test_grad_inner_matches_carre_du_champ(basis8):
+    from crflow.spectral import grad_inner_values
+
+    # independent reference: (Lap_b(uw) - u Lap_b w - w Lap_b u) / 2, exact
+    # here because uw is band-limited to degree 8
+    pairs = [
+        (low_degree_field(basis8, 11, True), low_degree_field(basis8, 12, True)),
+        (Field.coordinate(basis8, 0), low_degree_field(basis8, 13, True)),
+        (low_degree_field(basis8, 14, False), low_degree_field(basis8, 15, False)),
+    ]
+    for u, w in pairs:
+        uw = crflow.analyze(u.values * w.values, basis8)
+        ref = 0.5 * (crflow.sub_laplacian(uw).values
+                     - u.values * crflow.sub_laplacian(w).values
+                     - w.values * crflow.sub_laplacian(u).values)
+        g = grad_inner_values(u, w)
+        assert np.abs(g - ref).max() < 1e-10 * np.abs(g).max()
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
