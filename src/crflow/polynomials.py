@@ -20,6 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
+# monomial-point entries per block of points in MonomialSpace.evaluate
+_BLOCK_ENTRIES = 2 ** 16
+
 
 def _multi_indices(nc, total):
     """All nc-tuples of nonnegative ints summing to total."""
@@ -112,32 +115,32 @@ class MonomialSpace:
     # evaluation and calculus at points
     # ------------------------------------------------------------------
 
-    def evaluate(self, coeff, points, chunk=512):
-        """Values of the polynomial at sphere points, shape (N,)."""
+    @cached_property
+    def exponents(self):
+        """Exponent arrays (A, B), each (dim, nc): monomial m is
+        prod_i x_i^A[m, i] conj(x_i)^B[m, i]."""
+        return tuple(np.array(e, dtype=np.int64) for e in zip(*self.mons))
+
+    def evaluate(self, coeff, points):
+        """Values at sphere points: shape (N,) for a coefficient vector,
+        (k, N) for a (k, dim) coefficient matrix.
+
+        Points are taken in blocks of about _BLOCK_ENTRIES monomial-point
+        entries, so the monomial table stays small whatever N is."""
+        A, B = self.exponents
+        coeff = np.asarray(coeff)
         points = np.asarray(points, dtype=complex)
         N = points.shape[0]
-        md = self.maxdeg
-        pw = np.empty((self.nc, md + 1, N), dtype=complex)
-        cpw = np.empty((self.nc, md + 1, N), dtype=complex)
-        pw[:, 0] = 1.0
-        cpw[:, 0] = 1.0
-        for i in range(self.nc):
-            for d in range(1, md + 1):
-                pw[i, d] = pw[i, d - 1] * points[:, i]
-            cpw[i] = np.conj(pw[i])
-        out = np.zeros(N, dtype=complex)
-        nz = np.nonzero(np.abs(coeff) > 0)[0]
-        for start in range(0, len(nz), chunk):
-            block = nz[start:start + chunk]
-            vals = np.ones((len(block), N), dtype=complex)
-            for row, m in enumerate(block):
-                a, b = self.mons[m]
-                for i in range(self.nc):
-                    if a[i]:
-                        vals[row] *= pw[i, a[i]]
-                    if b[i]:
-                        vals[row] *= cpw[i, b[i]]
-            out += coeff[block] @ vals
+        out = np.empty(coeff.shape[:-1] + (N,), dtype=complex)
+        width = max(1, _BLOCK_ENTRIES // self.dim)
+        for start in range(0, N, width):
+            block = points[start:start + width].T
+            pw = np.ones((self.nc, self.maxdeg + 1, block.shape[1]), dtype=complex)
+            for d in range(1, self.maxdeg + 1):
+                pw[:, d] = pw[:, d - 1] * block
+            cpw = np.conj(pw)
+            vals = np.prod([pw[i, A[:, i]] * cpw[i, B[:, i]] for i in range(self.nc)], axis=0)
+            out[..., start:start + width] = coeff @ vals
         return out
 
     @cached_property
@@ -161,11 +164,12 @@ class MonomialSpace:
         return maps
 
     def wirtinger_gradients(self, coeff):
-        """Coefficient vectors of d/dx_i and d/d conj(x_i), each in this space."""
+        """Coefficient rows of d/dx_i (row i) and d/d conj(x_i) (row nc + i),
+        each in this space."""
         grads = np.zeros((2 * self.nc, self.dim), dtype=complex)
         for r, (src, tgt, fac) in enumerate(self.wirtinger_maps):
             grads[r, tgt] = fac * coeff[src]
-        return grads[:self.nc], grads[self.nc:]
+        return grads
 
 
 class PolyCalculus:
@@ -187,13 +191,10 @@ class PolyCalculus:
     def ambient_gradient(self, points):
         """Gradient of the (real) polynomial in ambient R^{2nc} coordinates:
         shape (N, 2 nc), derivatives along (Re x_1, Im x_1, ..., Im x_nc)."""
-        dz, dzb = self._grads
-        out = np.empty((np.asarray(points).shape[0], 2 * self.space.nc))
-        for i in range(self.space.nc):
-            gz = self.space.evaluate(dz[i], points)
-            gzb = self.space.evaluate(dzb[i], points)
-            out[:, 2 * i] = np.real(gz + gzb)          # d/d Re(x_i)
-            out[:, 2 * i + 1] = np.real(1j * (gz - gzb))  # d/d Im(x_i)
+        gz, gzb = np.split(self.space.evaluate(self._grads, points).T, 2, axis=1)
+        out = np.empty((gz.shape[0], 2 * self.space.nc))
+        out[:, 0::2] = np.real(gz + gzb)          # d/d Re(x_i)
+        out[:, 1::2] = np.real(1j * (gz - gzb))   # d/d Im(x_i)
         return out
 
     def tangent_gradient(self, points):
@@ -214,17 +215,11 @@ class PolyCalculus:
         X = np.empty(D)
         X[0::2] = point.real
         X[1::2] = point.imag
-
-        def grad_at(xreal):
-            pt = (xreal[0::2] + 1j * xreal[1::2])[None, :]
-            return self.ambient_gradient(pt)[0]
-
-        H = np.empty((D, D))
-        for j in range(D):
-            e = np.zeros(D)
-            e[j] = h
-            H[:, j] = (grad_at(X + e) - grad_at(X - e)) / (2 * h)
+        # gradients at X + h e_j, X - h e_j (j < D) and X, in one evaluation
+        stencil = X + np.concatenate([h * np.eye(D), -h * np.eye(D), np.zeros((1, D))])
+        G = self.ambient_gradient(stencil[:, 0::2] + 1j * stencil[:, 1::2])
+        H = (G[:D] - G[D:2 * D]).T / (2 * h)
         H = (H + H.T) / 2.0
-        radial = float(np.dot(grad_at(X), X))
+        radial = float(np.dot(G[2 * D], X))
         Q = np.linalg.qr(np.concatenate([X[:, None], np.eye(D)], axis=1))[0][:, 1:D]
         return np.linalg.eigvalsh(Q.T @ (H - radial * np.eye(D)) @ Q)

@@ -250,6 +250,65 @@ def test_run_rejects_beta_violation(basis):
     assert ok.final_state.t > 0
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_scans_mass_only_past_blowup_bound(basis, monkeypatch):
+    from crflow import flow
+    from crflow.flow import FlowConfig, run
+    f = f_dipole(basis, amplitude=0.2)
+    u0 = perturbed_factor(basis, 21, amp=0.03)
+    scans = _count_calls(monkeypatch, flow, "mass_concentration")
+    diags = _count_calls(monkeypatch, flow, "diagnostics")
+    res = run(u0, f, FlowConfig(t_max=0.5, record_every=4, blowup_factor=np.inf,
+                                compute_shadow=False))
+    assert res.final_state.t >= 0.5 and len(diags) == len(res.states) > 2
+    assert len(scans) == len(diags)
+    # armed (every max u exceeds the bound), the scan runs after every step too
+    del scans[:], diags[:]
+    steps = _count_calls(monkeypatch, flow, "step")
+    run(u0, f, FlowConfig(t_max=0.5, record_every=4, blowup_factor=0.0,
+                          mass_threshold=2.0, compute_shadow=False))
+    assert len(scans) == len(diags) + len(steps)
+
+
+def test_run_records_centering_failure(basis, monkeypatch):
+    from crflow import normalization
+    from crflow.errors import NoConvergence
+    from crflow.flow import FlowConfig, run
+
+    def no_convergence(u, **kwargs):
+        raise NoConvergence("centering iteration stalled")
+
+    monkeypatch.setattr(normalization, "find_centering", no_convergence)
+    res = run(perturbed_factor(basis, 22, amp=0.03), f_dipole(basis, amplitude=0.2),
+              FlowConfig(t_max=0.2, record_every=2))
+    assert res.records and all(r.shadow_converged is False for r in res.records)
+    assert all(r.theta is None for r in res.records)
+
+
+def test_run_propagates_unexpected_centering_error(basis, monkeypatch):
+    from crflow import normalization
+    from crflow.flow import FlowConfig, run
+
+    def broken(u, **kwargs):
+        raise RuntimeError("not a centering failure")
+
+    monkeypatch.setattr(normalization, "find_centering", broken)
+    with pytest.raises(RuntimeError, match="not a centering failure"):
+        run(perturbed_factor(basis, 22, amp=0.03), f_dipole(basis, amplitude=0.2),
+            FlowConfig(t_max=0.2, record_every=2))
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
