@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConfigError, CRFlowError, DegenerateDenominator,
                      NonPositiveFactor, PositivityLoss, StepRejected)
 from .polynomials import PolyCalculus
-from .spectral import Field, grad_inner_values, horizontal_grad_sq_values
+from .spectral import Field, coordinate_grad_inner_values, grad_inner_values
 
 
 def base_curvature(n):
@@ -109,10 +109,8 @@ def volume_renormalize(u):
 def flow_rhs(u, f):
     """(n/2)(alpha f - R) u projected to the basis."""
     basis = u.basis
-    rv = curvature_values(u)
-    a = alpha(u, f)
-    vals = 0.5 * basis.n * (a * f.real_values - rv) * u.real_values
-    return Field.from_values(basis, vals)
+    return Field.from_coeffs(
+        basis, _rhs_coeffs(basis, u.coeffs.real, f.real_values, basis.n))
 
 
 def cr_yamabe_constant(n, vol):
@@ -192,17 +190,11 @@ def kazdan_warner_vector(u, f, R_field=None):
     conjugate-coordinate ones) for the current factor; zero in the continuum
     for every conformal factor."""
     basis = u.basis
-    n = basis.n
     if R_field is None:
         R_field = webster_curvature(u)
-    dens = u.real_values ** critical_exponent(n)
-    out = np.empty(2 * (n + 1), dtype=complex)
-    for i in range(n + 1):
-        xi = Field.from_values(basis, basis.nodes[:, i])
-        g = grad_inner_values(xi, R_field)
-        out[i] = basis.quad(g * dens)
-        out[n + 1 + i] = np.conj(out[i])
-    return out
+    dens = basis.weights * u.real_values ** critical_exponent(basis.n)
+    kw = coordinate_grad_inner_values(R_field) @ dens
+    return np.concatenate([kw, np.conj(kw)])
 
 
 def diagnostics(u, f, rho=0.5):
@@ -217,7 +209,9 @@ def diagnostics(u, f, rho=0.5):
     dev = a * f.real_values - rv
     F2 = float(dens @ dev ** 2)
     dev_field = Field.from_values(basis, dev)
-    G2 = float(basis.weights @ (horizontal_grad_sq_values(dev_field) * uv ** 2))
+    # called through this module's name, which perfbench/tracing.py wraps
+    grad_sq = np.real(grad_inner_values(dev_field, dev_field))
+    G2 = float(basis.weights @ (grad_sq * uv ** 2))
     P, P_hat = center_of_mass(u)
     b = np.empty(2 * (n + 1), dtype=complex)
     moments = dens * dev
@@ -245,30 +239,25 @@ class FlowState:
     diagnostics: DiagnosticsRecord | None = None
 
 
-class _StagePositivity(Exception):
-    pass
-
-
 def _rhs_coeffs(basis, c, fvals, n):
-    both = np.stack([c, -basis.eigenvalues * c]) @ basis.funcs   # one gemm
-    u = np.real(both[0])
+    """Basis coefficients of (n/2)(alpha f - R) u for real coefficients c."""
+    u, lap = np.stack([c, -basis.eigenvalues * c]) @ basis.funcs   # one gemm
     if u.min() <= 0:
-        raise _StagePositivity
-    lap = np.real(both[1])
+        raise NonPositiveFactor("conformal factor must be positive on the grid")
     R = (-(2.0 + 2.0 / n) * lap + base_curvature(n) * u) / u ** (1.0 + 2.0 / n)
     w = (2.0 + 2.0 / n) * basis.eigenvalues + base_curvature(n)
-    E = float(np.real(np.sum(w * np.abs(c) ** 2)))
-    den = float(basis.weights @ (fvals * u ** critical_exponent(n)))
-    a = E / den
-    return basis.analysis @ (0.5 * n * (a * fvals - R) * u)
+    a = float(w @ (c * c)) / float(basis.weights @ (fvals * u ** critical_exponent(n)))
+    return basis.funcs @ (basis.weights * (0.5 * n * (a * fvals - R) * u))
 
 
 def _renorm_coeffs(basis, c, n):
-    u = np.real(basis.synthesize(c))
+    """Volume-renormalized coefficients and their grid values."""
+    u = c @ basis.funcs
     if u.min() <= 0:
-        raise _StagePositivity
-    total = float(basis.weights @ u ** critical_exponent(n))
-    return (basis.vol / total) ** (n / (2.0 * n + 2.0)) * c
+        raise NonPositiveFactor("conformal factor must be positive on the grid")
+    sigma = (basis.vol / float(basis.weights @ u ** critical_exponent(n))) ** (
+        n / (2.0 * n + 2.0))
+    return sigma * c, sigma * u
 
 
 def step(state, f, dt, slack=1e-10, dt_min=1e-7, with_diagnostics=False):
@@ -281,7 +270,7 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7, with_diagnostics=False):
     basis = state.u.basis
     n = basis.n
     fvals = f.real_values
-    c0 = state.u.coeffs
+    c0 = state.u.coeffs.real
     ef0 = energy_f(state.u, f)
     while True:
         try:
@@ -289,14 +278,15 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7, with_diagnostics=False):
             k2 = _rhs_coeffs(basis, c0 + 0.5 * dt * k1, fvals, n)
             k3 = _rhs_coeffs(basis, c0 + 0.5 * dt * k2, fvals, n)
             k4 = _rhs_coeffs(basis, c0 + dt * k3, fvals, n)
-            c1 = _renorm_coeffs(basis, c0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), n)
-        except _StagePositivity:
+            c1, v1 = _renorm_coeffs(
+                basis, c0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), n)
+        except NonPositiveFactor:
             if dt / 2.0 < dt_min:
                 raise PositivityLoss(
                     f"factor lost positivity at dt = {dt:.3e} (dt_min reached)")
             dt /= 2.0
             continue
-        u1 = Field.from_coeffs(basis, c1)
+        u1 = Field(basis, c1, v1)
         ef1 = energy_f(u1, f)
         if ef1 > ef0 + slack:
             if dt / 2.0 < dt_min:

@@ -1,8 +1,15 @@
 """Spectral discretization of scalar fields on S^{2n+1}.
 
-Fields are held as coefficient vectors over an orthonormal basis of bigraded
-harmonic polynomial restrictions of total degree <= J, together with cached
-values on a quadrature grid.  The grid is a product rule in Hopf coordinates
+Fields are held as coefficient vectors over a real orthonormal basis of
+bigraded harmonic polynomial restrictions of total degree <= J, together with
+cached values on a quadrature grid.  For j < k each orthonormal h of H_{j,k}
+gives the pair sqrt2 Re h, sqrt2 Im h, which spans H_{j,k} + H_{k,j}; the
+conjugation-closed H_{j,j} gets a real orthonormal basis of its own.  A real
+field therefore has real coefficients, and synthesis (coeffs @ funcs) and
+analysis (funcs @ (weights * values)) share one real matrix; complex fields
+are transformed as their real and imaginary parts.
+
+The grid is a product rule in Hopf coordinates
 x_k = sqrt(t_k) e^{i th_k}: uniform phases (exact for charges |a_k - b_k| <=
 deg) times a simplex rule in t (exact to the matching algebraic degree), so
 all monomials of ambient degree <= 2J + 4 integrate exactly.  Weights are
@@ -13,7 +20,9 @@ The sub-Laplacian is diagonal: on the bidegree-(j,k) block its eigenvalue is
 functions carry eigenvalue n/2.  The horizontal-gradient pairing is computed
 from first derivatives on the basis, Gamma_b(u, w) = (2 sum_i (d_i u dbar_i w
 + dbar_i u d_i w) - (E u)(E w) - (T u)(T w)) / 4, with d_i = d/dx_i, dbar_i =
-d/d conj(x_i), E = j + k and T = i (j - k) on the (j,k) block.
+d/d conj(x_i), E = j + k and T = i (j - k) on H_{j,k}; on the real basis T is
+a rotation inside each (sqrt2 Re h, sqrt2 Im h) pair, so T u is real for
+real u.
 """
 
 from dataclasses import dataclass
@@ -144,16 +153,18 @@ def _calibrate_scale(n):
 
 
 class Basis:
-    """Orthonormal bigraded-harmonic basis with quadrature grid.
+    """Real orthonormal bigraded-harmonic basis with quadrature grid; the
+    pair sqrt2 Re h, sqrt2 Im h of each h in H_{j,k}, j < k, is adjacent.
 
     Attributes:
       n, J             : sphere index and truncation degree
       nodes, weights   : quadrature grid, weights sum to vol
-      funcs            : (nb, N) complex synthesis matrix (rows orthonormal)
-      analysis         : (nb, N) matrix with analyze(vals) = analysis @ vals
-      bidegrees        : list of (j, k) per basis function
+      funcs            : (nb, N) real synthesis matrix (rows orthonormal);
+                         analysis is funcs @ (weights * values)
+      bidegrees        : list of (j, k), j <= k, per basis function, which
+                         lies in H_{j,k} + H_{k,j}
       eigenvalues      : (nb,) sub-Laplacian eigenvalues, >= 0
-      poly             : (nb, dim msJ) coefficients in the monomial space
+      poly             : (nb, dim msJ) complex coefficients in the monomial space
       wirtinger        : (2(n+1), nb, nb) derivative matrices, built lazily
       vol              : total measure of the sphere
     """
@@ -165,13 +176,14 @@ class Basis:
             raise ValueError("J must be >= 1")
         nc = n + 1
         deg = 2 * J + 4
+        # H_{k,j} is the conjugate of H_{j,k}, so only j <= k is built
         blocks = [(j, m - j) + _harmonic_nullspace(nc, j, m - j)
-                  for m in range(J + 1) for j in range(m + 1)]
+                  for m in range(J + 1) for j in range(m // 2 + 1)]
         # predict sizes before allocating
         M = deg + 1
         T, _ = _simplex_rule(n, deg // 2 + 1)
         n_nodes = len(T) * M ** nc
-        nb = sum(null.shape[1] for _, _, _, null in blocks)
+        nb = sum(null.shape[1] * (1 if j == k else 2) for j, k, _, null in blocks)
         if nb * n_nodes > budget:
             raise BudgetExceeded(
                 f"basis needs {nb} x {n_nodes} grid entries, over budget {budget:.0f}")
@@ -182,62 +194,100 @@ class Basis:
         c = _calibrate_scale(n)
         self.space = MonomialSpace(nc, J)
 
-        mon_vals = {}
-
         def monomial_values(ab):
-            if ab not in mon_vals:
-                a, b = ab
-                v = np.ones(len(self.nodes), dtype=complex)
-                for i in range(nc):
-                    if a[i]:
-                        v = v * self.nodes[:, i] ** a[i]
-                    if b[i]:
-                        v = v * np.conj(self.nodes[:, i]) ** b[i]
-                mon_vals[ab] = v
-            return mon_vals[ab]
+            a, b = ab
+            v = np.ones(len(self.nodes), dtype=complex)
+            for i in range(nc):
+                if a[i]:
+                    v = v * self.nodes[:, i] ** a[i]
+                if b[i]:
+                    v = v * np.conj(self.nodes[:, i]) ** b[i]
+            return v
 
-        rows, eigs, tags, polys = [], [], [], []
+        funcs, polys, eigs, tags, pair = [], [], [], [], []
         for j, k, mons, null in blocks:
-            if null.shape[1] == 0:
+            d = null.shape[1]
+            if d == 0:
                 continue
-            vals = np.stack([monomial_values(ab) for ab in mons])
-            block = null.T @ vals                       # (dim, N)
+            block = null.T @ np.stack([monomial_values(ab) for ab in mons])   # (d, N)
+            coef = null.T                               # coords in mons
+            if j == k:
+                # conjugation permutes the monomials of P_{j,j}; the Re and
+                # Im parts of the null vectors span the real part of H_{j,j}
+                pos = {ab: t for t, ab in enumerate(mons)}
+                cconj = coef[:, [pos[(b, a)] for a, b in mons]]
+                block = np.concatenate([block.real, block.imag])
+                coef = np.concatenate([(coef + cconj) / 2.0, (coef - cconj) / 2.0j])
             G = (block * self.weights) @ block.conj().T
             evals, evecs = np.linalg.eigh(G)
             keep = evals > 1e-12 * evals.max()
+            if keep.sum() != d:
+                raise RuntimeError(f"H_{(j, k)} has rank {keep.sum()}, not {d}")
             R = evecs[:, keep] / np.sqrt(evals[keep])
-            onb = R.T @ block
-            onb_poly = R.T @ null.T                     # coords in mons
-            lam = (4.0 * j * k + 2.0 * n * (j + k)) / c
-            for t in range(onb.shape[0]):
-                rows.append(onb[t])
-                eigs.append(lam)
-                tags.append((j, k))
-                pvec = np.zeros(self.space.dim, dtype=complex)
-                for ci, ab in enumerate(mons):
-                    pvec[self.space.index[ab]] = onb_poly[t, ci]
-                polys.append(pvec)
+            onb, onb_poly = R.T @ block, R.T @ coef
+            P = np.zeros((d, self.space.dim), dtype=complex)
+            P[:, [self.space.index[ab] for ab in mons]] = onb_poly
+            if j < k:
+                # sqrt2 Re h = (h + conj h) / sqrt2 and sqrt2 Im h =
+                # (h - conj h) / (sqrt2 i), orthonormal as int h h' = 0 for j != k
+                Pc = np.zeros_like(P)
+                Pc[:, [self.space.index[(b, a)] for a, b in mons]] = np.conj(onb_poly)
+                onb = np.stack([onb.real, onb.imag], axis=1).reshape(2 * d, -1)
+                P = np.stack([P + Pc, (P - Pc) / 1j], axis=1).reshape(2 * d, -1)
+                onb, P = np.sqrt(2.0) * onb, P / np.sqrt(2.0)
+            funcs.append(onb)
+            polys.append(P)
+            eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / c] * len(onb)
+            tags += [(j, k)] * len(onb)
+            pair += [1, -1] * d if j < k else [0] * d   # offset to the pair partner
 
-        self.funcs = np.ascontiguousarray(np.stack(rows))
-        self.analysis = np.ascontiguousarray(self.funcs.conj() * self.weights)
+        self.funcs = np.ascontiguousarray(np.concatenate(funcs))
         self.eigenvalues = np.array(eigs)
         self.bidegrees = tags
-        self.poly = np.stack(polys)
-        self.nb = len(rows)
+        self.poly = np.concatenate(polys)
+        self.nb = len(tags)
+        # T(sqrt2 Re h) = -(j-k) sqrt2 Im h and T(sqrt2 Im h) = (j-k) sqrt2 Re h
+        pair = np.array(pair)
+        self._hopf_partner = np.arange(self.nb) + pair
+        self._hopf_factor = pair * np.array([j - k for j, k in tags], dtype=float)
 
     # -- transforms -----------------------------------------------------
 
     def synthesize(self, coeffs):
-        return np.asarray(coeffs, dtype=complex) @ self.funcs
+        """Grid values of coefficient rows; a complex input is synthesized
+        as its real and imaginary parts in one real product."""
+        c = np.asarray(coeffs)
+        if not np.iscomplexobj(c):
+            return c @ self.funcs
+        both = np.stack([c.real, c.imag]).reshape(-1, self.nb) @ self.funcs
+        both = both.reshape((2,) + c.shape[:-1] + (-1,))
+        return both[0] + 1j * both[1]
 
     def project(self, values):
-        return self.analysis @ np.asarray(values, dtype=complex)
+        """Basis coefficients of grid values: funcs @ (weights * values)."""
+        v = self.weights * np.asarray(values)
+        if not np.iscomplexobj(v):
+            return self.funcs @ v
+        both = self.funcs @ np.stack([v.real, v.imag], axis=-1)
+        return both[:, 0] + 1j * both[:, 1]
+
+    @cached_property
+    def analysis(self):
+        """(nb, N) matrix with project(values) = analysis @ values.  Built on
+        first access only: no code in the package reads it, but
+        perfbench/tracing.py reports its size."""
+        return self.funcs * self.weights
 
     def quad(self, values):
         """Quadrature integral of grid values (complex allowed)."""
         return complex(self.weights @ np.asarray(values))
 
-    # -- first-order calculus (lazy) ------------------------------------
+    # -- first-order calculus -------------------------------------------
+
+    def hopf(self, coeffs):
+        """Coefficients of T u, T = i (j - k) on H_{j,k}: a signed swap inside
+        each (sqrt2 Re h, sqrt2 Im h) pair, zero on H_{j,j}."""
+        return self._hopf_factor * np.asarray(coeffs)[..., self._hopf_partner]
 
     @cached_property
     def wirtinger(self):
@@ -245,42 +295,36 @@ class Basis:
         d/d conj(x_i) (rows n+1..2n+1): coeffs of the derivative of u are
         u.coeffs @ wirtinger[r].
 
-        d/dx_i commutes with the ambient Laplacian, so it maps the harmonic
-        block H_{j,k} into H_{j-1,k} (and d/d conj(x_i) into H_{j,k-1}); each
-        block's derivative is solved against the target block's polynomials.
+        d/dx_i commutes with the ambient Laplacian and lowers the degree by
+        one, so it maps the basis functions of total degree m into the span
+        of those of degree m - 1; each degree's derivatives are solved
+        against those functions' polynomials.
         """
-        nc = self.n + 1
-        members, columns = {}, {}
-        for s, jk in enumerate(self.bidegrees):
-            members.setdefault(jk, []).append(s)
-        for col, (a, b) in enumerate(self.space.mons):
-            columns.setdefault((sum(a), sum(b)), []).append(col)
-        out = np.zeros((2 * nc, self.nb, self.nb), dtype=complex)
+        degree = np.array([j + k for j, k in self.bidegrees])
+        out = np.zeros((2 * (self.n + 1), self.nb, self.nb), dtype=complex)
         for r, (src_m, tgt_m, fac) in enumerate(self.space.wirtinger_maps):
             dpoly = np.zeros_like(self.poly)
             dpoly[:, tgt_m] = fac * self.poly[:, src_m]
-            for (j, k), src in members.items():
-                target = (j - 1, k) if r < nc else (j, k - 1)
-                if min(target) < 0:
-                    continue
-                tgt, cols = members[target], columns[target]
+            for m in range(1, self.J + 1):
+                src, tgt = np.flatnonzero(degree == m), np.flatnonzero(degree == m - 1)
+                cols = np.flatnonzero(self.space.degree == m - 1)
                 Q = self.poly[np.ix_(tgt, cols)]
                 dP = dpoly[np.ix_(src, cols)]
                 X = np.linalg.lstsq(Q.T, dP.T, rcond=None)[0].T
                 resid = float(np.abs(X @ Q - dP).max())
                 if resid > 1e-10 * max(1.0, float(np.abs(dP).max())):
                     raise RuntimeError(
-                        f"derivative of block ({j},{k}) leaves H_{target}: "
-                        f"residual {resid:.1e}")
+                        f"derivative of the degree-{m} functions leaves degree "
+                        f"{m - 1}: residual {resid:.1e}")
                 out[r][np.ix_(src, tgt)] = X
         return out
 
     def monomial_coeffs(self, coeffs):
         """Monomial-space representation of a field given basis coefficients."""
-        return np.asarray(coeffs, dtype=complex) @ self.poly
+        return np.asarray(coeffs) @ self.poly
 
     def gram_error(self):
-        G = (self.funcs * self.weights) @ self.funcs.conj().T
+        G = (self.funcs * self.weights) @ self.funcs.T
         return float(np.abs(G - np.eye(self.nb)).max())
 
 
@@ -301,7 +345,8 @@ class Field:
 
     @classmethod
     def from_coeffs(cls, basis, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.asarray(coeffs)
+        coeffs = coeffs.astype(np.result_type(coeffs, float), copy=False)
         return cls(basis, coeffs, basis.synthesize(coeffs))
 
     @classmethod
@@ -311,7 +356,7 @@ class Field:
 
     @classmethod
     def constant(cls, basis, value=1.0):
-        return cls.from_values(basis, np.full(len(basis.nodes), value, dtype=complex))
+        return cls.from_values(basis, np.full(len(basis.nodes), value))
 
     @classmethod
     def coordinate(cls, basis, i, conjugate=False):
@@ -321,9 +366,6 @@ class Field:
     @property
     def real_values(self):
         return np.real(self.values)
-
-    def is_real(self, tol=1e-9):
-        return float(np.abs(self.values.imag).max()) <= tol
 
     def __add__(self, other):
         if not isinstance(other, Field):
@@ -371,10 +413,9 @@ def inner(u, w):
 def _first_order_values(u):
     """Grid values of d/dx_i u, d/d conj(x_i) u (i = 0..n), E u and T u."""
     basis = u.basis
-    jk = np.array(basis.bidegrees)
-    euler = jk.sum(axis=1) * u.coeffs
-    hopf = 1j * (jk[:, 0] - jk[:, 1]) * u.coeffs
-    return basis.synthesize(np.vstack([u.coeffs @ basis.wirtinger, euler, hopf]))
+    euler = np.array(basis.bidegrees).sum(axis=1) * u.coeffs
+    return basis.synthesize(np.vstack([u.coeffs @ basis.wirtinger, euler,
+                                       basis.hopf(u.coeffs)]))
 
 
 def grad_inner_values(u, w):
@@ -389,6 +430,17 @@ def grad_inner_values(u, w):
     U, W = _first_order_values(u), _first_order_values(w)
     ambient = np.sum(U[:nc] * W[nc:2 * nc] + U[nc:2 * nc] * W[:nc], axis=0)
     return (2.0 * ambient - U[-2] * W[-2] - U[-1] * W[-1]) / 4.0
+
+
+def coordinate_grad_inner_values(w):
+    """Grid values of <grad x_i, grad w> for i = 0..n, shape (n+1, N).
+
+    With d_l x_i = delta_il, dbar_l x_i = 0, E x_i = x_i and T x_i = i x_i
+    the pairing is (2 dbar_i w - x_i (E w) - i x_i (T w)) / 4.
+    """
+    nc = w.basis.n + 1
+    W = _first_order_values(w)
+    return (2.0 * W[nc:2 * nc] - w.basis.nodes.T * (W[-2] + 1j * W[-1])) / 4.0
 
 
 def horizontal_grad_sq_values(u):

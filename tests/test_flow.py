@@ -353,3 +353,20 @@ def test_diagnostics_b_vector_random(basis):
         assert np.abs(d.B - np.sqrt(2.0) * d.b).max() == 0.0
         assert d.F2 >= 0 and d.G2 >= 0
         assert 0 <= d.mass_concentration <= 1
+
+
+def test_kazdan_warner_closed_form(basis, basis_n2):
+    from crflow.flow import kazdan_warner_vector, webster_curvature
+    from crflow.spectral import coordinate_grad_inner_values, grad_inner_values
+
+    for b, seed in ((basis, 16), (basis_n2, 17)):
+        u = perturbed_factor(b, seed, amp=0.1)
+        R = webster_curvature(u)
+        closed = coordinate_grad_inner_values(R)
+        dens = b.weights * u.real_values ** critical_exponent(b.n)
+        kw = kazdan_warner_vector(u, f_constant(b), R_field=R)
+        for i in range(b.n + 1):
+            ref = grad_inner_values(Field.coordinate(b, i), R)
+            assert np.abs(closed[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert abs(kw[i] - ref @ dens) <= 1e-12 * np.abs(kw).max()
+            assert kw[b.n + 1 + i] == np.conj(kw[i])

@@ -25,7 +25,7 @@ def random_field(basis, seed, scale=1.0):
 
 
 def random_real_field(basis, seed, scale=1.0):
-    # real VALUES (real coefficients over the complex basis would not do)
+    # real values; over the real basis they have real coefficients
     u = random_field(basis, seed, scale)
     return Field.from_values(basis, np.real(u.values))
 
@@ -46,12 +46,19 @@ def test_weights_positive_and_sum_to_volume(basis8):
 
 def test_basis_j1_content():
     basis = crflow.build_basis(1, 1)
-    # {1, x_1, x_2, conj x_1, conj x_2} with eigenvalues {0, 1/2 x4}
+    # {1, x_1, x_2, conj x_1, conj x_2} with eigenvalues {0, 1/2 x4}: the
+    # constant and the four real functions of the {0,1} pair, which span
+    # H_{0,1} + H_{1,0}
     assert basis.nb == 5
-    assert sorted(basis.bidegrees) == [(0, 0), (0, 1), (0, 1), (1, 0), (1, 0)]
+    assert sorted(basis.bidegrees) == [(0, 0)] + [(0, 1)] * 4
     lam = sorted(basis.eigenvalues)
     assert lam[0] == 0.0
     assert np.allclose(lam[1:], 0.5, atol=1e-12)
+    # T = i (j - k) splits the pair span into H_{1,0} (T = i) and H_{0,1}
+    # (T = -i), two dimensions each, and kills the constant
+    T = basis.hopf(np.eye(basis.nb))
+    assert np.allclose(np.sort(np.linalg.eigvals(T).imag), [-1, -1, 0, 1, 1],
+                       atol=1e-12)
 
 
 @pytest.mark.parametrize("n,expected_gap", [(1, 0.5), (2, 1.0)])
@@ -105,14 +112,16 @@ def test_analyze_constant(basis8):
 
 
 def test_analyze_coordinate_unit_coefficient(basis8):
-    # the L2-normalized multiple of x_1 has unit coefficient; the natural
-    # normalization here is sqrt((n+1)/vol) x_1
+    # the L2-normalized multiple of x_1 has unit coefficient norm; the natural
+    # normalization here is sqrt((n+1)/vol) x_1.  Its coefficients lie on the
+    # {0,1} pair, and T acts on them as i: x_1 is in H_{1,0}, not H_{0,1}
     n = basis8.n
     scale = np.sqrt((n + 1) / basis8.vol)
     u = crflow.analyze(scale * basis8.nodes[:, 0], basis8)
     assert abs(np.linalg.norm(u.coeffs) - 1.0) < 1e-10
     nz = np.abs(u.coeffs) > 1e-10
-    assert all(basis8.bidegrees[i] == (1, 0) for i in np.nonzero(nz)[0])
+    assert all(basis8.bidegrees[i] == (0, 1) for i in np.nonzero(nz)[0])
+    assert np.abs(basis8.hopf(u.coeffs) - 1j * u.coeffs).max() < 1e-10
 
 
 def test_roundtrip_band_limited(basis8):
@@ -124,6 +133,53 @@ def test_roundtrip_band_limited(basis8):
 def test_synthesize_matches_cached_values(basis8):
     u = random_field(basis8, 2)
     assert np.abs(crflow.synthesize(u) - u.values).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# real basis
+# ---------------------------------------------------------------------------
+
+def test_real_basis_funcs(basis8, basis2_n2):
+    # orthonormality at both sizes is test_gram_orthonormality
+    for basis in (basis8, basis2_n2):
+        assert basis.funcs.dtype == np.float64
+        assert all(j <= k for j, k in basis.bidegrees)
+
+
+def test_real_field_has_real_coefficients(basis8):
+    u = random_real_field(basis8, 21)
+    assert u.coeffs.dtype == np.float64 and u.values.dtype == np.float64
+    v = Field.from_values(basis8, u.values)
+    assert np.abs(v.coeffs - u.coeffs).max() < 1e-10
+    assert np.abs(Field.from_coeffs(basis8, u.coeffs).values - u.values).max() < 1e-10
+
+
+def test_complex_transforms_split_real_and_imaginary(basis8):
+    rng = np.random.default_rng(22)
+    a, b = rng.normal(size=(2, 3, basis8.nb))
+    both = basis8.synthesize(a + 1j * b)
+    assert both.shape == (3, len(basis8.nodes))
+    ref = basis8.synthesize(a) + 1j * basis8.synthesize(b)
+    tol = 1e-12 * np.abs(ref).max()
+    assert np.abs(both - ref).max() < tol
+    assert np.abs(basis8.synthesize(a[0] + 1j * b[0]) - ref[0]).max() < tol
+    v, w = np.real(ref[0]), np.imag(ref[0])
+    proj = basis8.project(v + 1j * w)
+    assert np.abs(proj - (basis8.project(v) + 1j * basis8.project(w))).max() < 1e-12
+    assert np.abs(proj - (a[0] + 1j * b[0])).max() < 1e-10
+
+
+def test_hopf_is_pair_rotation(basis8):
+    jk = np.array(basis8.bidegrees)
+    c = np.random.default_rng(23).normal(size=basis8.nb)
+    # T o T = -(j - k)^2 on each pair
+    TT = basis8.hopf(basis8.hopf(c))
+    assert np.abs(TT + (jk[:, 0] - jk[:, 1]) ** 2 * c).max() < 1e-12
+    # and T is i (|a| - |b|) on the monomial x^a conj(x)^b
+    space = basis8.space
+    lhs = basis8.monomial_coeffs(basis8.hopf(c))
+    rhs = 1j * space.charge * basis8.monomial_coeffs(c)
+    assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(rhs).max()
 
 
 # ---------------------------------------------------------------------------
