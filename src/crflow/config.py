@@ -1,7 +1,7 @@
 """Scenario configuration: JSON loading, validation, field resolution."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .flow import FlowConfig
@@ -26,13 +26,14 @@ class Scenario:
         return basis, f, u0
 
 
-_FLOW_KEYS = {
-    "dt_init", "t_max", "tol_converge", "blowup_factor", "mass_threshold",
-    "concentration_rho", "record_every", "enforce_beta", "dt_min",
-    "monotonicity_slack", "max_steps", "wall_time_cap", "dt_growth_every",
-    "compute_shadow",
-}
-_TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed", "morse_data"} | _FLOW_KEYS
+# the flow's scenario keys are FlowConfig's fields: name -> annotated type
+_FLOW_TYPES = {fld.name: fld.type for fld in fields(FlowConfig)}
+_TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed", "morse_data"} | _FLOW_TYPES.keys()
+
+
+def _is_number(value, kind=(int, float)):
+    """JSON numbers only: bool is an int subclass, but true is not 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _line_of_key(text, key):
@@ -64,18 +65,18 @@ def load_scenario(path):
 
     sc = Scenario()
     if "n" in raw:
-        if not isinstance(raw["n"], int) or raw["n"] < 1:
+        if not _is_number(raw["n"], int) or raw["n"] < 1:
             fail("n", "must be an integer >= 1")
         sc.n = raw["n"]
     if "J" in raw:
-        if not isinstance(raw["J"], int) or raw["J"] < 1:
+        if not _is_number(raw["J"], int) or raw["J"] < 1:
             fail("J", "must be an integer >= 1")
         sc.J = raw["J"]
     sc.f_spec = raw.get("f_spec", "constant")
     sc.u0_spec = raw.get("u0_spec", "constant")
     if "seed" in raw:
-        if not isinstance(raw["seed"], int):
-            fail("seed", "must be an integer")
+        if not _is_number(raw["seed"], int) or raw["seed"] < 0:
+            fail("seed", "must be an integer >= 0")
         sc.seed = raw["seed"]
     if "morse_data" in raw:
         if raw["morse_data"] is not None and not isinstance(raw["morse_data"], str):
@@ -83,20 +84,19 @@ def load_scenario(path):
         sc.morse_data = raw["morse_data"]
 
     flow = FlowConfig()
-    for key in _FLOW_KEYS & set(raw):
-        value = raw[key]
-        if key in ("record_every", "max_steps", "dt_growth_every"):
-            if not isinstance(value, int) or value < 1:
-                fail(key, "must be a positive integer")
-        elif key in ("enforce_beta", "compute_shadow"):
+    for key in [k for k in raw if k in _FLOW_TYPES]:   # first bad key in file order
+        value, kind = raw[key], _FLOW_TYPES[key]
+        if kind is bool:
             if not isinstance(value, bool):
                 fail(key, "must be a boolean")
-        elif key == "wall_time_cap":
-            if value is not None and (not isinstance(value, (int, float)) or value <= 0):
-                fail(key, "must be a positive number or null")
-        else:
-            if not isinstance(value, (int, float)) or value <= 0:
+        elif kind is int:
+            if not _is_number(value, int) or value < 1:
+                fail(key, "must be a positive integer")
+        elif kind is float:
+            if not _is_number(value) or value <= 0:
                 fail(key, "must be a positive number")
+        elif value is not None and (not _is_number(value) or value <= 0):
+            fail(key, "must be a positive number or null")
         setattr(flow, key, value)
     sc.flow = flow
     return sc

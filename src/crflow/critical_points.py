@@ -49,8 +49,8 @@ def _newton_on_sphere(calc, x0, max_iter=60, tol=1e-12):
     return split(X)[0], False
 
 
-def find_critical_points(f, n_seeds=160, dedup_tol=1e-6, grad_tol=1e-10,
-                         hessian_tol=1e-8, lap_tol=1e-10, seed=0):
+def find_critical_points(f, n_seeds=160, dedup_tol=1e-6, hessian_tol=1e-8,
+                         lap_tol=1e-10, seed=0):
     """MorseData for the band-limited field f, plus a list of warnings.
 
     Seeds combine extremal grid values, a spread subsample and random points;

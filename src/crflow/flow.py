@@ -10,6 +10,10 @@ f-average: alpha int f dV_theta = int R dV_theta.  Time stepping is explicit
 RK4 on basis coefficients followed by a multiplicative volume renormalization;
 steps that would raise the scale-invariant energy E_f beyond a small slack are
 retried with half the step.
+
+Each formula is written once, in the flow kernel: `_grid_terms` (grid values
+of u, R and the density dV_theta from one two-row synthesis), `_energy`,
+`_alpha_energy_f`, `_deviation` (alpha f - R and F2) and `_volume_factor`.
 """
 
 import time
@@ -35,18 +39,68 @@ def critical_exponent(n):
 
 
 # ---------------------------------------------------------------------------
-# pointwise building blocks
+# the flow kernel and the pointwise building blocks on it
 # ---------------------------------------------------------------------------
+
+def density(basis, uv):
+    """Quadrature weights of dV_theta = u^{2+2/n} dV_theta0 at grid values uv."""
+    return basis.weights * uv ** critical_exponent(basis.n)
+
+
+def _grid_terms(basis, c):
+    """Grid values (u, R, dens) of the factor with real coefficients c: one
+    two-row synthesis [c, -lambda c] @ funcs, the positivity check, the
+    Webster curvature R and the volume density."""
+    n = basis.n
+    u, lap = np.stack([c, -basis.eigenvalues * c]) @ basis.funcs   # one gemm
+    if u.min() <= 0:
+        raise NonPositiveFactor("conformal factor must be positive on the grid")
+    R = (-(2.0 + 2.0 / n) * lap + base_curvature(n) * u) / u ** (1.0 + 2.0 / n)
+    return u, R, density(basis, u)
+
+
+def _energy(basis, c):
+    """int ((2+2/n)|grad u|^2 + R_0 u^2) dV from coefficients (Parseval)."""
+    n = basis.n
+    w = (2.0 + 2.0 / n) * basis.eigenvalues + base_curvature(n)
+    return float(w @ np.abs(c) ** 2)
+
+
+def _alpha_energy_f(basis, c, dens, fvals):
+    """(alpha, E_f) with alpha int f dV_theta = E and
+    E_f = E / (int f dV_theta)^{n/(n+1)}."""
+    f_vol = float(dens @ fvals)
+    if abs(f_vol) < 1e-14:
+        raise DegenerateDenominator("int f dV_theta vanished")
+    E = _energy(basis, c)
+    return E / f_vol, E / f_vol ** (basis.n / (basis.n + 1.0))
+
+
+def _deviation(basis, c, R, dens, fvals):
+    """The deviation alpha f - R and F2 = int (alpha f - R)^2 dV_theta of the
+    factor with coefficients c, curvature R and density dens."""
+    dev = _alpha_energy_f(basis, c, dens, fvals)[0] * fvals - R
+    return dev, float(dens @ dev ** 2)
+
+
+def _volume_factor(basis, dens):
+    """sigma with int (sigma u)^{2+2/n} dV_theta0 = vol, from u's density."""
+    total = float(dens.sum())
+    if total <= 0:
+        raise NonPositiveFactor("cannot renormalize a non-positive factor")
+    return (basis.vol / total) ** (basis.n / (2.0 * basis.n + 2.0))
+
+
+def _rhs_coeffs(basis, c, fvals):
+    """Basis coefficients of (n/2)(alpha f - R) u for real coefficients c."""
+    u, R, dens = _grid_terms(basis, c)
+    dev, _ = _deviation(basis, c, R, dens, fvals)
+    return basis.funcs @ (basis.weights * (0.5 * basis.n * dev * u))
+
 
 def curvature_values(u):
     """Exact grid values of the Webster curvature of u^{2/n} theta_0."""
-    basis = u.basis
-    n = basis.n
-    uv = u.real_values
-    if uv.min() <= 0:
-        raise NonPositiveFactor("conformal factor must be positive on the grid")
-    lap = np.real(basis.synthesize(-basis.eigenvalues * u.coeffs))
-    return (-(2.0 + 2.0 / n) * lap + base_curvature(n) * uv) / uv ** (1.0 + 2.0 / n)
+    return _grid_terms(u.basis, u.coeffs.real)[1]
 
 
 def webster_curvature(u):
@@ -59,58 +113,37 @@ def energy(u):
 
     Evaluated spectrally (exact for band-limited u); agrees with the
     curvature-side evaluation int R dV_theta, see energy_consistency."""
-    basis = u.basis
-    n = basis.n
-    w = (2.0 + 2.0 / n) * basis.eigenvalues + base_curvature(n)
-    return float(np.real(np.sum(w * np.abs(u.coeffs) ** 2)))
+    return _energy(u.basis, u.coeffs)
 
 
 def energy_consistency(u):
     """(spectral E, curvature-side int R dV_theta, |difference|)."""
-    basis = u.basis
-    e1 = energy(u)
-    rv = curvature_values(u)
-    uv = u.real_values
-    e2 = float(basis.weights @ (rv * uv ** critical_exponent(basis.n)))
+    _, R, dens = _grid_terms(u.basis, u.coeffs.real)
+    e1, e2 = energy(u), float(dens @ R)
     return e1, e2, abs(e1 - e2)
-
-
-def f_volume(u, f):
-    """int f u^{2+2/n} dV_theta0."""
-    basis = u.basis
-    return float(basis.weights @ (f.real_values * u.real_values ** critical_exponent(basis.n)))
 
 
 def alpha(u, f):
     """Normalizing constant: alpha int f dV_theta = int R dV_theta = E(u)."""
-    den = f_volume(u, f)
-    if abs(den) < 1e-14:
-        raise DegenerateDenominator("int f dV_theta vanished")
-    return energy(u) / den
+    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.real_values),
+                           f.real_values)[0]
 
 
 def energy_f(u, f):
     """Scale- and conformally-invariant normalized energy."""
-    n = u.basis.n
-    return energy(u) / f_volume(u, f) ** (n / (n + 1.0))
+    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.real_values),
+                           f.real_values)[1]
 
 
 def volume_renormalize(u):
     """Scale u so that int u^{2+2/n} dV = vol (exactly restorable)."""
-    basis = u.basis
-    n = basis.n
-    total = float(basis.weights @ u.real_values ** critical_exponent(n))
-    if total <= 0:
-        raise NonPositiveFactor("cannot renormalize a non-positive factor")
-    sigma = (basis.vol / total) ** (n / (2.0 * n + 2.0))
-    return sigma * u
+    return _volume_factor(u.basis, density(u.basis, u.real_values)) * u
 
 
 def flow_rhs(u, f):
     """(n/2)(alpha f - R) u projected to the basis."""
     basis = u.basis
-    return Field.from_coeffs(
-        basis, _rhs_coeffs(basis, u.coeffs.real, f.real_values, basis.n))
+    return Field.from_coeffs(basis, _rhs_coeffs(basis, u.coeffs.real, f.real_values))
 
 
 def cr_yamabe_constant(n, vol):
@@ -159,8 +192,7 @@ def center_of_mass(u):
     """P = int x u^{2+2/n} dV and its normalization P_hat (P itself when |P|
     is below 1e-12)."""
     basis = u.basis
-    dens = basis.weights * u.real_values ** critical_exponent(basis.n)
-    P = dens @ basis.nodes
+    P = density(basis, u.real_values) @ basis.nodes
     norm = np.linalg.norm(P)
     P_hat = P / norm if norm > 1e-12 else P
     return P, P_hat
@@ -170,7 +202,7 @@ def mass_concentration(u, rho=0.5, max_centers=512):
     """Largest fraction of dV_theta mass inside a round geodesic ball of
     radius rho, maximized over a spread subsample of grid centers."""
     basis = u.basis
-    dens = basis.weights * u.real_values ** critical_exponent(basis.n)
+    dens = density(basis, u.real_values)
     total = dens.sum()
     X = np.concatenate([basis.nodes.real, basis.nodes.imag], axis=1)
     stride = max(1, len(X) // max_centers)
@@ -192,36 +224,27 @@ def kazdan_warner_vector(u, f, R_field=None):
     basis = u.basis
     if R_field is None:
         R_field = webster_curvature(u)
-    dens = basis.weights * u.real_values ** critical_exponent(basis.n)
-    kw = coordinate_grad_inner_values(R_field) @ dens
+    kw = coordinate_grad_inner_values(R_field) @ density(basis, u.real_values)
     return np.concatenate([kw, np.conj(kw)])
 
 
 def diagnostics(u, f, rho=0.5):
     """All scalar monitors of a flow state, computed by quadrature."""
     basis = u.basis
-    n = basis.n
-    p = critical_exponent(n)
-    rv = curvature_values(u)
-    a = alpha(u, f)
-    uv = u.real_values
-    dens = basis.weights * uv ** p
-    dev = a * f.real_values - rv
-    F2 = float(dens @ dev ** 2)
+    c = u.coeffs.real
+    uv, rv, dens = _grid_terms(basis, c)
+    dev, F2 = _deviation(basis, c, rv, dens, f.real_values)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
     grad_sq = np.real(grad_inner_values(dev_field, dev_field))
     G2 = float(basis.weights @ (grad_sq * uv ** 2))
     P, P_hat = center_of_mass(u)
-    b = np.empty(2 * (n + 1), dtype=complex)
     moments = dens * dev
-    b[: n + 1] = moments @ basis.nodes
-    b[n + 1:] = moments @ np.conj(basis.nodes)
-    R_field = Field.from_values(basis, rv)
-    kw = kazdan_warner_vector(u, f, R_field=R_field)
+    b = np.concatenate([moments @ basis.nodes, moments @ np.conj(basis.nodes)])
+    kw = kazdan_warner_vector(u, f, R_field=Field.from_values(basis, rv))
     return DiagnosticsRecord(
         E=energy(u), E_f=energy_f(u, f), F2=F2, G2=max(G2, 0.0),
-        P=P, P_hat=P_hat, b=b, B=np.sqrt(n + 1.0) * b,
+        P=P, P_hat=P_hat, b=b, B=np.sqrt(basis.n + 1.0) * b,
         kw_residual=float(np.linalg.norm(kw)),
         max_u=float(uv.max()),
         mass_concentration=mass_concentration(u, rho=rho))
@@ -237,65 +260,48 @@ class FlowState:
     u: Field
     alpha: float
     diagnostics: DiagnosticsRecord | None = None
+    F2: float | None = None          # set by step: the run loop's stop test
 
 
-def _rhs_coeffs(basis, c, fvals, n):
-    """Basis coefficients of (n/2)(alpha f - R) u for real coefficients c."""
-    u, lap = np.stack([c, -basis.eigenvalues * c]) @ basis.funcs   # one gemm
-    if u.min() <= 0:
-        raise NonPositiveFactor("conformal factor must be positive on the grid")
-    R = (-(2.0 + 2.0 / n) * lap + base_curvature(n) * u) / u ** (1.0 + 2.0 / n)
-    w = (2.0 + 2.0 / n) * basis.eigenvalues + base_curvature(n)
-    a = float(w @ (c * c)) / float(basis.weights @ (fvals * u ** critical_exponent(n)))
-    return basis.funcs @ (basis.weights * (0.5 * n * (a * fvals - R) * u))
-
-
-def _renorm_coeffs(basis, c, n):
-    """Volume-renormalized coefficients and their grid values."""
-    u = c @ basis.funcs
-    if u.min() <= 0:
-        raise NonPositiveFactor("conformal factor must be positive on the grid")
-    sigma = (basis.vol / float(basis.weights @ u ** critical_exponent(n))) ** (
-        n / (2.0 * n + 2.0))
-    return sigma * c, sigma * u
-
-
-def step(state, f, dt, slack=1e-10, dt_min=1e-7, with_diagnostics=False):
+def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     """One monotonicity-gated RK4 step with volume renormalization.
 
     Halves dt on positivity loss or an E_f increase beyond slack; raises
     PositivityLoss / StepRejected when dt_min is reached.  Returns the new
-    FlowState and the dt actually used.
+    FlowState, with its alpha and F2, and the dt actually used.
     """
     basis = state.u.basis
-    n = basis.n
     fvals = f.real_values
     c0 = state.u.coeffs.real
     ef0 = energy_f(state.u, f)
     while True:
         try:
-            k1 = _rhs_coeffs(basis, c0, fvals, n)
-            k2 = _rhs_coeffs(basis, c0 + 0.5 * dt * k1, fvals, n)
-            k3 = _rhs_coeffs(basis, c0 + 0.5 * dt * k2, fvals, n)
-            k4 = _rhs_coeffs(basis, c0 + dt * k3, fvals, n)
-            c1, v1 = _renorm_coeffs(
-                basis, c0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), n)
+            k1 = _rhs_coeffs(basis, c0, fvals)
+            k2 = _rhs_coeffs(basis, c0 + 0.5 * dt * k1, fvals)
+            k3 = _rhs_coeffs(basis, c0 + 0.5 * dt * k2, fvals)
+            k4 = _rhs_coeffs(basis, c0 + dt * k3, fvals)
+            c1 = c0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            v1, R1, dens = _grid_terms(basis, c1)
         except NonPositiveFactor:
             if dt / 2.0 < dt_min:
                 raise PositivityLoss(
                     f"factor lost positivity at dt = {dt:.3e} (dt_min reached)")
             dt /= 2.0
             continue
-        u1 = Field(basis, c1, v1)
-        ef1 = energy_f(u1, f)
+        sigma = _volume_factor(basis, dens)
+        u1 = sigma * Field(basis, c1, v1)
+        dens = density(basis, u1.values)
+        a1, ef1 = _alpha_energy_f(basis, u1.coeffs, dens, fvals)
         if ef1 > ef0 + slack:
             if dt / 2.0 < dt_min:
                 raise StepRejected(
                     f"energy gate violated by {ef1 - ef0:.3e} at dt_min")
             dt /= 2.0
             continue
-        diag = diagnostics(u1, f) if with_diagnostics else None
-        return FlowState(state.t + dt, u1, alpha(u1, f), diag), dt
+        # R(sigma u) = sigma^{-2/n} R(u), so F2 needs no further synthesis
+        R1 = sigma ** (-2.0 / basis.n) * R1
+        _, F2 = _deviation(basis, u1.coeffs, R1, dens, fvals)
+        return FlowState(state.t + dt, u1, a1, F2=F2), dt
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +325,8 @@ class FlowConfig:
     concentration_rho: float = 0.5
     record_every: int = 10
     enforce_beta: bool = False
-    dt_min: float = 1e-7
-    monotonicity_slack: float = 1e-10
     max_steps: int = 200_000
     wall_time_cap: float | None = None
-    dt_growth_every: int = 20
     compute_shadow: bool = True
 
 
@@ -374,9 +377,7 @@ def run(u0, f, config=None):
     from .normalization import find_centering, shadow
 
     config = config or FlowConfig()
-    basis = u0.basis
-    f_positive = f.real_values.min() > 0
-    if not f_positive:
+    if not f.real_values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
     u = volume_renormalize(u0)
     if config.enforce_beta:
@@ -402,30 +403,26 @@ def run(u0, f, config=None):
             except CRFlowError:
                 rec.shadow_converged = False
         records.append(rec)
-        return rec
 
     record(state)
 
-    def cheap_monitor(st):
-        """F2 and max u without the gradient machinery."""
-        uv = st.u.real_values
-        rv = curvature_values(st.u)
-        dev = st.alpha * f.real_values - rv
-        F2 = float((basis.weights * uv ** critical_exponent(basis.n)) @ dev ** 2)
-        return F2, float(uv.max())
-
     dt = config.dt_init
     accepted_since_growth = 0
-    status, message = Termination.TIME_LIMIT, ""
+    status = Termination.TIME_LIMIT
     n_steps = 0
-    while state.t < config.t_max and n_steps < config.max_steps:
+    while True:
+        if state.t >= config.t_max:
+            message = f"t_max ({config.t_max:g}) reached at t = {state.t:.6g}"
+            break
+        if n_steps >= config.max_steps:
+            message = f"max_steps ({config.max_steps}) reached at t = {state.t:.6g}"
+            break
         if config.wall_time_cap and time.monotonic() - started > config.wall_time_cap:
-            message = "wall-time cap reached"
+            message = (f"wall-time cap ({config.wall_time_cap:g} s) reached "
+                       f"at t = {state.t:.6g}")
             break
         try:
-            new_state, dt_used = step(state, f, dt,
-                                      slack=config.monotonicity_slack,
-                                      dt_min=config.dt_min)
+            new_state, dt_used = step(state, f, dt)
         except (PositivityLoss, StepRejected) as exc:
             status, message = Termination.STEP_FAILURE, str(exc)
             break
@@ -435,7 +432,8 @@ def run(u0, f, config=None):
             accepted_since_growth = 0
         else:
             accepted_since_growth += 1
-            if accepted_since_growth >= config.dt_growth_every and dt < config.dt_init:
+            # after 20 accepted steps at a reduced dt, try doubling it
+            if accepted_since_growth >= 20 and dt < config.dt_init:
                 dt = min(2.0 * dt, config.dt_init)
                 accepted_since_growth = 0
         state = new_state
@@ -444,11 +442,11 @@ def run(u0, f, config=None):
                 state.u, f, rho=config.concentration_rho))
             states.append(state)
             record(state)
-        F2, max_u = cheap_monitor(state)
-        if F2 < config.tol_converge:
-            status, message = Termination.CONVERGED, f"F2 = {F2:.3e}"
+        if state.F2 < config.tol_converge:
+            status, message = Termination.CONVERGED, f"F2 = {state.F2:.3e}"
             break
         # the mass scan only matters once max u is past the blow-up bound
+        max_u = float(state.u.real_values.max())
         if max_u > config.blowup_factor:
             mass = mass_concentration(state.u, rho=config.concentration_rho)
             if mass > config.mass_threshold:
@@ -456,7 +454,7 @@ def run(u0, f, config=None):
                     f"mass {mass:.3f}, max u {max_u:.1f}")
                 break
 
-    if state.diagnostics is None or states[-1] is not state:
+    if states[-1] is not state:
         state = replace(state, diagnostics=diagnostics(
             state.u, f, rho=config.concentration_rho))
         states.append(state)

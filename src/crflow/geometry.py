@@ -118,13 +118,6 @@ def unitary_from_north(p):
     return phase * H
 
 
-def pole_swap_unitary(nc):
-    """diag(1, ..., 1, -1): swaps the north and south poles."""
-    s = np.eye(nc, dtype=complex)
-    s[-1, -1] = -1.0
-    return s
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -192,11 +185,6 @@ class CRAutomorphism:
     @classmethod
     def identity(cls, n):
         return cls(np.eye(n + 1, dtype=complex), _identity_q(n), 1.0)
-
-    def is_identity(self, tol=1e-13):
-        return (abs(self.r - 1.0) < tol and np.abs(self.q.z).max(initial=0.0) < tol
-                and abs(self.q.tau) < tol
-                and np.abs(self.U - np.eye(self.n + 1)).max() < tol)
 
     def inverse(self):
         """(Psi T_q D_r pi)^{-1} = Psi T_{q~} D_{1/r} pi with q~ = D_{1/r}(-q)."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conformal import pullback_factor
 from .errors import NoConvergence
-from .flow import center_of_mass, critical_exponent
+from .flow import center_of_mass, density
 from .geometry import CRAutomorphism, HeisenbergPoint, unitary_from_north
 from .hquad import heisenberg_integral
 from .spectral import sphere_volume_cached
@@ -63,7 +63,7 @@ def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER, vol_tol=1e-6):
     basis = u.basis
     n = basis.n
     uv = u.real_values
-    dens = basis.weights * uv ** critical_exponent(n)
+    dens = density(basis, uv)
     total = dens.sum()
     if abs(total - basis.vol) > vol_tol * basis.vol:
         raise ValueError("find_centering expects a volume-normalized factor")

@@ -85,9 +85,9 @@ def f_from_spec(basis, spec):
             a = tuple(int(v) for v in term["powers_x"])
             b = tuple(int(v) for v in term["powers_xbar"])
             c = term["coeff"]
-        except (KeyError, TypeError) as exc:
+            coeff = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"f_spec term {pos}: {exc}") from exc
-        coeff = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
         if len(a) != basis.n + 1 or len(b) != basis.n + 1:
             raise ConfigError(f"f_spec term {pos}: powers need n+1 entries")
         if sum(a) + sum(b) > 4:
@@ -120,18 +120,22 @@ def u0_from_spec(basis, spec, seed=0):
         try:
             p = np.asarray([complex(v[0], v[1]) for v in spec["p"]])
             eps = float(spec["eps"])
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bubble u0_spec: {exc}") from exc
         if abs(np.sum(np.abs(p) ** 2) - 1.0) > 1e-9:
             raise ConfigError("bubble center must be a unit vector")
-        return volume_renormalize(bubble(p, eps, basis))
+        try:
+            u0 = bubble(p, eps, basis)
+        except ValueError as exc:
+            raise ConfigError(f"bubble u0_spec: {exc}") from exc
+        return volume_renormalize(u0)
     if kind == "perturbation":
         vals = np.ones(len(basis.nodes))
         for pos, term in enumerate(spec.get("terms", [])):
             try:
                 j = int(term["coordinate"])
                 amp = float(term["amplitude"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"perturbation term {pos}: {exc}") from exc
             if not 0 <= j <= 2 * basis.n + 1:
                 raise ConfigError(f"perturbation term {pos}: coordinate out of range")
@@ -140,7 +144,10 @@ def u0_from_spec(basis, spec, seed=0):
             raise ConfigError("perturbed u0 is not positive")
         return volume_renormalize(Field.from_values(basis, vals))
     if kind == "random":
-        amp = float(spec.get("amplitude", 0.05))
+        try:
+            amp = float(spec.get("amplitude", 0.05))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"random u0_spec: {exc}") from exc
         rng = np.random.default_rng(seed)
         vals = np.ones(len(basis.nodes))
         for j in range(2 * basis.n + 2):

@@ -374,6 +374,8 @@ class Field:
                      self.values + other.values)
 
     def __sub__(self, other):
+        if not isinstance(other, Field):
+            return NotImplemented
         return Field(self.basis, self.coeffs - other.coeffs,
                      self.values - other.values)
 

@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import crflow
+from crflow.config import load_scenario
+from crflow.errors import ConfigError
 
 RUN = [sys.executable, "-m", "crflow.cli"]
 
@@ -77,14 +80,46 @@ def test_run_deterministic_csv(tmp_path):
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
 
-def test_run_malformed_config_exit_64_no_outputs(tmp_path):
+MALFORMED = {
+    "negative-dt_init": ({"dt_init": -3.0}, "dt_init"),
+    "f_spec-coeff-text": ({"f_spec": [{"powers_x": [0, 0], "powers_xbar": [0, 0],
+                                       "coeff": "abc"}]}, "f_spec term 0"),
+    "f_spec-powers-text": ({"f_spec": [{"powers_x": ["a", 0], "powers_xbar": [0, 0],
+                                        "coeff": 1.0}]}, "f_spec term 0"),
+    "bubble-eps-above-1": ({"u0_spec": {"type": "bubble", "p": [[0, 0], [1, 0]],
+                                        "eps": 2.0}}, "bubble"),
+    "n-bool": ({"n": True}, "key 'n'"),
+    "record_every-bool": ({"record_every": True}, "key 'record_every'"),
+    "seed-negative": ({"u0_spec": {"type": "random"}, "seed": -1}, "key 'seed'"),
+    "random-amplitude-text": ({"u0_spec": {"type": "random", "amplitude": "big"}},
+                              "random u0_spec"),
+    "perturbation-amplitude-text": ({"u0_spec": {"type": "perturbation", "terms": [
+        {"coordinate": 0, "amplitude": "big"}]}}, "perturbation term 0"),
+}
+
+
+@pytest.mark.parametrize("overrides,needle", MALFORMED.values(), ids=MALFORMED)
+def test_run_malformed_config_exit_64_no_outputs(tmp_path, overrides, needle):
     cfgp = tmp_path / "bad.json"
-    cfgp.write_text('{"n": 1, "J": 5, "dt_init": -3.0}\n')
+    cfgp.write_text(json.dumps({"n": 1, "J": 5, **overrides}) + "\n")
     proc = invoke(["run", str(cfgp)], cwd=tmp_path)
-    assert proc.returncode == 64
-    assert "dt_init" in proc.stderr
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stderr.startswith("config error:") and needle in proc.stderr
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("key,old_default", [
+    ("dt_min", 1e-7), ("monotonicity_slack", 1e-10), ("dt_growth_every", 20)])
+def test_scenario_rejects_removed_flow_keys(tmp_path, key, old_default):
+    # the stepper's fixed constants are no longer scenario settings
+    cfgp = tmp_path / "old.json"
+    write_config(cfgp, **{key: old_default})
+    line = next(i for i, text in enumerate(cfgp.read_text().splitlines(), start=1)
+                if f'"{key}"' in text)
+    with pytest.raises(ConfigError,
+                       match=rf"old\.json:{line}: key '{key}': unknown key$"):
+        load_scenario(str(cfgp))
 
 
 def test_run_invalid_json_reports_line(tmp_path):

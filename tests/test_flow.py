@@ -215,6 +215,17 @@ def test_step_monotone_energy(basis):
         ef = ef_new
 
 
+def test_step_f2_matches_diagnostics(basis):
+    # step takes the new state's F2 from the renormalization's synthesis via
+    # R(sigma u) = sigma^{-2/n} R(u); start off-volume so that sigma ~ 1/1.3
+    f = f_dipole(basis, amplitude=0.2)
+    u = 1.3 * perturbed_factor(basis, 24, amp=0.1)
+    state, _ = step(FlowState(0.0, u, alpha(u, f)), f, 0.05)
+    d = diagnostics(state.u, f)
+    assert abs(state.F2 - d.F2) <= 1e-10 * d.F2
+    assert abs(state.alpha - alpha(state.u, f)) <= 1e-12 * abs(state.alpha)
+
+
 def test_run_constant_f_converges(basis):
     from crflow.flow import FlowConfig, Termination, run
     f = f_constant(basis)
@@ -248,6 +259,22 @@ def test_run_rejects_beta_violation(basis):
              FlowConfig(enforce_beta=True, t_max=0.2, record_every=100,
                         compute_shadow=False))
     assert ok.final_state.t > 0
+
+
+def test_run_names_its_time_limit(basis):
+    from crflow.flow import FlowConfig, Termination, run
+    f = f_dipole(basis, amplitude=0.2)
+    u0 = perturbed_factor(basis, 23, amp=0.03)
+    res = run(u0, f, FlowConfig(dt_init=0.05, t_max=10.0, max_steps=3,
+                                record_every=100, compute_shadow=False))
+    t = res.final_state.t
+    assert res.status is Termination.TIME_LIMIT and 0 < t < 10.0
+    assert res.message == f"max_steps (3) reached at t = {t:.6g}"
+    res = run(u0, f, FlowConfig(dt_init=0.05, t_max=0.1, record_every=100,
+                                compute_shadow=False))
+    t = res.final_state.t
+    assert res.status is Termination.TIME_LIMIT and t >= 0.1
+    assert res.message == f"t_max (0.1) reached at t = {t:.6g}"
 
 
 def _count_calls(monkeypatch, module, name):

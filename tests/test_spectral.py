@@ -135,6 +135,15 @@ def test_synthesize_matches_cached_values(basis8):
     assert np.abs(crflow.synthesize(u) - u.values).max() < 1e-12
 
 
+def test_field_arithmetic_takes_fields_only(basis8):
+    one = Field.constant(basis8, 1.0)
+    assert np.abs((one - one).values).max() == 0.0
+    with pytest.raises(TypeError):
+        one + 1.0
+    with pytest.raises(TypeError):
+        one - 1.0
+
+
 # ---------------------------------------------------------------------------
 # real basis
 # ---------------------------------------------------------------------------
