@@ -10,47 +10,38 @@ silently dropped data.
 import numpy as np
 
 from .morse import CriticalPoint, MorseData
-from .polynomials import PolyCalculus
+from .polynomials import PolyCalculus, real_coords
+
+DEDUP_TOL = 1e-6       # distance below which two converged points are one
+HESSIAN_TOL = 1e-8     # smallest |Hessian eigenvalue| of a nondegenerate point
+LAP_TOL = 1e-10        # smallest |Lap_b f| with a sign
+SEED = 0               # random Newton seeds
 
 
 def _newton_on_sphere(calc, x0, max_iter=60, tol=1e-12):
-    """Projected Newton for grad_S f = 0 from x0 (complex coords)."""
-    nc = calc.space.nc
-    D = 2 * nc
-    X = np.empty(D)
-    X[0::2] = x0.real
-    X[1::2] = x0.imag
+    """Projected Newton for grad_S f = 0 from x0 (complex coords): each step
+    solves the exact sphere Hessian against the tangent gradient."""
+    X = real_coords(x0)
     X /= np.linalg.norm(X)
-
-    def split(Xr):
-        return (Xr[0::2] + 1j * Xr[1::2])[None, :]
-
-    h = 1e-6
     for _ in range(max_iter):
-        g, gn = calc.tangent_gradient(split(X))
+        x = X[0::2] + 1j * X[1::2]
+        g, gn = calc.tangent_gradient(x[None, :])
         if gn[0] < tol:
-            return split(X)[0], True
-        # batched finite-difference Jacobian of the tangential gradient
-        offsets = np.concatenate([np.eye(D) * h, -np.eye(D) * h])
-        pts = X[None, :] + offsets
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        gall, _ = calc.tangent_gradient(pts[:, 0::2] + 1j * pts[:, 1::2])
-        J = (gall[:D] - gall[D:]).T / (2 * h)
+            return x, True
+        Q, H = calc.tangent_hessian(x)
         try:
-            d = np.linalg.lstsq(J, -g[0], rcond=1e-10)[0]
+            d = Q @ np.linalg.lstsq(H, -(Q.T @ g[0]), rcond=1e-10)[0]
         except np.linalg.LinAlgError:
-            return split(X)[0], False
-        d -= np.dot(d, X) * X
+            return x, False
         step = np.linalg.norm(d)
         if step > 0.5:
             d *= 0.5 / step
         X = X + d
         X /= np.linalg.norm(X)
-    return split(X)[0], False
+    return X[0::2] + 1j * X[1::2], False
 
 
-def find_critical_points(f, n_seeds=160, dedup_tol=1e-6, hessian_tol=1e-8,
-                         lap_tol=1e-10, seed=0):
+def find_critical_points(f, n_seeds=160):
     """MorseData for the band-limited field f, plus a list of warnings.
 
     Seeds combine extremal grid values, a spread subsample and random points;
@@ -62,7 +53,7 @@ def find_critical_points(f, n_seeds=160, dedup_tol=1e-6, hessian_tol=1e-8,
     fv = f.real_values
     order = np.argsort(fv)
     third = max(4, n_seeds // 3)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     random_pts = rng.normal(size=(third, basis.n + 1)) \
         + 1j * rng.normal(size=(third, basis.n + 1))
     random_pts /= np.linalg.norm(random_pts, axis=1)[:, None]
@@ -75,14 +66,14 @@ def find_critical_points(f, n_seeds=160, dedup_tol=1e-6, hessian_tol=1e-8,
         x, ok = _newton_on_sphere(calc, x0)
         if not ok:
             continue
-        if any(np.linalg.norm(x - y) < dedup_tol for y, *_ in found):
+        if any(np.linalg.norm(x - y) < DEDUP_TOL for y, *_ in found):
             continue
         eigs = calc.hessian_eigs(x)
-        if np.abs(eigs).min() < hessian_tol:
+        if np.abs(eigs).min() < HESSIAN_TOL:
             warnings.append(f"near-degenerate Hessian at {np.round(x, 4)}")
             continue
         lap = float(calc.sub_laplacian_value(x[None, :])[0])
-        if abs(lap) < lap_tol:
+        if abs(lap) < LAP_TOL:
             warnings.append(f"sub-Laplacian ~ 0 at {np.round(x, 4)}")
             continue
         value = float(calc.value(x[None, :])[0])

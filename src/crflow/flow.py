@@ -28,6 +28,9 @@ from .polynomials import PolyCalculus
 from .spectral import Field, coordinate_grad_inner_values, grad_inner_values
 
 
+MAX_CENTERS = 512    # ball centers scanned by mass_concentration
+
+
 def base_curvature(n):
     """Webster curvature of the round contact form."""
     return n * (n + 1) / 2.0
@@ -198,14 +201,15 @@ def center_of_mass(u):
     return P, P_hat
 
 
-def mass_concentration(u, rho=0.5, max_centers=512):
+def mass_concentration(u, rho=0.5):
     """Largest fraction of dV_theta mass inside a round geodesic ball of
-    radius rho, maximized over a spread subsample of grid centers."""
+    radius rho, maximized over a spread subsample of about MAX_CENTERS grid
+    centers."""
     basis = u.basis
     dens = density(basis, u.real_values)
     total = dens.sum()
     X = np.concatenate([basis.nodes.real, basis.nodes.imag], axis=1)
-    stride = max(1, len(X) // max_centers)
+    stride = max(1, len(X) // MAX_CENTERS)
     centers = X[::stride]
     cos_rho = np.cos(rho)
     best = 0.0
@@ -274,9 +278,12 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     fvals = f.real_values
     c0 = state.u.coeffs.real
     ef0 = energy_f(state.u, f)
+    try:
+        k1 = _rhs_coeffs(basis, c0, fvals)      # independent of dt
+    except NonPositiveFactor as exc:
+        raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
     while True:
         try:
-            k1 = _rhs_coeffs(basis, c0, fvals)
             k2 = _rhs_coeffs(basis, c0 + 0.5 * dt * k1, fvals)
             k3 = _rhs_coeffs(basis, c0 + 0.5 * dt * k2, fvals)
             k4 = _rhs_coeffs(basis, c0 + dt * k3, fvals)
@@ -370,9 +377,9 @@ def run(u0, f, config=None):
     """Integrate the flow from u0, recording diagnostics at a fixed cadence.
 
     Terminates Converged when F2 < tol_converge, Concentrated when the mass
-    concentration and max u exceed their thresholds, TimeLimit at t_max, and
-    StepFailure when the stepper gives up.  On concentration the shadow point
-    and the f-data there are attached to the result.
+    concentration and max u exceed their thresholds, TimeLimit at t_max (the
+    last step lands on it), and StepFailure when the stepper gives up.  On
+    concentration the shadow point and the f-data there are attached.
     """
     from .normalization import find_centering, shadow
 
@@ -421,13 +428,16 @@ def run(u0, f, config=None):
             message = (f"wall-time cap ({config.wall_time_cap:g} s) reached "
                        f"at t = {state.t:.6g}")
             break
+        # shortening the last step is no halving, so dt stays; it lands on
+        # t_max exactly, as t >= dt > t_max - t leaves no rounding in t + dt
+        dt_try = min(dt, config.t_max - state.t)
         try:
-            new_state, dt_used = step(state, f, dt)
+            new_state, dt_used = step(state, f, dt_try)
         except (PositivityLoss, StepRejected) as exc:
             status, message = Termination.STEP_FAILURE, str(exc)
             break
         n_steps += 1
-        if dt_used < dt:
+        if dt_used < dt_try:
             dt = dt_used
             accepted_since_growth = 0
         else:

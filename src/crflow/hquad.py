@@ -23,6 +23,8 @@ import numpy as np
 from .errors import NonConvergentQuadrature
 
 _GL_CACHE = {}
+MAX_PANELS = 12000     # panel budget of the adaptive rule
+M_LO, M_HI = 7, 11     # Gauss points per axis of the embedded rule pair
 
 
 def _gl(mpts):
@@ -47,24 +49,24 @@ def _panel_eval(G, x0, x1, y0, y1, mpts):
     return hx * hy * float(wx @ vals @ wy)
 
 
-def adaptive_box(G, x0, x1, y0, y1, tol, max_panels=12000, m_lo=7, m_hi=11):
+def adaptive_box(G, x0, x1, y0, y1, tol):
     """Adaptive 2D integral of G over [x0,x1] x [y0,y1].
 
-    Per-panel error is the difference between tensor Gauss rules with m_lo
-    and m_hi points per axis; the worst panel splits in four until the summed
-    estimate is below tol or the panel budget is hit.
+    Per-panel error is the difference between tensor Gauss rules with M_LO
+    and M_HI points per axis; the worst panel splits in four until the summed
+    estimate is below tol or MAX_PANELS is hit.
     Returns (value, error_estimate).
     """
     def make(a, b, c, d):
-        coarse = _panel_eval(G, a, b, c, d, m_lo)
-        fine = _panel_eval(G, a, b, c, d, m_hi)
+        coarse = _panel_eval(G, a, b, c, d, M_LO)
+        fine = _panel_eval(G, a, b, c, d, M_HI)
         return (-(abs(fine - coarse)), a, b, c, d, fine)
 
     heap = [make(x0, x1, y0, y1)]
     n_panels = 1
     while True:
         err_total = -sum(item[0] for item in heap)
-        if err_total <= tol or n_panels >= max_panels:
+        if err_total <= tol or n_panels >= MAX_PANELS:
             value = sum(item[5] for item in heap)
             return value, err_total
         _, a, b, c, d, _ = heapq.heappop(heap)
@@ -108,22 +110,22 @@ def _phi_cutoff(G, tol, probes=33):
         "integrand does not decay; tail bound never met")
 
 
-def heisenberg_integral(g, n, tol=1e-9, max_panels=12000, strict=True):
+def heisenberg_integral(g, n, tol=1e-9):
     """omega_{2n-1} * int int g(r, tau) r^{2n-1} dtau dr over r >= 0, tau in R.
 
     g must be vectorized over numpy arrays and absolutely integrable against
-    the radial weight; divergence surfaces as NonConvergentQuadrature.
+    the radial weight; divergence or an error estimate above tol surfaces as
+    NonConvergentQuadrature.
     Returns (value, error_estimate).
     """
     omega = surface_area_odd_sphere(n)
     G = _transformed(g, n)
     phi_max = _phi_cutoff(G, 0.5 * tol / omega)
     half = pi / 2.0
-    value, err = adaptive_box(G, 0.0, phi_max, -half, half,
-                              0.5 * tol / omega, max_panels=max_panels)
+    value, err = adaptive_box(G, 0.0, phi_max, -half, half, 0.5 * tol / omega)
     value *= omega
     err = err * omega + 0.5 * tol
-    if strict and err > max(tol * 8.0, 1e-13 * abs(value)):
+    if err > max(tol * 8.0, 1e-13 * abs(value)):
         raise NonConvergentQuadrature(
             f"error estimate {err:.3e} above tolerance {tol:.3e}")
     return value, err

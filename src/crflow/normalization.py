@@ -27,6 +27,7 @@ from .spectral import sphere_volume_cached
 CENTER_TOL = 1e-8
 MAX_ITER = 100
 COND_LIMIT = 1e8
+VOL_TOL = 1e-6       # relative volume gap a normalized factor may have
 
 
 @dataclass
@@ -54,7 +55,7 @@ def _residual(U, params, n, nodes, dens):
     return np.concatenate([vec.real, vec.imag]), vec
 
 
-def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER, vol_tol=1e-6):
+def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER):
     """Solve the zero-mass condition by damped Newton over (q, log r).
 
     Returns the best iterate with converged = False after max_iter instead of
@@ -65,7 +66,7 @@ def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER, vol_tol=1e-6):
     uv = u.real_values
     dens = density(basis, uv)
     total = dens.sum()
-    if abs(total - basis.vol) > vol_tol * basis.vol:
+    if abs(total - basis.vol) > VOL_TOL * basis.vol:
         raise ValueError("find_centering expects a volume-normalized factor")
 
     P, P_hat = center_of_mass(u)
@@ -166,7 +167,7 @@ def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER, vol_tol=1e-6):
         residual_history=tuple(history))
 
 
-def shadow(u, result=None, tol=CENTER_TOL):
+def shadow(u, result=None):
     """Theta = int phi dV_theta0 for the centering automorphism of u.
 
     Returns (Theta, Theta_hat, eps); Theta_hat is Theta itself when |Theta|
@@ -174,7 +175,7 @@ def shadow(u, result=None, tol=CENTER_TOL):
     """
     basis = u.basis
     if result is None:
-        result = find_centering(u, tol=tol)
+        result = find_centering(u)
     if not result.converged:
         raise NoConvergence(
             f"centering stalled at residual {result.residual:.3e}")

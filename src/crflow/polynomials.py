@@ -1,5 +1,8 @@
 """Monomial algebra for polynomials in (x, conj x) restricted to the sphere.
 
+This module is the one home of monomial calculus: no other code in the
+package enumerates, evaluates or differentiates monomials.
+
 A polynomial is a coefficient vector over the monomial list of a
 MonomialSpace(nc, maxdeg): all x^a conj(x)^b with |a| + |b| <= maxdeg, for
 nc = n + 1 complex coordinates.  Restrictions to |x| = 1 are not unique
@@ -34,20 +37,21 @@ def _multi_indices(nc, total):
     return out
 
 
-def monomials_of_bidegree(nc, j, k):
-    return [(a, b) for a in _multi_indices(nc, j) for b in _multi_indices(nc, k)]
-
-
 class MonomialSpace:
-    """Indexed monomial basis of polynomials of total degree <= maxdeg."""
+    """Indexed monomial basis of polynomials of total degree <= maxdeg; the
+    x^a conj(x)^b with |a| = j, |b| = k fill the index range blocks[(j, k)]."""
 
     def __init__(self, nc, maxdeg):
         self.nc = nc
         self.maxdeg = maxdeg
         mons = []
+        self.blocks = {}
         for total in range(maxdeg + 1):
             for j in range(total + 1):
-                mons.extend(monomials_of_bidegree(nc, j, total - j))
+                start = len(mons)
+                mons.extend((a, b) for a in _multi_indices(nc, j)
+                            for b in _multi_indices(nc, total - j))
+                self.blocks[(j, total - j)] = slice(start, len(mons))
         self.mons = mons
         self.index = {m: i for i, m in enumerate(mons)}
         self.dim = len(mons)
@@ -121,26 +125,34 @@ class MonomialSpace:
         prod_i x_i^A[m, i] conj(x_i)^B[m, i]."""
         return tuple(np.array(e, dtype=np.int64) for e in zip(*self.mons))
 
+    def monomial_table(self, points, rows=slice(None)):
+        """Values of the monomials mons[rows] at the points (N, nc), shape
+        (count, N): products of x_i^a_i conj(x_i)^b_i from a power table."""
+        A, B = (e[rows] for e in self.exponents)
+        x = np.asarray(points, dtype=complex).T
+        pw = np.ones((self.nc, self.maxdeg + 1, x.shape[1]), dtype=complex)
+        for d in range(1, self.maxdeg + 1):
+            pw[:, d] = pw[:, d - 1] * x
+        cpw = np.conj(pw)
+        table = np.ones((len(A), x.shape[1]), dtype=complex)
+        for i in range(self.nc):
+            table *= pw[i, A[:, i]]
+            table *= cpw[i, B[:, i]]
+        return table
+
     def evaluate(self, coeff, points):
         """Values at sphere points: shape (N,) for a coefficient vector,
         (k, N) for a (k, dim) coefficient matrix.
 
         Points are taken in blocks of about _BLOCK_ENTRIES monomial-point
         entries, so the monomial table stays small whatever N is."""
-        A, B = self.exponents
         coeff = np.asarray(coeff)
-        points = np.asarray(points, dtype=complex)
-        N = points.shape[0]
+        N = len(points)
         out = np.empty(coeff.shape[:-1] + (N,), dtype=complex)
         width = max(1, _BLOCK_ENTRIES // self.dim)
         for start in range(0, N, width):
-            block = points[start:start + width].T
-            pw = np.ones((self.nc, self.maxdeg + 1, block.shape[1]), dtype=complex)
-            for d in range(1, self.maxdeg + 1):
-                pw[:, d] = pw[:, d - 1] * block
-            cpw = np.conj(pw)
-            vals = np.prod([pw[i, A[:, i]] * cpw[i, B[:, i]] for i in range(self.nc)], axis=0)
-            out[..., start:start + width] = coeff @ vals
+            out[..., start:start + width] = \
+                coeff @ self.monomial_table(points[start:start + width])
         return out
 
     @cached_property
@@ -164,23 +176,37 @@ class MonomialSpace:
         return maps
 
     def wirtinger_gradients(self, coeff):
-        """Coefficient rows of d/dx_i (row i) and d/d conj(x_i) (row nc + i),
-        each in this space."""
-        grads = np.zeros((2 * self.nc, self.dim), dtype=complex)
+        """Coefficients of d/dx_i (row i) and d/d conj(x_i) (row nc + i),
+        each in this space: shape (2 nc, dim) for a coefficient vector,
+        (2 nc, k, dim) for a (k, dim) coefficient matrix."""
+        coeff = np.asarray(coeff)
+        grads = np.zeros((2 * self.nc,) + coeff.shape, dtype=complex)
         for r, (src, tgt, fac) in enumerate(self.wirtinger_maps):
-            grads[r, tgt] = fac * coeff[src]
+            grads[r][..., tgt] = fac * coeff[..., src]
         return grads
 
 
+def real_coords(points):
+    """Ambient real coordinates (Re x_1, Im x_1, ..., Im x_nc) of points."""
+    points = np.asarray(points, dtype=complex)
+    return np.stack([points.real, points.imag], axis=-1).reshape(points.shape[:-1] + (-1,))
+
+
 class PolyCalculus:
-    """Cached point calculus for one polynomial: values, sphere gradients,
-    Hessian eigenvalues at critical points, sub-Laplacian values."""
+    """Cached point calculus for one polynomial: values, exact first and
+    second derivatives of its real part in real_coords, sphere gradients and
+    Hessians, sub-Laplacian values."""
 
     def __init__(self, space, coeff):
         self.space = space
         self.coeff = np.asarray(coeff, dtype=complex)
         self._grads = space.wirtinger_gradients(self.coeff)
+        # row 2 nc s + r: the s-th Wirtinger derivative of gradient row r
+        self._hess = space.wirtinger_gradients(self._grads).reshape(-1, space.dim)
         self._lap = space.sub_laplacian(self.coeff)
+        # rows d/d Re x_i = d_i + dbar_i and d/d Im x_i = i (d_i - dbar_i)
+        eye = np.eye(space.nc)
+        self._real = np.hstack([np.kron(eye, [[1], [1j]]), np.kron(eye, [[1], [-1j]])])
 
     def value(self, points):
         return np.real(self.space.evaluate(self.coeff, points))
@@ -189,37 +215,32 @@ class PolyCalculus:
         return np.real(self.space.evaluate(self._lap, points))
 
     def ambient_gradient(self, points):
-        """Gradient of the (real) polynomial in ambient R^{2nc} coordinates:
-        shape (N, 2 nc), derivatives along (Re x_1, Im x_1, ..., Im x_nc)."""
-        gz, gzb = np.split(self.space.evaluate(self._grads, points).T, 2, axis=1)
-        out = np.empty((gz.shape[0], 2 * self.space.nc))
-        out[:, 0::2] = np.real(gz + gzb)          # d/d Re(x_i)
-        out[:, 1::2] = np.real(1j * (gz - gzb))   # d/d Im(x_i)
-        return out
+        """Gradient in ambient real coordinates: shape (N, 2 nc)."""
+        return np.real(self.space.evaluate(self._grads, points).T @ self._real.T)
+
+    def ambient_hessian(self, points):
+        """Hessian in ambient real coordinates: shape (N, 2 nc, 2 nc)."""
+        D = 2 * self.space.nc
+        W = self.space.evaluate(self._hess, points).T.reshape(-1, D, D)
+        return np.real(self._real @ W @ self._real.T)
 
     def tangent_gradient(self, points):
-        points = np.asarray(points, dtype=complex)
         amb = self.ambient_gradient(points)
-        X = np.empty((points.shape[0], 2 * self.space.nc))
-        X[:, 0::2] = points.real
-        X[:, 1::2] = points.imag
+        X = real_coords(points)
         rad = np.sum(amb * X, axis=1)
         tang = amb - rad[:, None] * X
         return tang, np.linalg.norm(tang, axis=1)
 
+    def tangent_hessian(self, point):
+        """(Q, H): an orthonormal basis Q (2 nc, 2 nc - 1) of the tangent
+        space at a sphere point X and the sphere Hessian
+        H = Q^T (Hess - <grad, X> I) Q in it."""
+        X, eye = real_coords(point), np.eye(2 * self.space.nc)
+        radial = float(self.ambient_gradient([point])[0] @ X)
+        H = self.ambient_hessian([point])[0] - radial * eye
+        Q = np.linalg.qr(np.concatenate([X[:, None], eye], axis=1))[0][:, 1:]
+        return Q, Q.T @ H @ Q
+
     def hessian_eigs(self, point):
-        point = np.asarray(point, dtype=complex)
-        nc = self.space.nc
-        D = 2 * nc
-        h = 1e-5
-        X = np.empty(D)
-        X[0::2] = point.real
-        X[1::2] = point.imag
-        # gradients at X + h e_j, X - h e_j (j < D) and X, in one evaluation
-        stencil = X + np.concatenate([h * np.eye(D), -h * np.eye(D), np.zeros((1, D))])
-        G = self.ambient_gradient(stencil[:, 0::2] + 1j * stencil[:, 1::2])
-        H = (G[:D] - G[D:2 * D]).T / (2 * h)
-        H = (H + H.T) / 2.0
-        radial = float(np.dot(G[2 * D], X))
-        Q = np.linalg.qr(np.concatenate([X[:, None], np.eye(D)], axis=1))[0][:, 1:D]
-        return np.linalg.eigvalsh(Q.T @ (H - radial * np.eye(D)) @ Q)
+        """Eigenvalues of the sphere Hessian at a sphere point."""
+        return np.linalg.eigvalsh(self.tangent_hessian(point)[1])

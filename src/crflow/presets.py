@@ -10,6 +10,7 @@ import numpy as np
 from .conformal import bubble
 from .errors import ConfigError
 from .flow import base_curvature, volume_renormalize
+from .polynomials import MonomialSpace
 from .spectral import Field
 
 
@@ -79,7 +80,8 @@ def f_from_spec(basis, spec):
         return PRESETS[key](basis)
     if not isinstance(spec, list) or not spec:
         raise ConfigError("f_spec must be a preset name or a term list")
-    vals = np.zeros(len(basis.nodes), dtype=complex)
+    space = MonomialSpace(basis.n + 1, 4)
+    coeffs = np.zeros(space.dim, dtype=complex)
     for pos, term in enumerate(spec):
         try:
             a = tuple(int(v) for v in term["powers_x"])
@@ -88,17 +90,11 @@ def f_from_spec(basis, spec):
             coeff = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"f_spec term {pos}: {exc}") from exc
-        if len(a) != basis.n + 1 or len(b) != basis.n + 1:
-            raise ConfigError(f"f_spec term {pos}: powers need n+1 entries")
-        if sum(a) + sum(b) > 4:
-            raise ConfigError(f"f_spec term {pos}: degree above 4")
-        mono = np.ones(len(basis.nodes), dtype=complex)
-        for i in range(basis.n + 1):
-            if a[i]:
-                mono *= basis.nodes[:, i] ** a[i]
-            if b[i]:
-                mono *= np.conj(basis.nodes[:, i]) ** b[i]
-        vals += coeff * mono
+        if (a, b) not in space.index:
+            raise ConfigError(f"f_spec term {pos}: powers need n+1 nonnegative "
+                              "entries each, of total degree at most 4")
+        coeffs[space.index[(a, b)]] += coeff
+    vals = space.evaluate(coeffs, basis.nodes)
     if np.abs(vals.imag).max() > 1e-9:
         raise ConfigError("f_spec terms do not sum to a real function")
     if vals.real.min() <= 0:

@@ -13,37 +13,37 @@ The grid is a product rule in Hopf coordinates
 x_k = sqrt(t_k) e^{i th_k}: uniform phases (exact for charges |a_k - b_k| <=
 deg) times a simplex rule in t (exact to the matching algebraic degree), so
 all monomials of ambient degree <= 2J + 4 integrate exactly.  Weights are
-scaled so the total measure equals the chart-side volume integral.
+scaled so the total measure equals the closed form 4 pi^{n+1} / n!.
 
-The sub-Laplacian is diagonal: on the bidegree-(j,k) block its eigenvalue is
-(4 j k + 2 n (j + k)) / c, with c calibrated so the linear coordinate
-functions carry eigenvalue n/2.  The horizontal-gradient pairing is computed
-from first derivatives on the basis, Gamma_b(u, w) = (2 sum_i (d_i u dbar_i w
-+ dbar_i u d_i w) - (E u)(E w) - (T u)(T w)) / 4, with d_i = d/dx_i, dbar_i =
-d/d conj(x_i), E = j + k and T = i (j - k) on H_{j,k}; on the real basis T is
-a rotation inside each (sqrt2 Re h, sqrt2 Im h) pair, so T u is real for
-real u.
+The monomials behind the basis are enumerated, evaluated on the grid and
+differentiated by polynomials.MonomialSpace.  The sub-Laplacian is
+Lap_b = (Lap_S - T^2) / 4, with Lap_S the round Laplacian and T the Hopf
+derivative; it is diagonal, with eigenvalue (4 j k + 2 n (j + k)) / 4 on the
+bidegree-(j,k) block, so the linear coordinate functions carry eigenvalue
+n/2.  The horizontal-gradient pairing is computed from first derivatives on
+the basis, Gamma_b(u, w) = (2 sum_i (d_i u dbar_i w + dbar_i u d_i w) -
+(E u)(E w) - (T u)(T w)) / 4, with d_i = d/dx_i, dbar_i = d/d conj(x_i),
+E = j + k and T = i (j - k) on H_{j,k}; on the real basis T is a rotation
+inside each (sqrt2 Re h, sqrt2 Im h) pair, so T u is real for real u.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
-from math import pi
+from math import factorial, pi
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .hquad import sphere_volume
-from .polynomials import MonomialSpace, monomials_of_bidegree
+from .polynomials import MonomialSpace
 
-DEFAULT_BUDGET = 3.5e7   # max entries of the synthesis matrix
-_VOL_CACHE = {}
+BUDGET = 3.5e7   # max entries of the synthesis matrix
 
 
 def sphere_volume_cached(n):
-    if n not in _VOL_CACHE:
-        _VOL_CACHE[n] = sphere_volume(n)
-    return _VOL_CACHE[n]
+    """Volume 4 pi^{n+1} / n! of (S^{2n+1}, theta_0), from its closed form;
+    hquad.sphere_volume computes it independently by chart quadrature."""
+    return 4.0 * pi ** (n + 1) / factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +116,20 @@ def sphere_quadrature(n, deg):
 # basis
 # ---------------------------------------------------------------------------
 
-def _harmonic_nullspace(nc, j, k):
-    """Monomial list of P_{j,k} and an orthonormal-column matrix spanning the
-    kernel of the ambient Laplacian P_{j,k} -> P_{j-1,k-1}."""
-    mons = monomials_of_bidegree(nc, j, k)
-    if j == 0 or k == 0:
-        return mons, np.eye(len(mons))
-    lower = monomials_of_bidegree(nc, j - 1, k - 1)
-    idx = {m: i for i, m in enumerate(lower)}
-    L = np.zeros((len(lower), len(mons)))
-    for col, (a, b) in enumerate(mons):
-        for i in range(nc):
-            if a[i] and b[i]:
-                a2 = tuple(a[t] - (t == i) for t in range(nc))
-                b2 = tuple(b[t] - (t == i) for t in range(nc))
-                L[idx[(a2, b2)], col] += 4.0 * a[i] * b[i]
+def _harmonic_nullspace(space, j, k):
+    """Orthonormal columns spanning the kernel of the ambient Laplacian
+    P_{j,k} -> P_{j-1,k-1}, in the bidegree-(j,k) monomials of space."""
+    cols = space.blocks[(j, k)]
+    if j == 0 or k == 0:                    # the Laplacian kills P_{j,k}
+        return np.eye(cols.stop - cols.start)
+    rows = space.blocks[(j - 1, k - 1)]
+    sel = (space._lap_cols >= cols.start) & (space._lap_cols < cols.stop)
+    L = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+    L[space._lap_rows[sel] - rows.start, space._lap_cols[sel] - cols.start] = \
+        space._lap_vals[sel]
     _, s, vt = np.linalg.svd(L)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-    return mons, vt[rank:].T
-
-
-def _calibrate_scale(n):
-    """Scale c with Lap_b = (Lap_round - T^2)/c, anchored to eigenvalue n/2 on
-    the linear coordinate x_1; c comes out 4 for every n."""
-    space = MonomialSpace(n + 1, 1)
-    e = np.zeros(space.dim)
-    a = tuple(1 if i == 0 else 0 for i in range(n + 1))
-    b = tuple(0 for _ in range(n + 1))
-    e[space.index[(a, b)]] = 1.0
-    image = space.round_laplacian(e) - space.hopf_sq(e)
-    ratio = image[space.index[(a, b)]]
-    off = np.abs(image - ratio * e).max()
-    if off > 1e-12:
-        raise RuntimeError("coordinate function is not an eigenfunction")
-    return float(-ratio) / (n / 2.0)
+    return vt[rank:].T
 
 
 class Basis:
@@ -169,53 +149,43 @@ class Basis:
       vol              : total measure of the sphere
     """
 
-    def __init__(self, n, J, budget=DEFAULT_BUDGET):
+    def __init__(self, n, J):
         if n < 1:
             raise ValueError("n must be >= 1")
         if J < 1:
             raise ValueError("J must be >= 1")
         nc = n + 1
         deg = 2 * J + 4
+        space = self.space = MonomialSpace(nc, J)
         # H_{k,j} is the conjugate of H_{j,k}, so only j <= k is built
-        blocks = [(j, m - j) + _harmonic_nullspace(nc, j, m - j)
+        blocks = [(j, m - j, _harmonic_nullspace(space, j, m - j))
                   for m in range(J + 1) for j in range(m // 2 + 1)]
         # predict sizes before allocating
         M = deg + 1
         T, _ = _simplex_rule(n, deg // 2 + 1)
         n_nodes = len(T) * M ** nc
-        nb = sum(null.shape[1] * (1 if j == k else 2) for j, k, _, null in blocks)
-        if nb * n_nodes > budget:
+        nb = sum(null.shape[1] * (1 if j == k else 2) for j, k, null in blocks)
+        if nb * n_nodes > BUDGET:
             raise BudgetExceeded(
-                f"basis needs {nb} x {n_nodes} grid entries, over budget {budget:.0f}")
+                f"basis needs {nb} x {n_nodes} grid entries, over budget {BUDGET:.0f}")
 
         self.n, self.J = n, J
         self.nodes, self.weights = sphere_quadrature(n, deg)
         self.vol = float(self.weights.sum())
-        c = _calibrate_scale(n)
-        self.space = MonomialSpace(nc, J)
-
-        def monomial_values(ab):
-            a, b = ab
-            v = np.ones(len(self.nodes), dtype=complex)
-            for i in range(nc):
-                if a[i]:
-                    v = v * self.nodes[:, i] ** a[i]
-                if b[i]:
-                    v = v * np.conj(self.nodes[:, i]) ** b[i]
-            return v
 
         funcs, polys, eigs, tags, pair = [], [], [], [], []
-        for j, k, mons, null in blocks:
+        for j, k, null in blocks:
             d = null.shape[1]
             if d == 0:
                 continue
-            block = null.T @ np.stack([monomial_values(ab) for ab in mons])   # (d, N)
-            coef = null.T                               # coords in mons
+            rows = space.blocks[(j, k)]
+            block = null.T @ space.monomial_table(self.nodes, rows)   # (d, N)
+            coef = null.T                               # coords in the block
+            conj = np.array([space.index[(b, a)] for a, b in space.mons[rows]])
             if j == k:
                 # conjugation permutes the monomials of P_{j,j}; the Re and
                 # Im parts of the null vectors span the real part of H_{j,j}
-                pos = {ab: t for t, ab in enumerate(mons)}
-                cconj = coef[:, [pos[(b, a)] for a, b in mons]]
+                cconj = coef[:, conj - rows.start]
                 block = np.concatenate([block.real, block.imag])
                 coef = np.concatenate([(coef + cconj) / 2.0, (coef - cconj) / 2.0j])
             G = (block * self.weights) @ block.conj().T
@@ -225,19 +195,19 @@ class Basis:
                 raise RuntimeError(f"H_{(j, k)} has rank {keep.sum()}, not {d}")
             R = evecs[:, keep] / np.sqrt(evals[keep])
             onb, onb_poly = R.T @ block, R.T @ coef
-            P = np.zeros((d, self.space.dim), dtype=complex)
-            P[:, [self.space.index[ab] for ab in mons]] = onb_poly
+            P = np.zeros((d, space.dim), dtype=complex)
+            P[:, rows] = onb_poly
             if j < k:
                 # sqrt2 Re h = (h + conj h) / sqrt2 and sqrt2 Im h =
                 # (h - conj h) / (sqrt2 i), orthonormal as int h h' = 0 for j != k
                 Pc = np.zeros_like(P)
-                Pc[:, [self.space.index[(b, a)] for a, b in mons]] = np.conj(onb_poly)
+                Pc[:, conj] = np.conj(onb_poly)
                 onb = np.stack([onb.real, onb.imag], axis=1).reshape(2 * d, -1)
                 P = np.stack([P + Pc, (P - Pc) / 1j], axis=1).reshape(2 * d, -1)
                 onb, P = np.sqrt(2.0) * onb, P / np.sqrt(2.0)
             funcs.append(onb)
             polys.append(P)
-            eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / c] * len(onb)
+            eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / 4.0] * len(onb)
             tags += [(j, k)] * len(onb)
             pair += [1, -1] * d if j < k else [0] * d   # offset to the pair partner
 
@@ -328,8 +298,8 @@ class Basis:
         return float(np.abs(G - np.eye(self.nb)).max())
 
 
-def build_basis(n, J, budget=DEFAULT_BUDGET):
-    return Basis(n, J, budget=budget)
+def build_basis(n, J):
+    return Basis(n, J)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ MALFORMED = {
                                        "coeff": "abc"}]}, "f_spec term 0"),
     "f_spec-powers-text": ({"f_spec": [{"powers_x": ["a", 0], "powers_xbar": [0, 0],
                                         "coeff": 1.0}]}, "f_spec term 0"),
+    "f_spec-negative-power": ({"f_spec": [{"powers_x": [-1, 0], "powers_xbar": [-1, 0],
+                                           "coeff": 1.0}]}, "f_spec term 0"),
     "bubble-eps-above-1": ({"u0_spec": {"type": "bubble", "p": [[0, 0], [1, 0]],
                                         "eps": 2.0}}, "bubble"),
     "n-bool": ({"n": True}, "key 'n'"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crflow
-from crflow.errors import DegenerateDenominator, NonPositiveFactor
+from crflow.errors import DegenerateDenominator, NonPositiveFactor, PositivityLoss
 from crflow.flow import (FlowState, alpha, base_curvature, beta_threshold,
                          critical_exponent, curvature_values, diagnostics,
                          energy, energy_consistency, energy_f, flow_rhs, step,
@@ -275,6 +275,49 @@ def test_run_names_its_time_limit(basis):
     t = res.final_state.t
     assert res.status is Termination.TIME_LIMIT and t >= 0.1
     assert res.message == f"t_max (0.1) reached at t = {t:.6g}"
+
+
+def test_run_lands_on_t_max(basis, tmp_path):
+    from crflow.cli import write_trajectory_csv
+    from crflow.flow import FlowConfig, Termination, run
+    f = f_dipole(basis, amplitude=0.2)
+    u0 = perturbed_factor(basis, 23, amp=0.03)
+    # 0.05 does not divide 0.12: the last step is shortened to land on t_max
+    res = run(u0, f, FlowConfig(dt_init=0.05, t_max=0.12, record_every=100,
+                                compute_shadow=False))
+    assert res.status is Termination.TIME_LIMIT
+    assert res.final_state.t == 0.12
+    assert res.message == "t_max (0.12) reached at t = 0.12"
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, res.records, basis.n)
+    assert float(path.read_text().splitlines()[-1].split(",")[0]) == 0.12
+
+
+def test_step_takes_k1_once_across_halvings(basis, monkeypatch):
+    from crflow import flow
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 25)
+    rhs = flow._rhs_coeffs
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) == 2:          # the first attempt's second stage
+            raise NonPositiveFactor("forced halving")
+        return rhs(*args)
+
+    monkeypatch.setattr(flow, "_rhs_coeffs", counted)
+    state, dt = step(FlowState(0.0, u, alpha(u, f)), f, 0.05)
+    assert dt == 0.025 and state.t == 0.025
+    # k1 once, the failed stage, then the retry's three stages
+    assert len(calls) == 5
+
+
+def test_step_from_nonpositive_factor_is_positivity_loss(basis):
+    f = f_dipole(basis, amplitude=0.2)
+    u = -1.0 * perturbed_factor(basis, 26)
+    with pytest.raises(PositivityLoss):
+        step(FlowState(0.0, u, 1.0), f, 0.05)
 
 
 def _count_calls(monkeypatch, module, name):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import crflow
 from crflow.polynomials import _BLOCK_ENTRIES, MonomialSpace, PolyCalculus
+from crflow.presets import f_from_spec
+from crflow.spectral import Field
 
 
 def sphere_points(nc, count, seed):
@@ -93,3 +96,52 @@ def test_hessian_eigs_of_height_function_at_its_maximum():
     coeff[space.index[((0, 0), (1, 0))]] = 0.5
     eigs = PolyCalculus(space, coeff).hessian_eigs(np.array([1.0, 0.0]))
     assert np.abs(eigs + 1.0).max() < 1e-8
+
+
+def central_difference_hessian(calc, point, h=1e-5):
+    """Symmetrized central differences of ambient_gradient at one point."""
+    D = 2 * calc.space.nc
+    X = np.empty(D)
+    X[0::2] = point.real
+    X[1::2] = point.imag
+    stencil = X + np.concatenate([h * np.eye(D), -h * np.eye(D)])
+    G = calc.ambient_gradient(stencil[:, 0::2] + 1j * stencil[:, 1::2])
+    H = (G[:D] - G[D:]).T / (2 * h)
+    return (H + H.T) / 2.0
+
+
+@pytest.mark.parametrize("nc,maxdeg", [(2, 8), (3, 4)])
+def test_exact_hessian_matches_central_differences(nc, maxdeg):
+    space = MonomialSpace(nc, maxdeg)
+    calc = PolyCalculus(space, random_coeffs(space, seed=9))
+    pts = sphere_points(nc, 5, seed=10)
+    hess = calc.ambient_hessian(pts)
+    assert hess.shape == (5, 2 * nc, 2 * nc)
+    for x, H in zip(pts, hess):
+        fd = central_difference_hessian(calc, x)
+        scale = np.abs(H).max()
+        assert np.abs(H - fd).max() <= 1e-7 * scale
+        # sphere Hessian: project H - <grad, X> I on the tangent space
+        X = np.empty(2 * nc)
+        X[0::2], X[1::2] = x.real, x.imag
+        radial = float(calc.ambient_gradient(x[None, :])[0] @ X)
+        Q = np.linalg.qr(np.concatenate([X[:, None], np.eye(2 * nc)], axis=1))[0][:, 1:]
+        want = np.linalg.eigvalsh(Q.T @ (fd - radial * np.eye(2 * nc)) @ Q)
+        assert np.abs(calc.hessian_eigs(x) - want).max() <= 1e-7 * scale
+
+
+def test_f_from_spec_evaluates_terms_beyond_the_band_limit():
+    # 1 + |x_0|^2 + 0.2 Re(x_0^2 conj(x_1)^2): the degree-4 term lies above
+    # J = 2, so the term list must not be read in the basis's own space
+    basis = crflow.build_basis(1, 2)
+    terms = [
+        {"powers_x": [0, 0], "powers_xbar": [0, 0], "coeff": 1.0},
+        {"powers_x": [1, 0], "powers_xbar": [1, 0], "coeff": 1.0},
+        {"powers_x": [2, 0], "powers_xbar": [0, 2], "coeff": 0.1},
+        {"powers_x": [0, 2], "powers_xbar": [2, 0], "coeff": [0.1, 0.0]},
+    ]
+    x0, x1 = basis.nodes.T
+    direct = 1.0 + np.abs(x0) ** 2 + 0.2 * np.real(x0 ** 2 * np.conj(x1) ** 2)
+    got = f_from_spec(basis, terms)
+    want = Field.from_values(basis, direct)
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12

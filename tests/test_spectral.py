@@ -79,6 +79,14 @@ def test_eigenvalues_nondecreasing_within_degree(basis8):
         assert min(block, default=0.0) >= 0.0
 
 
+@pytest.mark.parametrize("n,J", [(1, 8), (2, 3)])
+def test_funcs_are_the_poly_rows_on_the_grid(n, J):
+    # the grid and monomial representations of every basis function agree
+    basis = crflow.build_basis(n, J)
+    values = basis.space.evaluate(basis.poly, basis.nodes)
+    assert np.abs(values - basis.funcs).max() <= 1e-12
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         crflow.build_basis(2, 8)
