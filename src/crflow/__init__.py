@@ -7,13 +7,15 @@ Layers:
   conformal       pullback factors and bubble fields
   flow            curvature operator, energies, RK4 flow with diagnostics
   normalization   center-of-mass automorphisms and the shadow of a state
-  constants       the six bubble-expansion constants by chart quadrature
+  constants       the six bubble-expansion constants in closed form, with
+                  chart quadrature and Monte Carlo as cross-checks
   morse           exact hypothesis gate (counts, k-system, degree, ratio test)
   cli             `crflow run | constants | morse | bubble | selftest`
 """
 
 from .conformal import bubble, pullback_factor
-from .constants import ConstantEstimate, all_constants, constant, monte_carlo_constant
+from .constants import (ConstantEstimate, all_constants, constant,
+                        monte_carlo_constant, quadrature_constant)
 from .errors import (BudgetExceeded, ConfigError, CRFlowError,
                      DegenerateDenominator, IndexOutOfRange, NoConvergence,
                      NonConvergentQuadrature, NonPositiveFactor,

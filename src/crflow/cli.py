@@ -5,7 +5,7 @@ Subcommands:
                              and summary.json (exit 0 Converged, 2
                              Concentrated, 3 TimeLimit, 4 StepFailure,
                              64 config error)
-  constants --n N [--refine K] [--json PATH]
+  constants --n N [--json PATH]
   morse <data.json>          hypothesis gate (exit 0 satisfied / 1 not / 64)
   bubble --p COORDS --eps E [--n N] [--J J] [--out PATH]
   selftest                   named invariant suite
@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .config import load_scenario
-from .errors import ConfigError, CRFlowError, IndexOutOfRange, NonConvergentQuadrature
+from .errors import ConfigError, CRFlowError, IndexOutOfRange
 from .flow import Termination, run as run_flow
 
 EXIT_BY_STATUS = {
@@ -140,37 +140,27 @@ def cmd_run(args):
 
 
 def cmd_constants(args):
-    from .constants import NAMES, constant
+    from .constants import all_constants
 
     if not 1 <= args.n <= 4:
         print("usage error: --n must be in [1, 4]", file=sys.stderr)
         return 64
-    rows = []
-    failed = False
-    for name in NAMES:
-        try:
-            est = constant(name, args.n, refinement=args.refine)
-            rows.append((name, est.value, est.abs_error_estimate,
-                         est.value > 0, est.method))
-        except NonConvergentQuadrature as exc:
-            rows.append((name, None, None, None, str(exc)))
-            failed = True
-    print(f"bubble-expansion constants, n = {args.n}, refinement {args.refine}")
+    rows = all_constants(args.n)
+    print(f"bubble-expansion constants, n = {args.n}, closed form")
     print(f"{'name':<5} {'value':>22} {'error est':>12}  positive")
-    for name, value, err, pos, _ in rows:
-        if value is None:
-            print(f"{name:<5} {'failed':>22}")
-        else:
-            print(f"{name:<5} {value:>22.15g} {err:>12.3e}  {str(pos).lower()}")
+    for est in rows:
+        print(f"{est.name:<5} {est.value:>22.15g} {est.abs_error_estimate:>12.3e}"
+              f"  {str(est.value > 0).lower()}")
     if args.json:
         payload = [
-            {"name": name, "n": args.n, "value": value,
-             "abs_error_estimate": err, "positive": pos, "method": method}
-            for name, value, err, pos, method in rows]
+            {"name": est.name, "n": est.n, "value": est.value,
+             "abs_error_estimate": est.abs_error_estimate,
+             "positive": est.value > 0, "method": est.method}
+            for est in rows]
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    return 1 if failed else 0
+    return 0
 
 
 def cmd_morse(args):
@@ -252,7 +242,6 @@ def build_parser():
 
     p = sub.add_parser("constants", help="bubble-expansion constants table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--refine", type=int, default=1)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_constants)
 

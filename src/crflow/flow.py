@@ -429,8 +429,12 @@ def run(u0, f, config=None):
                        f"at t = {state.t:.6g}")
             break
         # shortening the last step is no halving, so dt stays; it lands on
-        # t_max exactly, as t >= dt > t_max - t leaves no rounding in t + dt
-        dt_try = min(dt, config.t_max - state.t)
+        # t_max exactly, as t >= dt > t_max - t leaves no rounding in t + dt.
+        # t is a sum of n_steps rounded additions, off by at most n_steps
+        # half-ulps of t_max; a step that would stop within that of t_max is
+        # stretched to land on it, so no RK4 attempt goes to the remainder
+        gap = config.t_max - state.t
+        dt_try = gap if gap - dt <= n_steps * np.spacing(config.t_max) else dt
         try:
             new_state, dt_used = step(state, f, dt_try)
         except (PositivityLoss, StepRejected) as exc:

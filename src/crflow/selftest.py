@@ -98,12 +98,18 @@ def check_ef_monotonicity(n=1, J=4, steps=25, slack=1e-10, dt=0.05,
     return "Ef-monotonicity", ok, f"worst increment {worst:.2e}"
 
 
-def check_constants_positivity(ns=(1, 2), refinement=0):
-    worst = np.inf
+def check_constants_closed_form(ns=(1, 2)):
+    """Every closed-form constant is positive and within 1e-6 relative of the
+    level-0 chart quadrature of its defining integral."""
+    worst_value, worst_rel = np.inf, 0.0
     for n in ns:
-        for est in const_mod.all_constants(n, refinement=refinement):
-            worst = min(worst, est.value)
-    return "constants-positivity", worst > 0, f"min value {worst:.4f}"
+        for est in const_mod.all_constants(n):
+            quad = const_mod.quadrature_constant(est.name, n, refinement=0).value
+            worst_value = min(worst_value, est.value)
+            worst_rel = max(worst_rel, abs(est.value - quad) / abs(quad))
+    ok = worst_value > 0 and worst_rel <= 1e-6
+    return ("constants-closed-form", ok,
+            f"min value {worst_value:.4f}, worst rel diff to quadrature {worst_rel:.1e}")
 
 
 def run_all(n=1):
@@ -113,6 +119,6 @@ def run_all(n=1):
         check_eigen_anchor(n=n),
         check_volume_consistency(n=n),
         check_ef_monotonicity(n=n),
-        check_constants_positivity(),
+        check_constants_closed_form(),
     ]
     return checks

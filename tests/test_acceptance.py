@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import crflow
-from crflow.constants import NAMES, all_constants, constant, monte_carlo_constant
+from crflow.constants import (NAMES, all_constants, constant, monte_carlo_constant,
+                              quadrature_constant)
 from crflow.flow import (FlowConfig, FlowState, Termination, alpha,
                          base_curvature, critical_exponent, curvature_values,
                          diagnostics, energy_f, run, step, volume_renormalize)
@@ -218,20 +219,25 @@ def test_criterion_07_constants():
     ok = True
     details = []
     for n in (1, 2, 3, 4):
-        lo = {e.name: e for e in all_constants(n, refinement=0)}
-        hi = {e.name: e for e in all_constants(n, refinement=1)}
+        exact = {e.name: e.value for e in all_constants(n)}
         for name in NAMES:
-            if lo[name].value <= 0:
+            lo = quadrature_constant(name, n, refinement=0).value
+            hi = quadrature_constant(name, n, refinement=1).value
+            if exact[name] <= 0 or lo <= 0:
                 ok = False
                 details.append(f"{name}(n={n}) <= 0")
-            rel = abs(hi[name].value - lo[name].value) / abs(hi[name].value)
+            rel = abs(hi - lo) / abs(hi)
             if rel > 1e-6:
                 ok = False
                 details.append(f"{name}(n={n}) refinement drift {rel:.1e}")
+            rel = abs(exact[name] - hi) / abs(hi)
+            if rel > 1e-9:
+                ok = False
+                details.append(f"{name}(n={n}) closed form vs quadrature {rel:.1e}")
     for n in (1, 2):
         for name in NAMES:
             mc, se = monte_carlo_constant(name, n, n_samples=200_000)
-            q = constant(name, n, refinement=0).value
+            q = constant(name, n).value
             if abs(mc - q) > 3.0 * se:
                 ok = False
                 details.append(f"{name}(n={n}) MC off by {(mc - q) / se:.1f} se")
@@ -240,7 +246,8 @@ def test_criterion_07_constants():
     ok = ok and a2 > 0 and a5 > 0
     dt = time.time() - t0
     ok = ok and dt < 120.0
-    report(7, ok, f"A1..A6 > 0 for n=1..4, MC within 3 sigma, "
+    report(7, ok, f"A1..A6 > 0 for n=1..4, closed form = quadrature to 1e-9, "
+                  f"MC within 3 sigma, "
                   f"A2(2)={a2:.4f}, A5(2)={a5:.4f}, {dt:.0f}s"
                   + ("; " + "; ".join(details) if details else ""))
 

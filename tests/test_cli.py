@@ -179,13 +179,16 @@ def test_morse_out_of_range_index_exit_64(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_constants_table(tmp_path):
-    proc = invoke(["constants", "--n", "2", "--refine", "0",
-                   "--json", "constants.json"], cwd=tmp_path)
+    proc = invoke(["constants", "--n", "2", "--json", "constants.json"],
+                  cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("true") == 6
     rows = json.loads((tmp_path / "constants.json").read_text())
     assert [r["name"] for r in rows] == ["A1", "A2", "A3", "A4", "A5", "A6"]
     assert all(r["positive"] for r in rows)
+    assert all(set(r) == {"name", "n", "value", "abs_error_estimate",
+                          "positive", "method"} for r in rows)
+    assert all(r["method"] == "closed form" for r in rows)
 
 
 def test_constants_usage_error(tmp_path):

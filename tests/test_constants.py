@@ -1,4 +1,5 @@
-"""Chart-side quadrature engine and the six bubble-expansion constants."""
+"""Chart-side quadrature engine and the six bubble-expansion constants: the
+closed forms, and the quadrature and Monte Carlo cross-checks against them."""
 
 from math import factorial, gamma, pi
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 import crflow
-from crflow.constants import NAMES, all_constants, constant, monte_carlo_constant
+from crflow.constants import (NAMES, all_constants, constant, monte_carlo_constant,
+                              quadrature_constant)
 from crflow.errors import NonConvergentQuadrature
 from crflow.hquad import heisenberg_integral, sphere_volume, surface_area_odd_sphere
 
 # closed forms derived by elementary Beta-integral reduction of the defining
-# 2D integrals; they are independent of the adaptive engine
+# 2D integrals, written out here independently of crflow.constants
 EXACT = {
     "A1": lambda n: 2 * pi ** (n + 1) / (factorial(n) * (n + 1)),
     "A2": lambda n: pi ** (n + 1) / (2 * n * factorial(n) * (n + 1)),
@@ -74,14 +76,14 @@ def test_divergent_integrand_raises():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_all_constants_positive(n):
-    for est in all_constants(n, refinement=0):
+    for est in all_constants(n):
         assert est.value > 0, f"{est.name} at n={n}"
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", sorted(EXACT))
 def test_constants_closed_forms(name, n):
-    est = constant(name, n, refinement=1)
+    est = quadrature_constant(name, n, refinement=1)
     exact = EXACT[name](n)
     assert abs(est.value - exact) / exact < 1e-9
 
@@ -89,7 +91,7 @@ def test_constants_closed_forms(name, n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", ["A4", "A5"])
 def test_constants_reference_values(name, n):
-    est = constant(name, n, refinement=1)
+    est = quadrature_constant(name, n, refinement=1)
     ref = REFERENCE_45[(n, name)]
     assert abs(est.value - ref) / ref < 1e-9
 
@@ -100,7 +102,7 @@ def test_sign_structure_of_a2_integrand():
     g, _ = _integrand("A2", 2)
     assert g(np.array([0.1]), np.array([0.0]))[0] < 0
     assert g(np.array([3.0]), np.array([0.0]))[0] > 0
-    assert constant("A2", 2).value > 0
+    assert quadrature_constant("A2", 2).value > 0
 
 
 def test_sign_structure_of_a5_integrand():
@@ -109,14 +111,14 @@ def test_sign_structure_of_a5_integrand():
     assert sigma_form
     assert g(np.array([1.0]), np.array([0.2]))[0] > 0
     assert g(np.array([1.0]), np.array([2.0]))[0] < 0
-    assert constant("A5", 2).value > 0
+    assert quadrature_constant("A5", 2).value > 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_refinement_stability(n):
     for name in NAMES:
-        lo = constant(name, n, refinement=0)
-        hi = constant(name, n, refinement=1)
+        lo = quadrature_constant(name, n, refinement=0)
+        hi = quadrature_constant(name, n, refinement=1)
         assert abs(hi.value - lo.value) <= max(lo.abs_error_estimate,
                                                1e-6 * abs(hi.value))
         assert abs(hi.value - lo.value) / abs(hi.value) < 1e-6
@@ -126,10 +128,30 @@ def test_refinement_stability(n):
 def test_monte_carlo_within_three_sigma(n):
     for name in NAMES:
         mc, se = monte_carlo_constant(name, n, n_samples=200_000)
-        q = constant(name, n, refinement=0).value
-        assert abs(mc - q) <= 3.0 * se, f"{name} n={n}: {mc} vs {q} (se {se})"
+        for q in (constant(name, n).value,
+                  quadrature_constant(name, n, refinement=0).value):
+            assert abs(mc - q) <= 3.0 * se, f"{name} n={n}: {mc} vs {q} (se {se})"
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for n in (1, 2, 3, 4) for name in NAMES]
+                         + [(name, n) for n in (5, 6) for name in ("A4", "A5")])
+def test_closed_form_matches_quadrature(name, n):
+    exact = constant(name, n).value
+    quad = quadrature_constant(name, n, refinement=1).value
+    assert abs(exact - quad) / abs(quad) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_matches_references(n):
+    for name in NAMES:
+        est = constant(name, n)
+        ref = REFERENCE_45[(n, name)] if name in ("A4", "A5") else EXACT[name](n)
+        assert abs(est.value - ref) / ref < 1e-13, f"{name} n={n}"
+        assert est.method == "closed form"
 
 
 def test_unknown_constant_rejected():
     with pytest.raises(ValueError):
         constant("A7", 1)
+    with pytest.raises(ValueError):
+        quadrature_constant("A7", 1)

@@ -293,6 +293,23 @@ def test_run_lands_on_t_max(basis, tmp_path):
     assert float(path.read_text().splitlines()[-1].split(",")[0]) == 0.12
 
 
+# t sums to 0.7999999999999999 after eight steps of 0.1 (1 ulp short of
+# t_max) and to 2.9999999999999973 after sixty of 0.05 (6 ulps short): the
+# last step is stretched onto t_max instead of adding a step of 1e-16..1e-15
+@pytest.mark.parametrize("dt_init, t_max, n_steps", [(0.1, 0.8, 8), (0.05, 3.0, 60)])
+def test_run_spends_no_step_on_rounding_remainder(basis, monkeypatch, dt_init, t_max,
+                                                  n_steps):
+    from crflow import flow
+    from crflow.flow import FlowConfig, Termination, run
+    f = f_dipole(basis, amplitude=0.2)
+    u0 = perturbed_factor(basis, 23, amp=0.03)
+    steps = _count_calls(monkeypatch, flow, "step")
+    res = run(u0, f, FlowConfig(dt_init=dt_init, t_max=t_max, record_every=100,
+                                compute_shadow=False))
+    assert res.status is Termination.TIME_LIMIT and res.final_state.t == t_max
+    assert len(steps) == n_steps
+
+
 def test_step_takes_k1_once_across_halvings(basis, monkeypatch):
     from crflow import flow
     f = f_dipole(basis, amplitude=0.2)
