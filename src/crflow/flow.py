@@ -221,14 +221,11 @@ def mass_concentration(u, rho=0.5):
     return best / total
 
 
-def kazdan_warner_vector(u, f, R_field=None):
+def kazdan_warner_vector(u, R_field):
     """The 2(n+1) complex integrals int <grad x_i, grad R> dV_theta (and the
-    conjugate-coordinate ones) for the current factor; zero in the continuum
-    for every conformal factor."""
-    basis = u.basis
-    if R_field is None:
-        R_field = webster_curvature(u)
-    kw = coordinate_grad_inner_values(R_field) @ density(basis, u.real_values)
+    conjugate-coordinate ones) for the factor u with Webster curvature field
+    R_field; zero in the continuum for every conformal factor."""
+    kw = coordinate_grad_inner_values(R_field) @ density(u.basis, u.real_values)
     return np.concatenate([kw, np.conj(kw)])
 
 
@@ -245,7 +242,7 @@ def diagnostics(u, f, rho=0.5):
     P, P_hat = center_of_mass(u)
     moments = dens * dev
     b = np.concatenate([moments @ basis.nodes, moments @ np.conj(basis.nodes)])
-    kw = kazdan_warner_vector(u, f, R_field=Field.from_values(basis, rv))
+    kw = kazdan_warner_vector(u, Field.from_values(basis, rv))
     return DiagnosticsRecord(
         E=energy(u), E_f=energy_f(u, f), F2=F2, G2=max(G2, 0.0),
         P=P, P_hat=P_hat, b=b, B=np.sqrt(basis.n + 1.0) * b,

@@ -8,55 +8,102 @@ For a volume-normalized factor u the task is to find phi with
 which by change of variables is int phi^{-1}(y) u^{2+2/n}(y) dV(y) = 0: the
 residual is evaluated against the fixed measure u^{2+2/n} dV without any
 reprojection.  The pole of the chart is fixed at the mass direction P_hat
-(the chart's point at infinity), and a damped Newton iteration runs over the
-translation q and log of the scale r; for a factor concentrating with scale
-eps the recovered r is 1/eps.
+(the chart's point at infinity) by a unitary U, and a damped Gauss-Newton
+iteration runs over the translation q and log of the scale r; for a factor
+concentrating with scale eps the recovered r is 1/eps.
+
+The grid's chart coordinates (z, tau) = cayley_forward(U^{-1} x) are
+computed once.  For params (Re q_z, Im q_z, q_tau, log r) and s = 1/r, phi^{-1}
+sends them to
+
+    (Z, T) = D_s T_{-q}(z, tau)
+           = (s (z - q_z), s^2 (tau - q_tau - 2 Im q_z . conj z)),
+
+and the residual F = sum dens Psi(Z, T), Psi = (Psi', 2/d - 1), Psi' = 2Z/d,
+d = 1 + |Z|^2 - i T, is the zero-mass vector rotated by U^{-1} (same norm).
+Its Jacobian is exact: delta d = 2 Re(conj Z . delta Z) - i delta T and
+delta Psi = ((2 delta Z - Psi' delta d) / d, -2 delta d / d^2), where
+(delta Z, delta T) is (-s e_i, 2 s^2 Im z_i) along Re q_i, (-i s e_i,
+-2 s^2 Re z_i) along Im q_i, (0, -s^2) along q_tau and (-Z, -2T) along log r.
+Each step solves J step = -F by least squares, which needs no second path
+for a rank-deficient J, and backtracks.  The automorphism is built once, at
+the end; v is pulled back when CenteringResult.v is first read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .conformal import pullback_factor
 from .errors import NoConvergence
 from .flow import center_of_mass, density
-from .geometry import CRAutomorphism, HeisenbergPoint, unitary_from_north
+from .geometry import (CRAutomorphism, HeisenbergPoint, cayley_forward_xy,
+                       cayley_inverse_xy, unitary_from_north)
 from .hquad import heisenberg_integral
 from .spectral import sphere_volume_cached
 
 CENTER_TOL = 1e-8
 MAX_ITER = 100
-COND_LIMIT = 1e8
 VOL_TOL = 1e-6       # relative volume gap a normalized factor may have
+SHADOW_TOL = 1e-9    # quadrature tolerance of the chart-side shadow integral
 
 
 @dataclass
 class CenteringResult:
+    u: object                 # the centered Field
     phi: CRAutomorphism
-    v: object                 # Field
     residual: float
     eps: float
     converged: bool
     iterations: int = 0
     residual_history: tuple = ()
 
+    @cached_property
+    def v(self):
+        """The normalized factor (u o phi) |det d phi|^{n/(2n+2)}, a Field."""
+        return pullback_factor(self.u, self.phi)[0]
 
-def _automorphism(U, params, n):
+
+def _chart(z, tau, params):
+    """s = 1/r and (Z, T) = D_s T_{-q}(z, tau) for params (q, log r)."""
+    n = z.shape[1]
     qz = params[:n] + 1j * params[n:2 * n]
-    qt = params[2 * n]
-    r = float(np.exp(params[2 * n + 1]))
-    return CRAutomorphism(U, HeisenbergPoint(qz, qt), r)
+    s = float(np.exp(-params[-1]))
+    Z = s * (z - qz)
+    T = s * s * (tau - params[2 * n] - 2.0 * np.imag(np.conj(z) @ qz))
+    return s, Z, T
 
 
-def _residual(U, params, n, nodes, dens):
-    phi_inv = _automorphism(U, params, n).inverse()
-    mapped = phi_inv.apply_xy(nodes)
-    vec = dens @ mapped
-    return np.concatenate([vec.real, vec.imag]), vec
+def _mass_residual(z, tau, dens, params):
+    """sum dens Psi(Z, T) as 2n+2 reals (real parts, then imaginary parts)."""
+    _, Z, T = _chart(z, tau, params)
+    vec = dens @ cayley_inverse_xy(Z, T)
+    return np.concatenate([vec.real, vec.imag])
 
 
-def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER):
-    """Solve the zero-mass condition by damped Newton over (q, log r).
+def _mass_jacobian(z, tau, dens, params):
+    """The exact derivative of _mass_residual in params, (2n+2) x (2n+2)."""
+    s, Z, T = _chart(z, tau, params)
+    N, n = Z.shape
+    d = 1.0 + np.sum(np.abs(Z) ** 2, axis=1) - 1j * T
+    eye = np.eye(n)[:, None, :]
+    # (delta Z, delta T) along Re q_i, Im q_i, q_tau and log r
+    dZ = np.concatenate([np.broadcast_to(-s * eye, (n, N, n)),
+                         np.broadcast_to(-1j * s * eye, (n, N, n)),
+                         np.zeros((1, N, n)), -Z[None]])
+    dT = np.concatenate([2.0 * s * s * z.imag.T, -2.0 * s * s * z.real.T,
+                         np.full((1, N), -s * s), -2.0 * T[None]])
+    dd = 2.0 * np.real(np.sum(np.conj(Z) * dZ, axis=2)) - 1j * dT
+    dpsi = np.concatenate(
+        [(2.0 * dZ - (2.0 * Z / d[:, None]) * dd[..., None]) / d[:, None],
+         (-2.0 * dd / d ** 2)[..., None]], axis=2)
+    cols = dens @ dpsi
+    return np.concatenate([cols.real, cols.imag], axis=1).T
+
+
+def find_centering(u, max_iter=MAX_ITER):
+    """Solve the zero-mass condition by damped Gauss-Newton over (q, log r).
 
     Returns the best iterate with converged = False after max_iter instead of
     raising.  The pole rotation sends the chart infinity to P_hat.
@@ -65,20 +112,19 @@ def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER):
     n = basis.n
     uv = u.real_values
     dens = density(basis, uv)
-    total = dens.sum()
-    if abs(total - basis.vol) > VOL_TOL * basis.vol:
-        raise ValueError("find_centering expects a volume-normalized factor")
+    gap = abs(dens.sum() - basis.vol) / basis.vol
+    if gap > VOL_TOL:
+        raise ValueError(f"find_centering: relative volume gap {gap:.3e} "
+                         f"exceeds VOL_TOL = {VOL_TOL:g}; volume-normalize u")
 
     P, P_hat = center_of_mass(u)
     if np.linalg.norm(P) > 1e-12:
         U = unitary_from_north(-P_hat)      # chart infinity lands on P_hat
     else:
         U = np.eye(n + 1, dtype=complex)
-
+    z, tau = cayley_forward_xy(basis.nodes @ np.conj(U))
+    fvec = partial(_mass_residual, z, tau, dens)
     dim = 2 * n + 2
-
-    def fvec(params):
-        return _residual(U, params, n, basis.nodes, dens)[0]
 
     # seed: q = 0 and the better of r = 1 / r = max_u^{1/n}
     seeds = [np.zeros(dim)]
@@ -89,59 +135,15 @@ def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER):
         seeds.append(s)
     params = min(seeds, key=lambda s: np.linalg.norm(fvec(s)))
 
-    def scale_component(rho):
-        """Residual component along P_hat as a function of log r (q fixed)."""
-        pr = params.copy()
-        pr[-1] = rho
-        _, vec = _residual(U, pr, n, basis.nodes, dens)
-        return float(np.real(np.vdot(P_hat, vec)))
-
-    def bisect_scale():
-        """Bisection in log r along the P_hat axis; returns a new log r or None."""
-        rho0 = params[-1]
-        grid = rho0 + np.linspace(-4.0, 4.0, 33)
-        vals = [scale_component(r) for r in grid]
-        for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-            if va == 0.0:
-                return a
-            if va * vb < 0:
-                lo, hi, vlo = a, b, va
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    vm = scale_component(mid)
-                    if vlo * vm <= 0:
-                        hi = mid
-                    else:
-                        lo, vlo = mid, vm
-                return 0.5 * (lo + hi)
-        return None
-
     fv = fvec(params)
     res = float(np.linalg.norm(fv))
     history = [res]
     iterations = 0
-    h = 1e-6
     for iterations in range(1, max_iter + 1):
-        if res < tol:
+        if res < CENTER_TOL:
             break
-        J = np.empty((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = h
-            J[:, j] = (fvec(params + e) - fvec(params - e)) / (2 * h)
-        direction = None
-        if np.linalg.cond(J) < COND_LIMIT:
-            try:
-                direction = np.linalg.solve(J, -fv)
-            except np.linalg.LinAlgError:
-                direction = None
-        if direction is None:
-            rho = bisect_scale()
-            if rho is None:
-                break
-            direction = np.zeros(dim)
-            direction[-1] = rho - params[-1]
-        accepted = False
+        J = _mass_jacobian(z, tau, dens, params)
+        direction = np.linalg.lstsq(J, -fv, rcond=None)[0]
         t = 1.0
         for _ in range(40):
             trial = params + t * direction
@@ -151,20 +153,17 @@ def find_centering(u, tol=CENTER_TOL, max_iter=MAX_ITER):
             if res_t < res * (1.0 - 1e-4 * t):
                 params, fv, res = trial, fv_t, res_t
                 history.append(res)
-                accepted = True
                 break
             t /= 2.0
-        if not accepted:
-            break
-    else:
-        iterations = max_iter
+        else:
+            break               # no descent along the step
 
-    phi = _automorphism(U, params, n)
-    v, _ = pullback_factor(u, phi)
+    r = float(np.exp(params[-1]))
+    phi = CRAutomorphism(
+        U, HeisenbergPoint(params[:n] + 1j * params[n:2 * n], params[2 * n]), r)
     return CenteringResult(
-        phi=phi, v=v, residual=float(res), eps=1.0 / phi.r,
-        converged=bool(res < tol), iterations=iterations,
-        residual_history=tuple(history))
+        u=u, phi=phi, residual=res, eps=1.0 / r, converged=res < CENTER_TOL,
+        iterations=iterations, residual_history=tuple(history))
 
 
 def shadow(u, result=None):
@@ -190,7 +189,7 @@ def shadow(u, result=None):
 # continuum shadow of an exact bubble (chart-side quadrature)
 # ---------------------------------------------------------------------------
 
-def ideal_bubble_shadow_gap(eps, n, tol=1e-9, full_density=False):
+def ideal_bubble_shadow_gap(eps, n, full_density):
     """The chart-side integral I(eps) in the shadow expansion of an exact
     bubble, Theta_{n+1} = vol - 2 eps^2 I(eps).
 
@@ -209,23 +208,23 @@ def ideal_bubble_shadow_gap(eps, n, tol=1e-9, full_density=False):
         s = 1.0 + r * r
         return scale * num / den / (tau ** 2 + s * s) ** (n + 1)
 
-    value, _ = heisenberg_integral(g, n, tol=tol)
+    value, _ = heisenberg_integral(g, n, tol=SHADOW_TOL)
     return value
 
 
-def ideal_bubble_shadow(eps, n, tol=1e-9, full_density=True):
+def ideal_bubble_shadow(eps, n, full_density=True):
     """Theta_{n+1}(eps) = vol - 2 eps^2 I(eps) for an exact bubble.
 
     The default full-density normalization matches shadow() measured on
     bubble states."""
     vol = sphere_volume_cached(n)
-    gap = ideal_bubble_shadow_gap(eps, n, tol=tol, full_density=full_density)
+    gap = ideal_bubble_shadow_gap(eps, n, full_density)
     return vol - 2.0 * eps * eps * gap
 
 
-def shadow_deficit_ratio(eps, n, tol=1e-9):
+def shadow_deficit_ratio(eps, n):
     """(vol^2 - Theta(eps)^2) / eps^2 in the bare-density pairing; converges
     monotonically to 4 vol A3 as eps -> 0."""
     vol = sphere_volume_cached(n)
-    theta = ideal_bubble_shadow(eps, n, tol=tol, full_density=False)
+    theta = ideal_bubble_shadow(eps, n, full_density=False)
     return (vol * vol - theta * theta) / (eps * eps)

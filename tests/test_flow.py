@@ -383,6 +383,28 @@ def test_run_records_centering_failure(basis, monkeypatch):
     assert all(r.theta is None for r in res.records)
 
 
+def test_run_shadow_never_pulls_back(basis, monkeypatch):
+    # the shadow records of a run never read the normalized factor v; a
+    # centering result still yields it on request, as the pullback of its u
+    from crflow import normalization
+    from crflow.conformal import pullback_factor
+    from crflow.flow import FlowConfig, run
+    from crflow.normalization import find_centering
+
+    def no_pullback(u, phi):
+        raise AssertionError("pullback_factor called")
+
+    u0 = perturbed_factor(basis, 22, amp=0.03)
+    monkeypatch.setattr(normalization, "pullback_factor", no_pullback)
+    res = run(u0, f_dipole(basis, amplitude=0.2),
+              FlowConfig(t_max=0.2, record_every=2, compute_shadow=True))
+    assert res.records and all(r.shadow_converged for r in res.records)
+    cres = find_centering(res.final_state.u)
+    monkeypatch.undo()
+    v, _ = pullback_factor(res.final_state.u, cres.phi)
+    assert np.array_equal(cres.v.coeffs, v.coeffs)
+
+
 def test_run_propagates_unexpected_centering_error(basis, monkeypatch):
     from crflow import normalization
     from crflow.flow import FlowConfig, run
@@ -451,7 +473,7 @@ def test_kazdan_warner_closed_form(basis, basis_n2):
         R = webster_curvature(u)
         closed = coordinate_grad_inner_values(R)
         dens = b.weights * u.real_values ** critical_exponent(b.n)
-        kw = kazdan_warner_vector(u, f_constant(b), R_field=R)
+        kw = kazdan_warner_vector(u, R)
         for i in range(b.n + 1):
             ref = grad_inner_values(Field.coordinate(b, i), R)
             assert np.abs(closed[i] - ref).max() <= 1e-12 * np.abs(ref).max()

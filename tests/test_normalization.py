@@ -32,8 +32,33 @@ def test_centering_of_round_state(basis):
 
 
 def test_centering_requires_normalized_volume(basis):
-    with pytest.raises(ValueError):
+    # the message names the bound: 2^{2+2/n} - 1 = 15 is far past VOL_TOL
+    with pytest.raises(ValueError, match=r"gap 1\.500e\+01 exceeds VOL_TOL = 1e-06"):
         find_centering(Field.constant(basis, 2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_centering_jacobian_exact(n):
+    # the analytic Jacobian of the zero-mass residual against central
+    # differences, at random chart points, densities and parameters
+    from crflow.geometry import cayley_forward_xy
+    from crflow.normalization import _mass_jacobian, _mass_residual
+
+    rng = np.random.default_rng(40 + n)
+    x = rng.normal(size=(60, n + 1)) + 1j * rng.normal(size=(60, n + 1))
+    z, tau = cayley_forward_xy(x / np.linalg.norm(x, axis=1, keepdims=True))
+    dens = rng.uniform(0.5, 1.5, size=60)
+    h = 1e-6
+    for log_r in rng.uniform(-1.0, 3.0, size=4):
+        params = np.append(rng.normal(scale=0.5, size=2 * n + 1), log_r)
+        J = _mass_jacobian(z, tau, dens, params)
+        fd = np.empty_like(J)
+        for j in range(2 * n + 2):
+            e = np.zeros(2 * n + 2)
+            e[j] = h
+            fd[:, j] = (_mass_residual(z, tau, dens, params + e)
+                        - _mass_residual(z, tau, dens, params - e)) / (2 * h)
+        assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
 
 def test_centering_recovers_bubble_parameters(basis10):
