@@ -26,10 +26,9 @@ from .flow import (DiagnosticsRecord, FlowConfig, FlowState, RunResult,
                    center_of_mass, diagnostics, energy, energy_f, flow_rhs,
                    mass_concentration, run, step, volume_renormalize,
                    webster_curvature)
-from .geometry import (CRAutomorphism, HeisenbergPoint, SpherePoint, apply,
-                       cayley_forward, cayley_inverse, delta_qr, dilate,
-                       jacobian_factor, translate, unitary_from_north,
-                       volume_density)
+from .geometry import (CRAutomorphism, HeisenbergPoint, cayley_forward_xy,
+                       cayley_inverse_xy, delta_xy, dilate_xy, translate_xy,
+                       unitary_from_north, volume_density_xy)
 from .hquad import heisenberg_integral, sphere_volume
 from .morse import (CriticalPoint, GateReport, MorseData, counts, degree_sum,
                     sbc_check, solve_k, theorem_gate)

@@ -30,6 +30,7 @@ import numpy as np
 from .config import load_scenario
 from .errors import ConfigError, CRFlowError, IndexOutOfRange
 from .flow import Termination, run as run_flow
+from .morse import CriticalPoint, MorseData, sbc_check, theorem_gate
 
 EXIT_BY_STATUS = {
     Termination.CONVERGED: 0,
@@ -71,7 +72,6 @@ def write_trajectory_csv(path, records, n):
 
 
 def _load_morse_file(path):
-    from .morse import CriticalPoint, MorseData
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     pts = tuple(
@@ -116,23 +116,9 @@ def cmd_run(args):
         summary["f_at_shadow"] = result.f_at_shadow
         summary["grad_f_at_shadow"] = result.grad_f_at_shadow
         summary["sub_laplacian_f_at_shadow"] = result.lap_f_at_shadow
-    fv = f.real_values
-    ratio = float(fv.max() / fv.min())
-    summary["f_ratio"] = ratio
-    summary["sbc"] = bool(ratio < 2.0 ** (1.0 / scenario.n))
-    if getattr(scenario, "morse_data", None):
-        from .morse import theorem_gate
-        try:
-            report = theorem_gate(_load_morse_file(scenario.morse_data))
-            summary["morse"] = {
-                "m": list(report.m),
-                "k": None if report.k is None else list(report.k),
-                "degree_sum": report.degree_sum,
-                "sbc": report.sbc,
-                "satisfied": report.satisfied,
-            }
-        except (OSError, KeyError, ValueError, CRFlowError) as exc:
-            summary["morse"] = {"error": str(exc)}
+    fmax, fmin = float(f.real_values.max()), float(f.real_values.min())
+    summary["f_ratio"] = fmax / fmin
+    summary["sbc"] = sbc_check(fmax, fmin, scenario.n)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -164,7 +150,6 @@ def cmd_constants(args):
 
 
 def cmd_morse(args):
-    from .morse import theorem_gate
     try:
         data = _load_morse_file(args.data)
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError,

@@ -16,7 +16,6 @@ class Scenario:
     f_spec: object = "constant"
     u0_spec: object = "constant"
     seed: int = 0
-    morse_data: str | None = None      # optional critical-point file to echo
     flow: FlowConfig = field(default_factory=FlowConfig)
 
     def build(self):
@@ -28,7 +27,7 @@ class Scenario:
 
 # the flow's scenario keys are FlowConfig's fields: name -> annotated type
 _FLOW_TYPES = {fld.name: fld.type for fld in fields(FlowConfig)}
-_TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed", "morse_data"} | _FLOW_TYPES.keys()
+_TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed"} | _FLOW_TYPES.keys()
 
 
 def _is_number(value, kind=(int, float)):
@@ -78,10 +77,6 @@ def load_scenario(path):
         if not _is_number(raw["seed"], int) or raw["seed"] < 0:
             fail("seed", "must be an integer >= 0")
         sc.seed = raw["seed"]
-    if "morse_data" in raw:
-        if raw["morse_data"] is not None and not isinstance(raw["morse_data"], str):
-            fail("morse_data", "must be a path string or null")
-        sc.morse_data = raw["morse_data"]
 
     flow = FlowConfig()
     for key in [k for k in raw if k in _FLOW_TYPES]:   # first bad key in file order

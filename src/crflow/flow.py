@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (ConfigError, CRFlowError, DegenerateDenominator,
                      NonPositiveFactor, PositivityLoss, StepRejected)
+from .morse import sbc_check
 from .polynomials import PolyCalculus
 from .spectral import Field, coordinate_grad_inner_values, grad_inner_values
 
@@ -163,11 +164,10 @@ def beta_threshold(f):
     fmin, fmax = float(fv.min()), float(fv.max())
     if fmin <= 0:
         raise ConfigError("f must be positive for the energy gate")
-    delta = fmax / fmin
-    if delta >= 2.0 ** (1.0 / n):
+    if not sbc_check(fmax, fmin, n):
         raise ConfigError(
             "energy gate undefined: max f / min f must be below 2^(1/n)")
-    ratio = delta ** (n / (n + 1.0)) / 2.0 ** (1.0 / (n + 1.0))
+    ratio = (fmax / fmin) ** (n / (n + 1.0)) / 2.0 ** (1.0 / (n + 1.0))
     eps0 = (1.0 - ratio) / (1.0 + ratio)
     return (1.0 + eps0) * cr_yamabe_constant(n, basis.vol) * fmin ** (-n / (n + 1.0))
 

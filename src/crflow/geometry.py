@@ -75,18 +75,6 @@ def delta_xy(z, tau, qz, qtau, r):
     return translate_xy(zd, td, qz, qtau)
 
 
-def heisenberg_product(az, atau, bz, btau):
-    """Group product (a * b), so that T_a o T_b = T_{a * b}."""
-    # T_a(T_b(w)) translates w by b then a; the combined offset is a * b
-    z = az + bz
-    tau = atau + btau + 2.0 * np.imag(np.sum(az * np.conj(bz), axis=-1))
-    return z, tau
-
-
-def heisenberg_inverse(qz, qtau):
-    return -qz, -qtau
-
-
 def volume_density_xy(z, tau, n):
     """Density of the spherical volume form against dz dtau in the chart:
     K(z, tau) = (4 / ((1 + |z|^2)^2 + tau^2))^{n+1}."""
@@ -121,22 +109,6 @@ def unitary_from_north(p):
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of S^{2n+1} subset C^{n+1}; |x| = 1 within 1e-12."""
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=complex)
-        object.__setattr__(self, "x", x)
-        if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-12:
-            raise ValueError("SpherePoint must have |x|^2 = 1 within 1e-12")
-
-    @property
-    def n(self):
-        return self.x.shape[0] - 1
-
 
 @dataclass(frozen=True)
 class HeisenbergPoint:
@@ -188,18 +160,8 @@ class CRAutomorphism:
 
     def inverse(self):
         """(Psi T_q D_r pi)^{-1} = Psi T_{q~} D_{1/r} pi with q~ = D_{1/r}(-q)."""
-        iz, itau = heisenberg_inverse(self.q.z, self.q.tau)
-        qz, qtau = dilate_xy(iz, itau, 1.0 / self.r)
+        qz, qtau = dilate_xy(-self.q.z, -self.q.tau, 1.0 / self.r)
         return CRAutomorphism(self.U, HeisenbergPoint(qz, float(qtau)), 1.0 / self.r)
-
-    def compose(self, other):
-        """self o other; requires matching pole rotations U."""
-        if np.abs(self.U - other.U).max() > 1e-12:
-            raise ValueError("compose requires matching pole rotations")
-        # T_{q1} D_{r1} T_{q2} D_{r2} = T_{q1 * D_{r1} q2} D_{r1 r2}
-        sz, stau = dilate_xy(other.q.z, other.q.tau, self.r)
-        qz, qtau = heisenberg_product(self.q.z, self.q.tau, sz, stau)
-        return CRAutomorphism(self.U, HeisenbergPoint(qz, float(qtau)), self.r * other.r)
 
     # ---- point-wise action --------------------------------------------
 
@@ -224,47 +186,6 @@ class CRAutomorphism:
         """|det d phi|^{n/(2n+2)}(x), the conformal-factor weight."""
         n = self.n
         return self.jacobian_xy(x) ** (n / (2.0 * n + 2.0))
-
-
-# ---------------------------------------------------------------------------
-# spec-level wrappers on the domain types
-# ---------------------------------------------------------------------------
-
-def cayley_forward(p: SpherePoint) -> HeisenbergPoint:
-    z, tau = cayley_forward_xy(p.x[None, :])
-    return HeisenbergPoint(z[0], float(tau[0]))
-
-
-def cayley_inverse(h: HeisenbergPoint) -> SpherePoint:
-    x = cayley_inverse_xy(h.z[None, :], np.array([h.tau]))
-    return SpherePoint(x[0])
-
-
-def dilate(h: HeisenbergPoint, lam: float) -> HeisenbergPoint:
-    z, tau = dilate_xy(h.z, h.tau, lam)
-    return HeisenbergPoint(z, float(tau))
-
-
-def translate(h: HeisenbergPoint, q: HeisenbergPoint) -> HeisenbergPoint:
-    z, tau = translate_xy(h.z[None, :], np.array([h.tau]), q.z, q.tau)
-    return HeisenbergPoint(z[0], float(tau[0]))
-
-
-def delta_qr(h: HeisenbergPoint, q: HeisenbergPoint, r: float) -> HeisenbergPoint:
-    z, tau = delta_xy(h.z[None, :], np.array([h.tau]), q.z, q.tau, r)
-    return HeisenbergPoint(z[0], float(tau[0]))
-
-
-def apply(phi: CRAutomorphism, p: SpherePoint) -> SpherePoint:
-    return SpherePoint(phi.apply_xy(p.x[None, :])[0])
-
-
-def volume_density(h: HeisenbergPoint, n: int) -> float:
-    return float(volume_density_xy(h.z[None, :], np.array([h.tau]), n)[0])
-
-
-def jacobian_factor(phi: CRAutomorphism, p: SpherePoint) -> float:
-    return float(phi.jacobian_xy(p.x[None, :])[0])
 
 
 def concentrating_automorphism(p, eps, n):

@@ -39,7 +39,7 @@ from .conformal import pullback_factor
 from .errors import NoConvergence
 from .flow import center_of_mass, density
 from .geometry import (CRAutomorphism, HeisenbergPoint, cayley_forward_xy,
-                       cayley_inverse_xy, unitary_from_north)
+                       cayley_inverse_xy, delta_xy, unitary_from_north)
 from .hquad import heisenberg_integral
 from .spectral import sphere_volume_cached
 
@@ -66,12 +66,12 @@ class CenteringResult:
 
 
 def _chart(z, tau, params):
-    """s = 1/r and (Z, T) = D_s T_{-q}(z, tau) for params (q, log r)."""
+    """s = 1/r and (Z, T) = D_s T_{-q}(z, tau) = delta_{D_s(-q), s}(z, tau)
+    for params (q, log r)."""
     n = z.shape[1]
     qz = params[:n] + 1j * params[n:2 * n]
     s = float(np.exp(-params[-1]))
-    Z = s * (z - qz)
-    T = s * s * (tau - params[2 * n] - 2.0 * np.imag(np.conj(z) @ qz))
+    Z, T = delta_xy(z, tau, -s * qz, -s * s * params[2 * n], s)
     return s, Z, T
 
 
@@ -189,42 +189,35 @@ def shadow(u, result=None):
 # continuum shadow of an exact bubble (chart-side quadrature)
 # ---------------------------------------------------------------------------
 
-def ideal_bubble_shadow_gap(eps, n, full_density):
-    """The chart-side integral I(eps) in the shadow expansion of an exact
-    bubble, Theta_{n+1} = vol - 2 eps^2 I(eps).
+def ideal_bubble_shadow_gap(eps, n):
+    """The bare chart-side integral I(eps) in the shadow expansion of an exact
+    bubble, Theta_{n+1} = vol - 2 eps^2 4^{n+1} I(eps).
 
-    With full_density=True the chart density carries its 4^{n+1} weight and
-    the result reproduces the measured shadow of an actual bubble state.
-    With full_density=False both the density and the companion constant A3
-    use the bare normalization, the consistent pairing for the deficit law
-    (vol^2 - Theta^2)/eps^2 -> 4 vol A3; the two conventions differ exactly
-    by 4^{n+1}."""
+    The density here omits its 4^{n+1} weight, as does the companion constant
+    A3, which is the consistent pairing for the deficit law
+    (vol^2 - Theta^2)/eps^2 -> 4 vol A3."""
     e2 = eps * eps
-    scale = 4.0 ** (n + 1) if full_density else 1.0
 
     def g(r, tau):
         num = e2 * (r ** 4 + tau ** 2) + r ** 2
         den = (1.0 + e2 * r * r) ** 2 + e2 * e2 * tau ** 2
         s = 1.0 + r * r
-        return scale * num / den / (tau ** 2 + s * s) ** (n + 1)
+        return num / den / (tau ** 2 + s * s) ** (n + 1)
 
     value, _ = heisenberg_integral(g, n, tol=SHADOW_TOL)
     return value
 
 
-def ideal_bubble_shadow(eps, n, full_density=True):
-    """Theta_{n+1}(eps) = vol - 2 eps^2 I(eps) for an exact bubble.
-
-    The default full-density normalization matches shadow() measured on
-    bubble states."""
+def ideal_bubble_shadow(eps, n):
+    """Theta_{n+1}(eps) = vol - 2 eps^2 4^{n+1} I(eps) for an exact bubble,
+    the shadow() measured on bubble states."""
     vol = sphere_volume_cached(n)
-    gap = ideal_bubble_shadow_gap(eps, n, full_density)
-    return vol - 2.0 * eps * eps * gap
+    return vol - 2.0 * eps * eps * 4.0 ** (n + 1) * ideal_bubble_shadow_gap(eps, n)
 
 
 def shadow_deficit_ratio(eps, n):
     """(vol^2 - Theta(eps)^2) / eps^2 in the bare-density pairing; converges
     monotonically to 4 vol A3 as eps -> 0."""
     vol = sphere_volume_cached(n)
-    theta = ideal_bubble_shadow(eps, n, full_density=False)
+    theta = vol - 2.0 * eps * eps * ideal_bubble_shadow_gap(eps, n)
     return (vol * vol - theta * theta) / (eps * eps)

@@ -10,15 +10,8 @@ import numpy as np
 from .conformal import bubble
 from .errors import ConfigError
 from .flow import base_curvature, volume_renormalize
-from .polynomials import MonomialSpace
+from .polynomials import MonomialSpace, real_coords
 from .spectral import Field
-
-
-def _real_coord(basis, j):
-    """Grid values of the j-th ambient real coordinate (0-based)."""
-    i, im = divmod(j, 2)
-    col = basis.nodes[:, i]
-    return col.imag if im else col.real
 
 
 def f_constant(basis):
@@ -27,7 +20,7 @@ def f_constant(basis):
 
 def f_dipole(basis, amplitude=0.25, axis=0):
     """Single-maximum tilt: R_0 (1 + a X_axis); Morse with one max, one min."""
-    vals = base_curvature(basis.n) * (1.0 + amplitude * _real_coord(basis, axis))
+    vals = base_curvature(basis.n) * (1.0 + amplitude * real_coords(basis.nodes)[:, axis])
     return Field.from_values(basis, vals)
 
 
@@ -48,7 +41,7 @@ def f_two_peak(basis, scale=1.0):
     n = basis.n
     if n != 1:
         raise ConfigError("the two-peak preset is defined on S^3 (n = 1)")
-    X = np.stack([_real_coord(basis, j) for j in range(4)], axis=1)
+    X = real_coords(basis.nodes)
     g = X @ TWO_PEAK_L + np.einsum("ni,ij,nj->n", X, TWO_PEAK_Q, X)
     vals = base_curvature(n) * (1.0 + scale * g)
     if vals.min() <= 0:
@@ -127,6 +120,7 @@ def u0_from_spec(basis, spec, seed=0):
         return volume_renormalize(u0)
     if kind == "perturbation":
         vals = np.ones(len(basis.nodes))
+        X = real_coords(basis.nodes)
         for pos, term in enumerate(spec.get("terms", [])):
             try:
                 j = int(term["coordinate"])
@@ -135,7 +129,7 @@ def u0_from_spec(basis, spec, seed=0):
                 raise ConfigError(f"perturbation term {pos}: {exc}") from exc
             if not 0 <= j <= 2 * basis.n + 1:
                 raise ConfigError(f"perturbation term {pos}: coordinate out of range")
-            vals = vals + amp * _real_coord(basis, j)
+            vals = vals + amp * X[:, j]
         if vals.min() <= 0:
             raise ConfigError("perturbed u0 is not positive")
         return volume_renormalize(Field.from_values(basis, vals))
@@ -146,8 +140,9 @@ def u0_from_spec(basis, spec, seed=0):
             raise ConfigError(f"random u0_spec: {exc}") from exc
         rng = np.random.default_rng(seed)
         vals = np.ones(len(basis.nodes))
+        X = real_coords(basis.nodes)
         for j in range(2 * basis.n + 2):
-            vals = vals + amp * rng.uniform(-1.0, 1.0) * _real_coord(basis, j)
+            vals = vals + amp * rng.uniform(-1.0, 1.0) * X[:, j]
         pair = rng.integers(0, basis.n + 1, size=2)
         vals = vals + amp * rng.uniform(-1.0, 1.0) * np.real(
             basis.nodes[:, pair[0]] * np.conj(basis.nodes[:, pair[1]]))

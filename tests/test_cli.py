@@ -112,9 +112,11 @@ def test_run_malformed_config_exit_64_no_outputs(tmp_path, overrides, needle):
 
 
 @pytest.mark.parametrize("key,old_default", [
-    ("dt_min", 1e-7), ("monotonicity_slack", 1e-10), ("dt_growth_every", 20)])
+    ("dt_min", 1e-7), ("monotonicity_slack", 1e-10), ("dt_growth_every", 20),
+    ("morse_data", None)])
 def test_scenario_rejects_removed_flow_keys(tmp_path, key, old_default):
-    # the stepper's fixed constants are no longer scenario settings
+    # the stepper's fixed constants and the Morse echo are no longer
+    # scenario settings
     cfgp = tmp_path / "old.json"
     write_config(cfgp, **{key: old_default})
     line = next(i for i, text in enumerate(cfgp.read_text().splitlines(), start=1)

@@ -277,6 +277,21 @@ def test_run_names_its_time_limit(basis):
     assert res.message == f"t_max (0.1) reached at t = {t:.6g}"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP P0: the stepper creeps on a continuum solution; the fixes are "
+    "directions 1 (stiffly stable, error-controlled stepping) and 2 "
+    "(gradient-structured Galerkin flow)"))
+def test_step_does_not_creep_on_a_bubble(basis):
+    from crflow.conformal import bubble
+    from crflow.flow import FlowConfig, run
+    north = np.array([0, 1.0 + 0j])
+    u0 = volume_renormalize(bubble(north, 0.5, basis))
+    res = run(u0, Field.constant(basis, 2.0),
+              FlowConfig(dt_init=0.03125, t_max=0.25, max_steps=200,
+                         compute_shadow=False))
+    assert res.final_state.t >= 0.25, res.message
+
+
 def test_run_lands_on_t_max(basis, tmp_path):
     from crflow.cli import write_trajectory_csv
     from crflow.flow import FlowConfig, Termination, run

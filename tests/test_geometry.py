@@ -5,10 +5,11 @@ import pytest
 
 import crflow
 from crflow.errors import NonPositiveScale, PoleSingularity
-from crflow.geometry import (CRAutomorphism, HeisenbergPoint, SpherePoint,
+from crflow.geometry import (CRAutomorphism, HeisenbergPoint,
                              cayley_forward_xy, cayley_inverse_xy,
                              concentrating_automorphism, delta_xy, dilate_xy,
-                             translate_xy, unitary_from_north)
+                             translate_xy, unitary_from_north,
+                             volume_density_xy)
 
 
 def random_heisenberg(rng, n, size):
@@ -39,28 +40,22 @@ def random_automorphism(rng, n, rmax=3.0, q_scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_cayley_forward_north_pole():
-    p = SpherePoint(np.array([0, 0, 1.0]))
-    h = crflow.cayley_forward(p)
-    assert np.abs(h.z).max() == 0
-    assert h.tau == 0
+    z, tau = cayley_forward_xy(np.array([[0, 0, 1.0]]))
+    assert np.abs(z).max() == 0
+    assert tau[0] == 0
 
 
 def test_cayley_forward_equator_point():
     # x_{n+1} = 0 makes both factors one
-    p = SpherePoint(np.array([1.0, 0]))
-    h = crflow.cayley_forward(p)
-    assert abs(h.z[0] - 1.0) < 1e-15
-    assert abs(h.tau) < 1e-15
+    z, tau = cayley_forward_xy(np.array([[1.0, 0]]))
+    assert abs(z[0, 0] - 1.0) < 1e-15
+    assert abs(tau[0]) < 1e-15
 
 
 def test_cayley_inverse_origin_and_unit_tau():
-    x = crflow.cayley_inverse(HeisenbergPoint(np.zeros(1), 0.0))
-    assert np.allclose(x.x, [0, 1.0])
-    # (1 + i) / (1 - i) = i
-    x = crflow.cayley_inverse(HeisenbergPoint(np.zeros(1), 1.0))
-    assert np.allclose(x.x, [0, 1j])
-    x = crflow.cayley_inverse(HeisenbergPoint(np.array([1.0 + 0j]), 0.0))
-    assert np.allclose(x.x, [1.0, 0])
+    # rows: the origin, (0, 1) with (1 + i) / (1 - i) = i, and (1, 0)
+    x = cayley_inverse_xy(np.array([[0], [0], [1.0]]), np.array([0.0, 1.0, 0.0]))
+    assert np.allclose(x, [[0, 1.0], [0, 1j], [1.0, 0]])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -91,18 +86,19 @@ def test_pole_singularity_raises():
 # ---------------------------------------------------------------------------
 
 def test_dilate_identity_and_example():
-    h = HeisenbergPoint(np.array([1.0 + 0j]), 1.0)
-    assert crflow.dilate(h, 1.0) == h
-    d = crflow.dilate(h, 2.0)
-    assert np.allclose(d.z, [2.0]) and d.tau == 4.0
+    z, tau = np.array([[1.0 + 0j]]), np.array([1.0])
+    z1, t1 = dilate_xy(z, tau, 1.0)
+    assert np.array_equal(z1, z) and np.array_equal(t1, tau)
+    z2, t2 = dilate_xy(z, tau, 2.0)
+    assert np.allclose(z2, [[2.0]]) and t2[0] == 4.0
 
 
 def test_dilate_rejects_nonpositive():
-    h = HeisenbergPoint(np.zeros(1), 0.0)
+    z, tau = np.zeros((1, 1)), np.zeros(1)
     with pytest.raises(NonPositiveScale):
-        crflow.dilate(h, 0.0)
+        dilate_xy(z, tau, 0.0)
     with pytest.raises(NonPositiveScale):
-        crflow.dilate(h, -1.5)
+        dilate_xy(z, tau, -1.5)
 
 
 def test_dilation_group_law_random():
@@ -116,25 +112,24 @@ def test_dilation_group_law_random():
 
 
 def test_translate_identity_and_twist():
-    h = HeisenbergPoint(np.array([1.0 + 0j]), 0.0)
-    zero = HeisenbergPoint(np.zeros(1), 0.0)
-    assert crflow.translate(h, zero) == h
+    z, tau = np.array([[1.0 + 0j]]), np.array([0.0])
+    z0, t0 = translate_xy(z, tau, np.zeros(1), 0.0)
+    assert np.array_equal(z0, z) and np.array_equal(t0, tau)
     # q = (i, 0) on (1, 0): twist 2 Im(i * conj(1)) = 2
-    t = crflow.translate(h, HeisenbergPoint(np.array([1j]), 0.0))
-    assert np.allclose(t.z, [1.0 + 1j]) and abs(t.tau - 2.0) < 1e-15
+    z1, t1 = translate_xy(z, tau, np.array([1j]), 0.0)
+    assert np.allclose(z1, [[1.0 + 1j]]) and abs(t1[0] - 2.0) < 1e-15
 
 
 def test_translation_composition_is_heisenberg_product():
     rng = np.random.default_rng(7)
     z, tau = random_heisenberg(rng, 1, 400)
     for _ in range(5):
-        q1 = HeisenbergPoint(rng.normal(size=1) + 1j * rng.normal(size=1),
-                             float(rng.normal()))
-        q2 = HeisenbergPoint(rng.normal(size=1) + 1j * rng.normal(size=1),
-                             float(rng.normal()))
-        za, ta = translate_xy(*translate_xy(z, tau, q1.z, q1.tau), q2.z, q2.tau)
-        prod = crflow.translate(q1, q2)     # q2 * q1: left translations compose
-        zb, tb = translate_xy(z, tau, prod.z, prod.tau)
+        q1z, q1t = random_heisenberg(rng, 1, 1)
+        q2z, q2t = random_heisenberg(rng, 1, 1)
+        za, ta = translate_xy(*translate_xy(z, tau, q1z[0], q1t[0]), q2z[0], q2t[0])
+        # q2 * q1 = T_{q2}(q1): left translations compose
+        pz, pt = translate_xy(q1z, q1t, q2z[0], q2t[0])
+        zb, tb = translate_xy(z, tau, pz[0], pt[0])
         assert np.abs(za - zb).max() < 1e-10
         assert np.abs(ta - tb).max() < 1e-10
 
@@ -155,15 +150,13 @@ def test_delta_qr_formula_pointwise():
 # ---------------------------------------------------------------------------
 
 def test_volume_density_origin_values():
-    assert crflow.volume_density(HeisenbergPoint(np.zeros(1), 0.0), 1) == 16.0
-    assert crflow.volume_density(HeisenbergPoint(np.zeros(2), 0.0), 2) == 64.0
+    assert volume_density_xy(np.zeros((1, 1)), np.zeros(1), 1)[0] == 16.0
+    assert volume_density_xy(np.zeros((1, 2)), np.zeros(1), 2)[0] == 64.0
 
 
 def test_volume_density_decays_along_rays():
-    n = 1
     scales = np.array([1.0, 2.0, 5.0, 20.0])
-    vals = [crflow.volume_density(HeisenbergPoint(np.array([s + 0j]), s * s), n)
-            for s in scales]
+    vals = volume_density_xy(scales[:, None] + 0j, scales * scales, 1)
     assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
 
@@ -179,10 +172,9 @@ def test_apply_at_pole_matches_direct_formula():
     rng = np.random.default_rng(10)
     q = HeisenbergPoint(rng.normal(size=1) + 1j * rng.normal(size=1), 0.4)
     phi = CRAutomorphism(np.eye(2, dtype=complex), q, 2.5)
-    north = SpherePoint(np.array([0, 1.0]))
-    got = crflow.apply(phi, north)
-    want = cayley_inverse_xy(q.z[None, :], np.array([q.tau]))[0]
-    assert np.abs(got.x - want).max() < 1e-12
+    got = phi.apply_xy(np.array([[0, 1.0]]))
+    want = cayley_inverse_xy(q.z[None, :], np.array([q.tau]))
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_apply_preserves_unit_norm_1000():
@@ -209,21 +201,16 @@ def test_jacobian_identity_is_one():
 
 
 def test_jacobian_positive_and_multiplicative():
+    # chain rule through the inverse: jac(phi^{-1})(phi(x)) jac(phi)(x) = 1
     rng = np.random.default_rng(14)
-    U = random_unitary(rng, 2)
-    q1 = HeisenbergPoint(rng.normal(size=1) + 1j * rng.normal(size=1), 0.3)
-    q2 = HeisenbergPoint(rng.normal(size=1) + 1j * rng.normal(size=1), -0.6)
-    phi1 = CRAutomorphism(U, q1, 1.7)
-    phi2 = CRAutomorphism(U, q2, 0.6)
-    comp = phi2.compose(phi1)
-    x = random_sphere(rng, 2, 200)
-    j1 = phi1.jacobian_xy(x)
-    j2 = phi2.jacobian_xy(phi1.apply_xy(x))
-    jc = comp.jacobian_xy(x)
-    assert j1.min() > 0 and j2.min() > 0
-    assert np.abs(jc - j1 * j2).max() / np.abs(jc).max() < 1e-10
-    # compose really is the composition pointwise
-    assert np.abs(comp.apply_xy(x) - phi2.apply_xy(phi1.apply_xy(x))).max() < 1e-10
+    for phi in (CRAutomorphism(random_unitary(rng, 2), HeisenbergPoint(
+            rng.normal(size=1) + 1j * rng.normal(size=1), 0.3), 1.7),
+                random_automorphism(rng, 2)):
+        x = random_sphere(rng, phi.n + 1, 200)
+        j1 = phi.jacobian_xy(x)
+        j2 = phi.inverse().jacobian_xy(phi.apply_xy(x))
+        assert j1.min() > 0 and j2.min() > 0
+        assert np.abs(j1 * j2 - 1).max() < 1e-10
 
 
 def test_jacobian_r_dependence_at_centered_pole():
@@ -238,8 +225,8 @@ def test_jacobian_r_dependence_at_centered_pole():
         north[-1] = 1.0
         x = (U @ north)[None, :]
         want = (r ** (2 * n + 2)
-                * crflow.volume_density(q, n)
-                / crflow.volume_density(HeisenbergPoint(np.zeros(n), 0.0), n))
+                * volume_density_xy(q.z[None, :], np.array([q.tau]), n)[0]
+                / volume_density_xy(np.zeros((1, n)), np.zeros(1), n)[0])
         assert abs(phi.jacobian_xy(x)[0] - want) / want < 1e-12
 
 
