@@ -23,9 +23,8 @@ from .errors import (BudgetExceeded, ConfigError, CRFlowError,
                      PositivityLoss, StepRejected, TruncationLoss)
 from .flow import (DiagnosticsRecord, FlowConfig, FlowState, RunResult,
                    Termination, alpha, base_curvature, beta_threshold,
-                   center_of_mass, diagnostics, energy, energy_f, flow_rhs,
-                   mass_concentration, run, step, volume_renormalize,
-                   webster_curvature)
+                   center_of_mass, diagnostics, energy, energy_f,
+                   mass_concentration, run, step, volume_renormalize)
 from .geometry import (CRAutomorphism, HeisenbergPoint, cayley_forward_xy,
                        cayley_inverse_xy, delta_xy, dilate_xy, translate_xy,
                        unitary_from_north, volume_density_xy)
@@ -34,7 +33,7 @@ from .morse import (CriticalPoint, GateReport, MorseData, counts, degree_sum,
                     sbc_check, solve_k, theorem_gate)
 from .normalization import (CenteringResult, find_centering,
                             ideal_bubble_shadow, shadow, shadow_deficit_ratio)
-from .spectral import (Basis, Field, analyze, build_basis, horizontal_grad_sq,
-                       inner, integrate, sub_laplacian, synthesize)
+from .spectral import (Basis, Field, build_basis, horizontal_grad_sq,
+                       integrate, sub_laplacian)
 
 __version__ = "0.1.0"

@@ -80,10 +80,10 @@ def _alpha_energy_f(basis, c, dens, fvals):
     return E / f_vol, E / f_vol ** (basis.n / (basis.n + 1.0))
 
 
-def _deviation(basis, c, R, dens, fvals):
+def _deviation(a, R, dens, fvals):
     """The deviation alpha f - R and F2 = int (alpha f - R)^2 dV_theta of the
-    factor with coefficients c, curvature R and density dens."""
-    dev = _alpha_energy_f(basis, c, dens, fvals)[0] * fvals - R
+    factor with normalizing constant a, curvature R and density dens."""
+    dev = a * fvals - R
     return dev, float(dens @ dev ** 2)
 
 
@@ -98,18 +98,13 @@ def _volume_factor(basis, dens):
 def _rhs_coeffs(basis, c, fvals):
     """Basis coefficients of (n/2)(alpha f - R) u for real coefficients c."""
     u, R, dens = _grid_terms(basis, c)
-    dev, _ = _deviation(basis, c, R, dens, fvals)
+    dev, _ = _deviation(_alpha_energy_f(basis, c, dens, fvals)[0], R, dens, fvals)
     return basis.funcs @ (basis.weights * (0.5 * basis.n * dev * u))
 
 
 def curvature_values(u):
     """Exact grid values of the Webster curvature of u^{2/n} theta_0."""
     return _grid_terms(u.basis, u.coeffs.real)[1]
-
-
-def webster_curvature(u):
-    """Webster curvature as a Field (spectral projection of the point values)."""
-    return Field.from_values(u.basis, curvature_values(u))
 
 
 def energy(u):
@@ -142,12 +137,6 @@ def energy_f(u, f):
 def volume_renormalize(u):
     """Scale u so that int u^{2+2/n} dV = vol (exactly restorable)."""
     return _volume_factor(u.basis, density(u.basis, u.real_values)) * u
-
-
-def flow_rhs(u, f):
-    """(n/2)(alpha f - R) u projected to the basis."""
-    basis = u.basis
-    return Field.from_coeffs(basis, _rhs_coeffs(basis, u.coeffs.real, f.real_values))
 
 
 def cr_yamabe_constant(n, vol):
@@ -183,9 +172,7 @@ class DiagnosticsRecord:
     F2: float
     G2: float
     P: np.ndarray
-    P_hat: np.ndarray
     b: np.ndarray
-    B: np.ndarray
     kw_residual: float
     max_u: float
     mass_concentration: float
@@ -234,18 +221,19 @@ def diagnostics(u, f, rho=0.5):
     basis = u.basis
     c = u.coeffs.real
     uv, rv, dens = _grid_terms(basis, c)
-    dev, F2 = _deviation(basis, c, rv, dens, f.real_values)
+    a = _alpha_energy_f(basis, c, dens, f.real_values)[0]
+    dev, F2 = _deviation(a, rv, dens, f.real_values)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
     grad_sq = np.real(grad_inner_values(dev_field, dev_field))
     G2 = float(basis.weights @ (grad_sq * uv ** 2))
-    P, P_hat = center_of_mass(u)
+    P, _ = center_of_mass(u)
     moments = dens * dev
     b = np.concatenate([moments @ basis.nodes, moments @ np.conj(basis.nodes)])
     kw = kazdan_warner_vector(u, Field.from_values(basis, rv))
     return DiagnosticsRecord(
         E=energy(u), E_f=energy_f(u, f), F2=F2, G2=max(G2, 0.0),
-        P=P, P_hat=P_hat, b=b, B=np.sqrt(basis.n + 1.0) * b,
+        P=P, b=b,
         kw_residual=float(np.linalg.norm(kw)),
         max_u=float(uv.max()),
         mass_concentration=mass_concentration(u, rho=rho))
@@ -257,11 +245,17 @@ def diagnostics(u, f, rho=0.5):
 
 @dataclass(frozen=True)
 class FlowState:
+    """One state of a run.  `step` sets F2, the run loop's stop test; `run`
+    sets the diagnostics and the shadow (theta, eps, shadow_converged) of the
+    states it records."""
     t: float
     u: Field
     alpha: float
     diagnostics: DiagnosticsRecord | None = None
-    F2: float | None = None          # set by step: the run loop's stop test
+    F2: float | None = None
+    theta: np.ndarray | None = None
+    eps: float | None = None
+    shadow_converged: bool | None = None
 
 
 def step(state, f, dt, slack=1e-10, dt_min=1e-7):
@@ -304,7 +298,7 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
             continue
         # R(sigma u) = sigma^{-2/n} R(u), so F2 needs no further synthesis
         R1 = sigma ** (-2.0 / basis.n) * R1
-        _, F2 = _deviation(basis, u1.coeffs, R1, dens, fvals)
+        _, F2 = _deviation(a1, R1, dens, fvals)
         return FlowState(state.t + dt, u1, a1, F2=F2), dt
 
 
@@ -335,20 +329,9 @@ class FlowConfig:
 
 
 @dataclass
-class TrajectoryRecord:
-    t: float
-    alpha: float
-    diagnostics: DiagnosticsRecord
-    theta: np.ndarray | None = None
-    eps: float | None = None
-    shadow_converged: bool | None = None
-
-
-@dataclass
 class RunResult:
     status: Termination
-    states: list
-    records: list
+    records: list                    # the recorded FlowStates
     message: str = ""
     shadow_point: np.ndarray | None = None
     f_at_shadow: float | None = None
@@ -357,7 +340,7 @@ class RunResult:
 
     @property
     def final_state(self):
-        return self.states[-1]
+        return self.records[-1]
 
 
 def _f_data_at(f, point):
@@ -391,24 +374,23 @@ def run(u0, f, config=None):
                 f"initial normalized energy {energy_f(u, f):.6f} above the "
                 f"admissibility gate {gate:.6f}")
 
-    state = FlowState(0.0, u, alpha(u, f), diagnostics(u, f, rho=config.concentration_rho))
-    states = [state]
     records = []
     started = time.monotonic()
 
     def record(st):
-        rec = TrajectoryRecord(st.t, st.alpha, st.diagnostics)
+        """st with its diagnostics and shadow, appended to records."""
+        st = replace(st, diagnostics=diagnostics(st.u, f, rho=config.concentration_rho))
         if config.compute_shadow:
             try:
                 cres = find_centering(st.u)
                 theta, _, eps = shadow(st.u, result=cres)
-                rec.theta, rec.eps = theta, eps
-                rec.shadow_converged = cres.converged
+                st = replace(st, theta=theta, eps=eps, shadow_converged=cres.converged)
             except CRFlowError:
-                rec.shadow_converged = False
-        records.append(rec)
+                st = replace(st, shadow_converged=False)
+        records.append(st)
+        return st
 
-    record(state)
+    state = record(FlowState(0.0, u, alpha(u, f)))
 
     dt = config.dt_init
     accepted_since_growth = 0
@@ -449,10 +431,7 @@ def run(u0, f, config=None):
                 accepted_since_growth = 0
         state = new_state
         if n_steps % config.record_every == 0:
-            state = replace(state, diagnostics=diagnostics(
-                state.u, f, rho=config.concentration_rho))
-            states.append(state)
-            record(state)
+            state = record(state)
         if state.F2 < config.tol_converge:
             status, message = Termination.CONVERGED, f"F2 = {state.F2:.3e}"
             break
@@ -465,12 +444,9 @@ def run(u0, f, config=None):
                     f"mass {mass:.3f}, max u {max_u:.1f}")
                 break
 
-    if states[-1] is not state:
-        state = replace(state, diagnostics=diagnostics(
-            state.u, f, rho=config.concentration_rho))
-        states.append(state)
-        record(state)
-    result = RunResult(status=status, states=states, records=records, message=message)
+    if records[-1] is not state:
+        state = record(state)
+    result = RunResult(status=status, records=records, message=message)
     if status in (Termination.CONVERGED, Termination.CONCENTRATED):
         rec = records[-1]
         point = None

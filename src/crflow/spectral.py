@@ -355,15 +355,6 @@ class Field:
     __rmul__ = __mul__
 
 
-def analyze(values, basis):
-    """Quadrature projection of grid samples into the basis."""
-    return Field.from_values(basis, values)
-
-
-def synthesize(field):
-    return field.basis.synthesize(field.coeffs)
-
-
 def sub_laplacian(u):
     """Coefficient-wise multiplication by -lambda_{j,k}."""
     return Field.from_coeffs(u.basis, -u.basis.eigenvalues * u.coeffs)
@@ -375,11 +366,6 @@ def integrate(u):
     if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
         return val
     return val.real
-
-
-def inner(u, w):
-    """L^2 inner product; equals sum coeff(u) conj(coeff(w)) by Parseval."""
-    return complex(np.sum(u.coeffs * np.conj(w.coeffs)))
 
 
 def _first_order_values(u):

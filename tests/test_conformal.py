@@ -8,6 +8,7 @@ from crflow.conformal import bubble, compose_values, projection_residual, pullba
 from crflow.errors import TruncationLoss
 from crflow.flow import critical_exponent, volume_renormalize
 from crflow.geometry import CRAutomorphism, HeisenbergPoint
+from crflow.spectral import Field
 
 NORTH = np.array([0, 1.0 + 0j])
 
@@ -87,7 +88,7 @@ def test_pullback_inverts_bubble(basis):
 
 def test_compose_values_matches_direct_evaluation(basis):
     rng = np.random.default_rng(5)
-    u = crflow.analyze(1.0 + 0.2 * np.real(basis.nodes[:, 0]), basis)
+    u = Field.from_values(basis, 1.0 + 0.2 * np.real(basis.nodes[:, 0]))
     qz = 0.3 * (rng.normal(size=1) + 1j * rng.normal(size=1))
     phi = CRAutomorphism(np.eye(2, dtype=complex),
                          HeisenbergPoint(qz, 0.1), 1.4)

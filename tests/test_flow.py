@@ -7,8 +7,8 @@ import crflow
 from crflow.errors import DegenerateDenominator, NonPositiveFactor, PositivityLoss
 from crflow.flow import (FlowState, alpha, base_curvature, beta_threshold,
                          critical_exponent, curvature_values, diagnostics,
-                         energy, energy_consistency, energy_f, flow_rhs, step,
-                         volume_renormalize)
+                         density, energy, energy_consistency, energy_f, step,
+                         volume_renormalize, _rhs_coeffs)
 from crflow.presets import f_constant, f_dipole
 from crflow.spectral import Field
 
@@ -40,7 +40,7 @@ def perturbed_factor(basis, seed=0, amp=0.05):
 
 def test_round_curvature_values(basis, basis_n2):
     for b in (basis, basis_n2):
-        R = crflow.webster_curvature(Field.constant(b, 1.0))
+        R = Field.from_values(b, curvature_values(Field.constant(b, 1.0)))
         want = base_curvature(b.n)      # 1 for n=1, 3 for n=2
         assert np.abs(R.values - want).max() < 1e-10
 
@@ -48,7 +48,7 @@ def test_round_curvature_values(basis, basis_n2):
 def test_curvature_rejects_nonpositive(basis):
     bad = Field.from_values(basis, -np.ones(len(basis.nodes)))
     with pytest.raises(NonPositiveFactor):
-        crflow.webster_curvature(bad)
+        curvature_values(bad)
 
 
 def test_bubble_curvature_conformal_invariance(basis):
@@ -166,20 +166,20 @@ def test_energy_f_conformal_invariance(J, tol):
 def test_rhs_stationary_cases(basis):
     one = Field.constant(basis, 1.0)
     for f in (f_constant(basis), Field.constant(basis, 2.0)):
-        rhs = flow_rhs(one, f)
-        assert np.abs(rhs.values).max() < 1e-12
+        rhs = basis.synthesize(_rhs_coeffs(basis, one.coeffs, f.real_values))
+        assert np.abs(rhs).max() < 1e-12
 
 
 def test_rhs_sign_follows_deviation(basis):
     u = perturbed_factor(basis, 8, amp=0.1)
     f = f_dipole(basis, amplitude=0.2)
-    rhs = flow_rhs(u, f)
+    rhs = basis.synthesize(_rhs_coeffs(basis, u.coeffs, f.real_values))
     a = alpha(u, f)
     dev = a * f.real_values - curvature_values(u)
     # pointwise product of the exact deviation with u is what gets projected;
     # check sign agreement where the deviation is significantly nonzero
     strong = np.abs(dev) > 0.25 * np.abs(dev).max()
-    assert np.all(np.sign(rhs.values.real[strong]) == np.sign(dev[strong]))
+    assert np.all(np.sign(rhs[strong]) == np.sign(dev[strong]))
 
 
 def test_step_stationary_to_machine(basis):
@@ -373,7 +373,7 @@ def test_run_scans_mass_only_past_blowup_bound(basis, monkeypatch):
     diags = _count_calls(monkeypatch, flow, "diagnostics")
     res = run(u0, f, FlowConfig(t_max=0.5, record_every=4, blowup_factor=np.inf,
                                 compute_shadow=False))
-    assert res.final_state.t >= 0.5 and len(diags) == len(res.states) > 2
+    assert res.final_state.t >= 0.5 and len(diags) == len(res.records) > 2
     assert len(scans) == len(diags)
     # armed (every max u exceeds the bound), the scan runs after every step too
     del scans[:], diags[:]
@@ -443,7 +443,6 @@ def test_diagnostics_round_state(basis):
     assert d.F2 < 1e-18 and d.G2 < 1e-18
     assert np.abs(d.P).max() < 1e-12
     assert d.kw_residual < 1e-12
-    assert np.abs(d.B - np.sqrt(2.0) * d.b).max() == 0.0
 
 
 def test_diagnostics_bubble_center_of_mass(basis):
@@ -474,18 +473,24 @@ def test_diagnostics_b_vector_random(basis):
     for seed in (14, 15):
         u = perturbed_factor(basis, seed)
         d = diagnostics(u, f)
-        assert np.abs(d.B - np.sqrt(2.0) * d.b).max() == 0.0
+        # b is the first moment of alpha f - R against dV_theta, and its
+        # conjugate-coordinate half is the conjugate of the first
+        dev = alpha(u, f) * f.real_values - curvature_values(u)
+        moment = (density(basis, u.real_values) * dev) @ basis.nodes
+        nc = basis.n + 1
+        assert np.abs(d.b[:nc] - moment).max() <= 1e-10 * np.abs(moment).max()
+        assert np.array_equal(d.b[nc:], np.conj(d.b[:nc]))
         assert d.F2 >= 0 and d.G2 >= 0
         assert 0 <= d.mass_concentration <= 1
 
 
 def test_kazdan_warner_closed_form(basis, basis_n2):
-    from crflow.flow import kazdan_warner_vector, webster_curvature
+    from crflow.flow import kazdan_warner_vector
     from crflow.spectral import coordinate_grad_inner_values, grad_inner_values
 
     for b, seed in ((basis, 16), (basis_n2, 17)):
         u = perturbed_factor(b, seed, amp=0.1)
-        R = webster_curvature(u)
+        R = Field.from_values(b, curvature_values(u))
         closed = coordinate_grad_inner_values(R)
         dens = b.weights * u.real_values ** critical_exponent(b.n)
         kw = kazdan_warner_vector(u, R)
