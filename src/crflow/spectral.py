@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import factorial, pi
+from numbers import Number
 
 import numpy as np
 
@@ -350,6 +351,8 @@ class Field:
                      self.values - other.values)
 
     def __mul__(self, scalar):
+        if not isinstance(scalar, Number):
+            return NotImplemented
         return Field(self.basis, scalar * self.coeffs, scalar * self.values)
 
     __rmul__ = __mul__

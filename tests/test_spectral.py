@@ -150,6 +150,8 @@ def test_field_arithmetic_takes_fields_only(basis8):
         one + 1.0
     with pytest.raises(TypeError):
         one - 1.0
+    with pytest.raises(TypeError):
+        one * one
 
 
 # ---------------------------------------------------------------------------
