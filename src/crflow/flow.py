@@ -448,10 +448,9 @@ def run(u0, f, config=None):
         state = record(state)
     result = RunResult(status=status, records=records, message=message)
     if status in (Termination.CONVERGED, Termination.CONCENTRATED):
-        rec = records[-1]
         point = None
-        if rec.theta is not None and np.linalg.norm(rec.theta) > 1e-12:
-            point = rec.theta / np.linalg.norm(rec.theta)
+        if state.theta is not None and np.linalg.norm(state.theta) > 1e-12:
+            point = state.theta / np.linalg.norm(state.theta)
         elif status is Termination.CONCENTRATED:
             _, point = center_of_mass(state.u)
         if point is not None and np.linalg.norm(point) > 0.5:
