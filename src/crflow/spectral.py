@@ -189,13 +189,26 @@ class Basis:
                 cconj = coef[:, conj - rows.start]
                 block = np.concatenate([block.real, block.imag])
                 coef = np.concatenate([(coef + cconj) / 2.0, (coef - cconj) / 2.0j])
+            # eigh picks vectors inside degenerate eigenspaces by rounding, so
+            # each block is then fixed canonically, continuous in the weights
             G = (block * self.weights) @ block.conj().T
             evals, evecs = np.linalg.eigh(G)
             keep = evals > 1e-12 * evals.max()
             if keep.sum() != d:
                 raise RuntimeError(f"H_{(j, k)} has rank {keep.sum()}, not {d}")
             R = evecs[:, keep] / np.sqrt(evals[keep])
+            if j < k:
+                R = R @ evecs.conj().T                  # G^{-1/2}
             onb, onb_poly = R.T @ block, R.T @ coef
+            if j == k:
+                # the 2d rows span d dimensions: rotate the orthonormal rows
+                # onto d real generators chosen without the weights, by the
+                # polar factor of their overlaps
+                U = np.linalg.svd(np.concatenate([coef.real, coef.imag], axis=1))[0]
+                gen = U[:, :d].T @ block
+                Uc, _, Vct = np.linalg.svd((gen * self.weights) @ onb.T)
+                Q = Uc @ Vct
+                onb, onb_poly = Q @ onb, Q @ onb_poly
             P = np.zeros((d, space.dim), dtype=complex)
             P[:, rows] = onb_poly
             if j < k:

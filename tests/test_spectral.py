@@ -39,6 +39,24 @@ def test_gram_orthonormality(basis8, basis2_n2):
     assert basis2_n2.gram_error() < 1e-10
 
 
+@pytest.mark.parametrize("n, J", [(1, 8), (2, 4)])
+def test_basis_continuous_in_the_weights(n, J, monkeypatch):
+    # the harmonic blocks have degenerate Gram spectra; a rounding-size change
+    # of the weights (the size of the closed-form volume scaling) must not
+    # rotate the basis inside them
+    from crflow import spectral
+
+    ref = crflow.build_basis(n, J).funcs
+    exact = spectral.sphere_quadrature
+
+    def scaled(n, deg):
+        nodes, weights = exact(n, deg)
+        return nodes, weights * (1.0 + 1.8e-15)
+
+    monkeypatch.setattr(spectral, "sphere_quadrature", scaled)
+    assert np.abs(crflow.build_basis(n, J).funcs - ref).max() < 1e-13
+
+
 def test_weights_positive_and_sum_to_volume(basis8):
     assert basis8.weights.min() > 0
     assert abs(basis8.weights.sum() - sphere_volume_cached(1)) < 1e-9
