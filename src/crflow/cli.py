@@ -60,7 +60,7 @@ def write_trajectory_csv(path, records, n):
         fh.write(",".join(_csv_header(n)) + "\n")
         for rec in records:
             d = rec.diagnostics
-            row = [rec.t, d.E, d.E_f, rec.alpha, d.F2, d.G2, d.kw_residual,
+            row = [rec.t, d.E, d.E_f, d.alpha, d.F2, d.G2, d.kw_residual,
                    float(np.linalg.norm(d.P)), rec.eps]
             theta = rec.theta if rec.theta is not None else [None] * (n + 1)
             for i in range(n + 1):

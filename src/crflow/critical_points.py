@@ -18,27 +18,46 @@ LAP_TOL = 1e-10        # smallest |Lap_b f| with a sign
 SEED = 0               # random Newton seeds
 
 
-def _newton_on_sphere(calc, x0, max_iter=60, tol=1e-12):
-    """Projected Newton for grad_S f = 0 from x0 (complex coords): each step
-    solves the exact sphere Hessian against the tangent gradient."""
-    X = real_coords(x0)
-    X /= np.linalg.norm(X)
+def _newton_on_sphere(calc, seeds, max_iter=60, tol=1e-12):
+    """Projected Newton for grad_S f = 0 from every seed (rows of complex
+    coords) at once.  Each step applies the pseudo-inverse of the exact
+    tangent Hessian (eigenvalues below 1e-10 of the largest in modulus are
+    cut) to the tangent gradient, capped at length 0.5; a seed stops when
+    its tangent gradient falls below tol.  Returns the points and whether
+    each converged within max_iter steps."""
+    X = real_coords(seeds)
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    eye = np.eye(X.shape[1])
+    ok = np.zeros(len(X), dtype=bool)
+    active = np.arange(len(X))
     for _ in range(max_iter):
-        x = X[0::2] + 1j * X[1::2]
-        g, gn = calc.tangent_gradient(x[None, :])
-        if gn[0] < tol:
-            return x, True
-        Q, H = calc.tangent_hessian(x)
-        try:
-            d = Q @ np.linalg.lstsq(H, -(Q.T @ g[0]), rcond=1e-10)[0]
-        except np.linalg.LinAlgError:
-            return x, False
-        step = np.linalg.norm(d)
-        if step > 0.5:
-            d *= 0.5 / step
-        X = X + d
-        X /= np.linalg.norm(X)
-    return X[0::2] + 1j * X[1::2], False
+        Xa = X[active]
+        x = Xa[:, 0::2] + 1j * Xa[:, 1::2]
+        amb = calc.ambient_gradient(x)
+        radial = np.sum(amb * Xa, axis=1)
+        g = amb - radial[:, None] * Xa
+        done = np.linalg.norm(g, axis=1) < tol
+        ok[active[done]] = True
+        go = ~done
+        active, Xa, x, g, radial = active[go], Xa[go], x[go], g[go], radial[go]
+        if not len(active):
+            break
+        H = calc.ambient_hessian(x) - radial[:, None, None] * eye
+        # an orthonormal tangent basis at each point, as in tangent_hessian
+        frame = np.concatenate([Xa[:, :, None], np.broadcast_to(eye, H.shape)], axis=2)
+        Q = np.linalg.qr(frame)[0][:, :, 1:]
+        Ht = Q.mT @ H @ Q
+        finite = np.isfinite(Ht).all(axis=(1, 2))
+        active, Xa, Q, Ht, g = active[finite], Xa[finite], Q[finite], Ht[finite], g[finite]
+        lam, V = np.linalg.eigh(Ht)
+        big = np.abs(lam) > 1e-10 * np.abs(lam).max(axis=1, keepdims=True)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=big)
+        rhs = -(Q.mT @ g[:, :, None])
+        d = (Q @ (V @ (inv[:, :, None] * (V.mT @ rhs))))[:, :, 0]
+        d *= 0.5 / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 0.5)
+        Xa = Xa + d
+        X[active] = Xa / np.linalg.norm(Xa, axis=1, keepdims=True)
+    return X[:, 0::2] + 1j * X[:, 1::2], ok
 
 
 def find_critical_points(f, n_seeds=160):
@@ -62,10 +81,8 @@ def find_critical_points(f, n_seeds=160):
         basis.nodes[order[:: max(1, len(order) // third)]], random_pts])
     found = []
     warnings = []
-    for x0 in seeds:
-        x, ok = _newton_on_sphere(calc, x0)
-        if not ok:
-            continue
+    points, ok = _newton_on_sphere(calc, seeds)
+    for x in points[ok]:
         if any(np.linalg.norm(x - y) < DEDUP_TOL for y, *_ in found):
             continue
         eigs = calc.hessian_eigs(x)

@@ -47,20 +47,22 @@ def critical_exponent(n):
 # ---------------------------------------------------------------------------
 
 def density(basis, uv):
-    """Quadrature weights of dV_theta = u^{2+2/n} dV_theta0 at grid values uv."""
-    return basis.weights * uv ** critical_exponent(basis.n)
+    """Quadrature weights of dV_theta = u^{2+2/n} dV_theta0 at grid values uv,
+    as w u u u^{2/n}: the same rounding as `_grid_terms`."""
+    return basis.weights * uv * uv * uv ** (2.0 / basis.n)
 
 
 def _grid_terms(basis, c):
     """Grid values (u, R, dens) of the factor with real coefficients c: one
-    two-row synthesis [c, -lambda c] @ funcs, the positivity check, the
-    Webster curvature R and the volume density."""
+    two-row synthesis of [c, -lambda c], the positivity check, the Webster
+    curvature R and the volume density, from one power q = u^{2/n}."""
     n = basis.n
-    u, lap = np.stack([c, -basis.eigenvalues * c]) @ basis.funcs   # one gemm
+    u, lap = basis.synthesize(np.stack([c, -basis.eigenvalues * c]))
     if u.min() <= 0:
         raise NonPositiveFactor("conformal factor must be positive on the grid")
-    R = (-(2.0 + 2.0 / n) * lap + base_curvature(n) * u) / u ** (1.0 + 2.0 / n)
-    return u, R, density(basis, u)
+    q = u ** (2.0 / n)
+    R = (-(2.0 + 2.0 / n) * lap + base_curvature(n) * u) / (u * q)
+    return u, R, basis.weights * u * u * q
 
 
 def _energy(basis, c):
@@ -99,7 +101,7 @@ def _rhs_coeffs(basis, c, fvals):
     """Basis coefficients of (n/2)(alpha f - R) u for real coefficients c."""
     u, R, dens = _grid_terms(basis, c)
     dev, _ = _deviation(_alpha_energy_f(basis, c, dens, fvals)[0], R, dens, fvals)
-    return basis.funcs @ (basis.weights * (0.5 * basis.n * dev * u))
+    return basis.project(0.5 * basis.n * dev * u)
 
 
 def curvature_values(u):
@@ -169,6 +171,7 @@ def beta_threshold(f):
 class DiagnosticsRecord:
     E: float
     E_f: float
+    alpha: float
     F2: float
     G2: float
     P: np.ndarray
@@ -178,22 +181,23 @@ class DiagnosticsRecord:
     mass_concentration: float
 
 
-def center_of_mass(u):
+def center_of_mass(u, dens=None):
     """P = int x u^{2+2/n} dV and its normalization P_hat (P itself when |P|
-    is below 1e-12)."""
+    is below 1e-12); dens, if given, is u's density."""
     basis = u.basis
-    P = density(basis, u.real_values) @ basis.nodes
+    dens = density(basis, u.real_values) if dens is None else dens
+    P = dens @ basis.nodes
     norm = np.linalg.norm(P)
     P_hat = P / norm if norm > 1e-12 else P
     return P, P_hat
 
 
-def mass_concentration(u, rho=0.5):
+def mass_concentration(u, rho=0.5, dens=None):
     """Largest fraction of dV_theta mass inside a round geodesic ball of
     radius rho, maximized over a spread subsample of about MAX_CENTERS grid
-    centers."""
+    centers; dens, if given, is u's density."""
     basis = u.basis
-    dens = density(basis, u.real_values)
+    dens = density(basis, u.real_values) if dens is None else dens
     total = dens.sum()
     X = np.concatenate([basis.nodes.real, basis.nodes.imag], axis=1)
     stride = max(1, len(X) // MAX_CENTERS)
@@ -208,35 +212,39 @@ def mass_concentration(u, rho=0.5):
     return best / total
 
 
-def kazdan_warner_vector(u, R_field):
+def kazdan_warner_vector(u, R_field, dens=None):
     """The 2(n+1) complex integrals int <grad x_i, grad R> dV_theta (and the
     conjugate-coordinate ones) for the factor u with Webster curvature field
-    R_field; zero in the continuum for every conformal factor."""
-    kw = coordinate_grad_inner_values(R_field) @ density(u.basis, u.real_values)
+    R_field; zero in the continuum for every conformal factor.  dens, if
+    given, is u's density."""
+    dens = density(u.basis, u.real_values) if dens is None else dens
+    kw = coordinate_grad_inner_values(R_field) @ dens
     return np.concatenate([kw, np.conj(kw)])
 
 
 def diagnostics(u, f, rho=0.5):
-    """All scalar monitors of a flow state, computed by quadrature."""
+    """All scalar monitors of a flow state, computed by quadrature.  One
+    synthesis of u gives the grid values and the density that E_f, alpha,
+    F2, P, b, the Kazdan-Warner vector and the mass scan all read."""
     basis = u.basis
     c = u.coeffs.real
     uv, rv, dens = _grid_terms(basis, c)
-    a = _alpha_energy_f(basis, c, dens, f.real_values)[0]
+    a, ef = _alpha_energy_f(basis, c, dens, f.real_values)
     dev, F2 = _deviation(a, rv, dens, f.real_values)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
     grad_sq = np.real(grad_inner_values(dev_field, dev_field))
     G2 = float(basis.weights @ (grad_sq * uv ** 2))
-    P, _ = center_of_mass(u)
+    P, _ = center_of_mass(u, dens=dens)
     moments = dens * dev
     b = np.concatenate([moments @ basis.nodes, moments @ np.conj(basis.nodes)])
-    kw = kazdan_warner_vector(u, Field.from_values(basis, rv))
+    kw = kazdan_warner_vector(u, Field.from_values(basis, rv), dens=dens)
     return DiagnosticsRecord(
-        E=energy(u), E_f=energy_f(u, f), F2=F2, G2=max(G2, 0.0),
+        E=energy(u), E_f=ef, alpha=a, F2=F2, G2=max(G2, 0.0),
         P=P, b=b,
         kw_residual=float(np.linalg.norm(kw)),
         max_u=float(uv.max()),
-        mass_concentration=mass_concentration(u, rho=rho))
+        mass_concentration=mass_concentration(u, rho=rho, dens=dens))
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,26 @@ bigraded harmonic polynomial restrictions of total degree <= J, together with
 cached values on a quadrature grid.  For j < k each orthonormal h of H_{j,k}
 gives the pair sqrt2 Re h, sqrt2 Im h, which spans H_{j,k} + H_{k,j}; the
 conjugation-closed H_{j,j} gets a real orthonormal basis of its own.  A real
-field therefore has real coefficients, and synthesis (coeffs @ funcs) and
-analysis (funcs @ (weights * values)) share one real matrix; complex fields
-are transformed as their real and imaginary parts.
+field therefore has real coefficients, and synthesis and analysis
+(funcs @ (weights * values)) are the two real transforms of one real
+matrix funcs; complex fields are transformed as their real and imaginary
+parts.
 
 The grid is a product rule in Hopf coordinates
 x_k = sqrt(t_k) e^{i th_k}: uniform phases (exact for charges |a_k - b_k| <=
 deg) times a simplex rule in t (exact to the matching algebraic degree), so
 all monomials of ambient degree <= 2J + 4 integrate exactly.  Weights are
 scaled so the total measure equals the closed form 4 pi^{n+1} / n!.
+
+The grid is also S M^n Hopf fibers of M points each: shifting every phase by
+one step, x -> w x with w = e^{2 pi i / M}, multiplies H_{j,k} by w^{j-k}
+and keeps the weights.  Grid point s M^{n+1} + (p_0..p_n) sits at t = p_0 on
+the fiber over the base point (s, p_1 - p_0, .., p_n - p_0 mod M), and each
+basis row is Re(g(base) w^{q t}) with charge q = j - k.  The basis is built
+on the base points alone, and both transforms run through a table of g,
+grouped by |q|, and the M x 2(J+1) matrix [cos | sin] of 2 pi |q| t / M:
+two dense products and a permutation each way.  The dense (nb, N) funcs is
+built lazily, as the reference for tests; no transform reads it.
 
 The monomials behind the basis are enumerated, evaluated on the grid and
 differentiated by polynomials.MonomialSpace.  The sub-Laplacian is
@@ -133,6 +144,18 @@ def _harmonic_nullspace(space, j, k):
     return vt[rank:].T
 
 
+def _by_real_rows(transform, x, width):
+    """A real transform of rows (r, width) applied to x (..., width); a
+    complex x goes through as its real and imaginary parts in one call."""
+    lead = x.shape[:-1]
+    rows = x.reshape(-1, width)
+    if not np.iscomplexobj(x):
+        return transform(rows).reshape(lead + (-1,))
+    both = transform(np.concatenate([rows.real, rows.imag]))
+    both = both.reshape((2,) + lead + (-1,))
+    return both[0] + 1j * both[1]
+
+
 class Basis:
     """Real orthonormal bigraded-harmonic basis with quadrature grid; the
     pair sqrt2 Re h, sqrt2 Im h of each h in H_{j,k}, j < k, is adjacent.
@@ -140,8 +163,9 @@ class Basis:
     Attributes:
       n, J             : sphere index and truncation degree
       nodes, weights   : quadrature grid, weights sum to vol
-      funcs            : (nb, N) real synthesis matrix (rows orthonormal);
-                         analysis is funcs @ (weights * values)
+      funcs            : (nb, N) real synthesis matrix (rows orthonormal),
+                         built lazily as a reference; synthesize and project
+                         use the fiber table
       bidegrees        : list of (j, k), j <= k, per basis function, which
                          lies in H_{j,k} + H_{k,j}
       eigenvalues      : (nb,) sub-Laplacian eigenvalues, >= 0
@@ -173,14 +197,23 @@ class Basis:
         self.n, self.J = n, J
         self.nodes, self.weights = sphere_quadrature(n, deg)
         self.vol = float(self.weights.sum())
+        # grid point s M^nc + (p_0..p_n) sits at t = p_0 on the fiber over
+        # the base point (s, p_1 - p_0, .., p_n - p_0 mod M)
+        grid = np.arange(n_nodes).reshape((len(T),) + (M,) * nc)
+        self._fiber_to_grid = np.concatenate(
+            [np.roll(grid[:, t], -t, axis=tuple(range(1, nc))).ravel()
+             for t in range(M)])
+        self._grid_to_fiber = np.argsort(self._fiber_to_grid)
+        base = self._fiber_to_grid[:n_nodes // M]                # t = 0
+        base_nodes, base_weights = self.nodes[base], M * self.weights[base]
 
-        funcs, polys, eigs, tags, pair = [], [], [], [], []
+        gs, polys, eigs, tags, pair = [], [], [], [], []
         for j, k, null in blocks:
             d = null.shape[1]
             if d == 0:
                 continue
             rows = space.blocks[(j, k)]
-            block = null.T @ space.monomial_table(self.nodes, rows)   # (d, N)
+            block = null.T @ space.monomial_table(base_nodes, rows)   # (d, P)
             coef = null.T                               # coords in the block
             conj = np.array([space.index[(b, a)] for a, b in space.mons[rows]])
             if j == k:
@@ -190,8 +223,9 @@ class Basis:
                 block = np.concatenate([block.real, block.imag])
                 coef = np.concatenate([(coef + cconj) / 2.0, (coef - cconj) / 2.0j])
             # eigh picks vectors inside degenerate eigenspaces by rounding, so
-            # each block is then fixed canonically, continuous in the weights
-            G = (block * self.weights) @ block.conj().T
+            # each block is then fixed canonically, continuous in the weights;
+            # the Grams are fiber-invariant, so the base points suffice
+            G = (block * base_weights) @ block.conj().T
             evals, evecs = np.linalg.eigh(G)
             keep = evals > 1e-12 * evals.max()
             if keep.sum() != d:
@@ -206,26 +240,27 @@ class Basis:
                 # polar factor of their overlaps
                 U = np.linalg.svd(np.concatenate([coef.real, coef.imag], axis=1))[0]
                 gen = U[:, :d].T @ block
-                Uc, _, Vct = np.linalg.svd((gen * self.weights) @ onb.T)
+                Uc, _, Vct = np.linalg.svd((gen * base_weights) @ onb.T)
                 Q = Uc @ Vct
                 onb, onb_poly = Q @ onb, Q @ onb_poly
             P = np.zeros((d, space.dim), dtype=complex)
             P[:, rows] = onb_poly
             if j < k:
                 # sqrt2 Re h = (h + conj h) / sqrt2 and sqrt2 Im h =
-                # (h - conj h) / (sqrt2 i), orthonormal as int h h' = 0 for j != k
+                # (h - conj h) / (sqrt2 i), orthonormal as int h h' = 0 for
+                # j != k; along a fiber they are Re(g w^{(j-k) t}) with
+                # g = sqrt2 h and g = -i sqrt2 h
                 Pc = np.zeros_like(P)
                 Pc[:, conj] = np.conj(onb_poly)
-                onb = np.stack([onb.real, onb.imag], axis=1).reshape(2 * d, -1)
+                onb = np.sqrt(2.0) * np.stack([onb, -1j * onb], axis=1).reshape(2 * d, -1)
                 P = np.stack([P + Pc, (P - Pc) / 1j], axis=1).reshape(2 * d, -1)
-                onb, P = np.sqrt(2.0) * onb, P / np.sqrt(2.0)
-            funcs.append(onb)
+                P = P / np.sqrt(2.0)
+            gs.append(onb)
             polys.append(P)
             eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / 4.0] * len(onb)
             tags += [(j, k)] * len(onb)
             pair += [1, -1] * d if j < k else [0] * d   # offset to the pair partner
 
-        self.funcs = np.ascontiguousarray(np.concatenate(funcs))
         self.eigenvalues = np.array(eigs)
         self.bidegrees = tags
         self.poly = np.concatenate(polys)
@@ -235,25 +270,64 @@ class Basis:
         self._hopf_partner = np.arange(self.nb) + pair
         self._hopf_factor = pair * np.array([j - k for j, k in tags], dtype=float)
 
+        # the fiber table: row r is Re(g_r w^{q t}), q = j - k <= 0, so it is
+        # Re g_r cos(2 pi |q| t / M) + Im g_r sin(2 pi |q| t / M); rows are
+        # grouped by |q| and padded to L rows per group
+        g = np.concatenate(gs)
+        group = np.array([k - j for j, k in tags])          # |q|
+        slot = np.zeros(self.nb, dtype=np.int64)
+        for q in range(J + 1):
+            slot[group == q] = np.arange(np.sum(group == q))
+        L = int(slot.max()) + 1
+        self._slot = group * L + slot           # flat (group, slot) of each row
+        table = np.zeros(((J + 1) * L, 2 * len(base)))
+        table[self._slot] = np.concatenate([g.real, g.imag], axis=1)
+        self._table = table.reshape(J + 1, L, -1)
+        angle = 2.0 * pi * np.outer(np.arange(M), np.arange(J + 1)) / M
+        self._fourier = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+
     # -- transforms -----------------------------------------------------
 
+    def _synthesize_rows(self, c):
+        """Grid values (r, N) of real coefficient rows c (r, nb)."""
+        r = len(c)
+        Q, L, P2 = self._table.shape
+        padded = np.zeros((r, Q * L))
+        padded[:, self._slot] = c
+        # per group: (Q, r, L) @ (Q, L, 2P), then [Re | Im] of each group
+        # against [cos | sin] along the fiber
+        ab = np.matmul(padded.reshape(r, Q, L).transpose(1, 0, 2), self._table)
+        ab = ab.reshape(Q, r, 2, P2 // 2).transpose(1, 2, 0, 3).reshape(r, 2 * Q, -1)
+        fibers = np.matmul(self._fourier, ab).reshape(r, -1)       # (r, M P)
+        return np.take(fibers, self._grid_to_fiber, axis=1)
+
+    def _project_rows(self, v):
+        """Coefficients (r, nb) of real weighted grid rows v (r, N): the
+        adjoint of _synthesize_rows."""
+        r = len(v)
+        Q, L, P2 = self._table.shape
+        fibers = np.take(v, self._fiber_to_grid, axis=1).reshape(r, len(self._fourier), -1)
+        ab = np.matmul(self._fourier.T, fibers)                    # (r, 2Q, P)
+        ab = ab.reshape(r, 2, Q, P2 // 2).transpose(2, 1, 3, 0).reshape(Q, P2, r)
+        out = np.matmul(self._table, ab).reshape(Q * L, r)
+        return out[self._slot].T
+
     def synthesize(self, coeffs):
-        """Grid values of coefficient rows; a complex input is synthesized
-        as its real and imaginary parts in one real product."""
-        c = np.asarray(coeffs)
-        if not np.iscomplexobj(c):
-            return c @ self.funcs
-        both = np.stack([c.real, c.imag]).reshape(-1, self.nb) @ self.funcs
-        both = both.reshape((2,) + c.shape[:-1] + (-1,))
-        return both[0] + 1j * both[1]
+        """Grid values of coefficient rows, shape (..., nb) -> (..., N)."""
+        return _by_real_rows(self._synthesize_rows, np.asarray(coeffs), self.nb)
 
     def project(self, values):
-        """Basis coefficients of grid values: funcs @ (weights * values)."""
-        v = self.weights * np.asarray(values)
-        if not np.iscomplexobj(v):
-            return self.funcs @ v
-        both = self.funcs @ np.stack([v.real, v.imag], axis=-1)
-        return both[:, 0] + 1j * both[:, 1]
+        """Basis coefficients of grid values, shape (..., N) -> (..., nb):
+        funcs @ (weights * values) row by row, without funcs."""
+        return _by_real_rows(self._project_rows, self.weights * np.asarray(values),
+                             len(self.weights))
+
+    @cached_property
+    def funcs(self):
+        """(nb, N) real synthesis matrix, rows orthonormal: the transforms
+        never build it; tests read it as the dense reference and
+        perfbench/tracing.py reports its size."""
+        return self.synthesize(np.eye(self.nb))
 
     @cached_property
     def analysis(self):

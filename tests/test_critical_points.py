@@ -52,3 +52,36 @@ def test_finder_locates_known_maximum(basis):
     want = np.array([1.0, 0.0], dtype=complex)   # max of Re x_1
     assert np.linalg.norm(loc - want) < 1e-6
     assert abs(top.f_value - 1.25) < 1e-10
+
+
+# (index, Laplacian sign, f value, location) of every critical point of the
+# two-peak f at (1,8), in the order found, as the one-seed-at-a-time Newton
+# iteration with a least-squares step found them
+TWO_PEAK_REFERENCE = [
+    (0, 1, 0.29445924471042795, (-0.41228378992800524 + 0.9041211670753247j,
+                                 0.10673637882220055 + 0.03455918466741815j)),
+    (2, -1, 1.2663421348950983, (0.990571395810677 + 0.08991708468622585j,
+                                 -0.08266174507051438 - 0.06205049222298233j)),
+    (3, -1, 1.3004081138061132, (0.6149257711837469 - 0.0913705309670185j,
+                                 0.5088484984533126 + 0.5954753795302443j)),
+    (3, -1, 1.273407735000493, (0.7751805222837197 + 0.12306716017132757j,
+                                -0.4289061685246004 - 0.44720144293243447j)),
+    (1, 1, 0.6542192166466667, (-0.3728457031503997 - 0.45612549834397453j,
+                                0.5278698832183447 - 0.6117916293917367j)),
+    (1, 1, 0.6950059429776321, (-0.419329096822435 - 0.386641744854404j,
+                                -0.670689097131791 + 0.47418077215611115j)),
+    (0, 1, 0.5965150628374201, (-0.118282766640624 - 0.9778624428983601j,
+                                -0.059383815805142286 - 0.1620734164047642j)),
+    (2, 1, 0.743213644764807, (-0.9095482502576433 - 0.38212458981665004j,
+                               -0.16150525239014918 - 0.02487632933354039j)),
+]
+
+
+def test_two_peak_points_match_reference(basis):
+    data, warnings = find_critical_points(f_two_peak(basis))
+    assert warnings == []
+    assert len(data.critical_points) == len(TWO_PEAK_REFERENCE)
+    for p, (index, sign, value, loc) in zip(data.critical_points, TWO_PEAK_REFERENCE):
+        assert (p.index, p.laplacian_sign) == (index, sign)
+        assert abs(p.f_value - value) < 1e-10
+        assert np.abs(np.asarray(p.location) - np.asarray(loc)).max() < 1e-8

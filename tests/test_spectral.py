@@ -173,6 +173,94 @@ def test_field_arithmetic_takes_fields_only(basis8):
 
 
 # ---------------------------------------------------------------------------
+# the Hopf-fiber transform against the dense reference
+# ---------------------------------------------------------------------------
+
+def dense_synthesis(basis, coeffs):
+    # the basis functions' polynomials evaluated on the whole grid
+    return basis.space.evaluate(np.asarray(coeffs) @ basis.poly, basis.nodes)
+
+
+def dense_projection(basis, values):
+    # sum_g h_k(g) w_g v_g, through the monomial moments of w v, in blocks
+    wv = basis.weights * np.asarray(values)
+    moments = 0.0
+    for start in range(0, wv.shape[-1], 2048):
+        table = basis.space.monomial_table(basis.nodes[start:start + 2048])
+        moments = moments + wv[..., start:start + 2048] @ table.T
+    return moments @ basis.poly.T
+
+
+@pytest.fixture(scope="module", params=[(1, 8), (1, 12), (2, 4)],
+                ids=["n1J8", "n1J12", "n2J4"])
+def transform_basis(request):
+    return crflow.build_basis(*request.param)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "stacked"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_transforms_match_dense_reference(transform_basis, kind, shape):
+    basis = transform_basis
+    rng = np.random.default_rng(31)
+    c = rng.normal(size=shape + (basis.nb,))
+    v = rng.normal(size=shape + (len(basis.nodes),))
+    if kind == "complex":
+        c = c + 1j * rng.normal(size=c.shape)
+        v = v + 1j * rng.normal(size=v.shape)
+    for got, ref in ((basis.synthesize(c), dense_synthesis(basis, c)),
+                     (basis.project(v), dense_projection(basis, v))):
+        if kind == "real":
+            assert got.dtype == np.float64
+            ref = ref.real
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_project_is_adjoint_of_synthesize(transform_basis):
+    # <synthesize c, w v> = <c, project v>
+    basis = transform_basis
+    rng = np.random.default_rng(32)
+    c, v = rng.normal(size=basis.nb), rng.normal(size=len(basis.nodes))
+    lhs = (basis.synthesize(c) * basis.weights) @ v
+    rhs = c @ basis.project(v)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(basis.project(v))
+
+
+def test_fiber_shift_multiplies_charge_q_by_its_phase(transform_basis):
+    # x -> w x, w = e^{2 pi i/M}, multiplies H_{j,k} by w^q, q = j - k: on a
+    # pair (sqrt2 Re h, sqrt2 Im h) with coefficients (a, b) the charge-q
+    # component a - i b turns by w^q, and H_{j,j} (q = 0) stays
+    basis = transform_basis
+    M = 2 * basis.J + 5
+    shift = np.arange(len(basis.nodes)).reshape((-1,) + (M,) * (basis.n + 1))
+    shift = np.roll(shift, -1, axis=tuple(range(1, basis.n + 2))).ravel()
+    omega = np.exp(2j * np.pi / M)
+    assert np.abs(basis.nodes[shift] - omega * basis.nodes).max() < 1e-14
+    c = np.random.default_rng(33).normal(size=basis.nb)
+    moved = basis.project(basis.synthesize(c)[shift])
+    jk = np.array(basis.bidegrees)
+    re = np.flatnonzero(basis._hopf_partner > np.arange(basis.nb))  # the Re rows
+    q = jk[re, 0] - jk[re, 1]
+    z, z_moved = c[re] - 1j * c[re + 1], moved[re] - 1j * moved[re + 1]
+    assert np.abs(z_moved - omega ** q * z).max() < 1e-12
+    diag = jk[:, 0] == jk[:, 1]
+    assert np.abs(moved[diag] - c[diag]).max() < 1e-12
+
+
+def test_flow_never_builds_the_dense_matrix():
+    from crflow.flow import FlowConfig, run, volume_renormalize
+    from crflow.presets import f_two_peak
+
+    basis = crflow.build_basis(1, 8)
+    f = f_two_peak(basis)
+    vals = 1.0 + 0.05 * np.real(basis.nodes[:, 0] * np.conj(basis.nodes[:, 1]))
+    u0 = volume_renormalize(Field.from_values(basis, vals))
+    res = run(u0, f, FlowConfig(dt_init=0.05, t_max=10.0, max_steps=5, record_every=1))
+    assert len(res.records) == 6 and res.records[-1].theta is not None
+    assert "funcs" not in vars(basis) and "analysis" not in vars(basis)
+
+
+# ---------------------------------------------------------------------------
 # real basis
 # ---------------------------------------------------------------------------
 
