@@ -27,35 +27,26 @@ def _newton_on_sphere(calc, seeds, max_iter=60, tol=1e-12):
     each converged within max_iter steps."""
     X = real_coords(seeds)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    eye = np.eye(X.shape[1])
     ok = np.zeros(len(X), dtype=bool)
     active = np.arange(len(X))
     for _ in range(max_iter):
-        Xa = X[active]
-        x = Xa[:, 0::2] + 1j * Xa[:, 1::2]
-        amb = calc.ambient_gradient(x)
-        radial = np.sum(amb * Xa, axis=1)
-        g = amb - radial[:, None] * Xa
-        done = np.linalg.norm(g, axis=1) < tol
+        x = X[active, 0::2] + 1j * X[active, 1::2]
+        g, gnorm = calc.tangent_gradient(x)
+        done = gnorm < tol
         ok[active[done]] = True
-        go = ~done
-        active, Xa, x, g, radial = active[go], Xa[go], x[go], g[go], radial[go]
+        active, x, g = active[~done], x[~done], g[~done]
         if not len(active):
             break
-        H = calc.ambient_hessian(x) - radial[:, None, None] * eye
-        # an orthonormal tangent basis at each point, as in tangent_hessian
-        frame = np.concatenate([Xa[:, :, None], np.broadcast_to(eye, H.shape)], axis=2)
-        Q = np.linalg.qr(frame)[0][:, :, 1:]
-        Ht = Q.mT @ H @ Q
+        Q, Ht = calc.tangent_hessian(x)
         finite = np.isfinite(Ht).all(axis=(1, 2))
-        active, Xa, Q, Ht, g = active[finite], Xa[finite], Q[finite], Ht[finite], g[finite]
+        active, Q, Ht, g = active[finite], Q[finite], Ht[finite], g[finite]
         lam, V = np.linalg.eigh(Ht)
         big = np.abs(lam) > 1e-10 * np.abs(lam).max(axis=1, keepdims=True)
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=big)
         rhs = -(Q.mT @ g[:, :, None])
         d = (Q @ (V @ (inv[:, :, None] * (V.mT @ rhs))))[:, :, 0]
         d *= 0.5 / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 0.5)
-        Xa = Xa + d
+        Xa = X[active] + d
         X[active] = Xa / np.linalg.norm(Xa, axis=1, keepdims=True)
     return X[:, 0::2] + 1j * X[:, 1::2], ok
 

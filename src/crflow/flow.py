@@ -212,12 +212,11 @@ def mass_concentration(u, rho=0.5, dens=None):
     return best / total
 
 
-def kazdan_warner_vector(u, R_field, dens=None):
+def kazdan_warner_vector(R_field, dens):
     """The 2(n+1) complex integrals int <grad x_i, grad R> dV_theta (and the
-    conjugate-coordinate ones) for the factor u with Webster curvature field
-    R_field; zero in the continuum for every conformal factor.  dens, if
-    given, is u's density."""
-    dens = density(u.basis, u.real_values) if dens is None else dens
+    conjugate-coordinate ones) for a factor u with density dens and Webster
+    curvature field R_field; zero in the continuum for every conformal
+    factor."""
     kw = coordinate_grad_inner_values(R_field) @ dens
     return np.concatenate([kw, np.conj(kw)])
 
@@ -238,7 +237,7 @@ def diagnostics(u, f, rho=0.5):
     P, _ = center_of_mass(u, dens=dens)
     moments = dens * dev
     b = np.concatenate([moments @ basis.nodes, moments @ np.conj(basis.nodes)])
-    kw = kazdan_warner_vector(u, Field.from_values(basis, rv), dens=dens)
+    kw = kazdan_warner_vector(Field.from_values(basis, rv), dens)
     return DiagnosticsRecord(
         E=energy(u), E_f=ef, alpha=a, F2=F2, G2=max(G2, 0.0),
         P=P, b=b,

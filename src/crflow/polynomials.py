@@ -231,16 +231,17 @@ class PolyCalculus:
         tang = amb - rad[:, None] * X
         return tang, np.linalg.norm(tang, axis=1)
 
-    def tangent_hessian(self, point):
-        """(Q, H): an orthonormal basis Q (2 nc, 2 nc - 1) of the tangent
-        space at a sphere point X and the sphere Hessian
-        H = Q^T (Hess - <grad, X> I) Q in it."""
-        X, eye = real_coords(point), np.eye(2 * self.space.nc)
-        radial = float(self.ambient_gradient([point])[0] @ X)
-        H = self.ambient_hessian([point])[0] - radial * eye
-        Q = np.linalg.qr(np.concatenate([X[:, None], eye], axis=1))[0][:, 1:]
-        return Q, Q.T @ H @ Q
+    def tangent_hessian(self, points):
+        """(Q, H) at sphere points (rows): orthonormal bases Q (N, 2 nc,
+        2 nc - 1) of the tangent spaces at the points X and the sphere
+        Hessians H = Q^T (Hess - <grad, X> I) Q in them."""
+        X, eye = real_coords(points), np.eye(2 * self.space.nc)
+        radial = np.sum(self.ambient_gradient(points) * X, axis=1)
+        H = self.ambient_hessian(points) - radial[:, None, None] * eye
+        frame = np.concatenate([X[:, :, None], np.broadcast_to(eye, H.shape)], axis=2)
+        Q = np.linalg.qr(frame)[0][:, :, 1:]
+        return Q, Q.mT @ H @ Q
 
     def hessian_eigs(self, point):
         """Eigenvalues of the sphere Hessian at a sphere point."""
-        return np.linalg.eigvalsh(self.tangent_hessian(point)[1])
+        return np.linalg.eigvalsh(self.tangent_hessian(np.asarray(point)[None, :])[1][0])

@@ -493,7 +493,7 @@ def test_kazdan_warner_closed_form(basis, basis_n2):
         R = Field.from_values(b, curvature_values(u))
         closed = coordinate_grad_inner_values(R)
         dens = b.weights * u.real_values ** critical_exponent(b.n)
-        kw = kazdan_warner_vector(u, R)
+        kw = kazdan_warner_vector(R, density(b, u.real_values))
         for i in range(b.n + 1):
             ref = grad_inner_values(Field.coordinate(b, i), R)
             assert np.abs(closed[i] - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -216,16 +216,6 @@ def test_transforms_match_dense_reference(transform_basis, kind, shape):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_project_is_adjoint_of_synthesize(transform_basis):
-    # <synthesize c, w v> = <c, project v>
-    basis = transform_basis
-    rng = np.random.default_rng(32)
-    c, v = rng.normal(size=basis.nb), rng.normal(size=len(basis.nodes))
-    lhs = (basis.synthesize(c) * basis.weights) @ v
-    rhs = c @ basis.project(v)
-    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(basis.project(v))
-
-
 def test_fiber_shift_multiplies_charge_q_by_its_phase(transform_basis):
     # x -> w x, w = e^{2 pi i/M}, multiplies H_{j,k} by w^q, q = j - k: on a
     # pair (sqrt2 Re h, sqrt2 Im h) with coefficients (a, b) the charge-q
