@@ -9,26 +9,17 @@ Subcommands:
   morse <data.json>          hypothesis gate (exit 0 satisfied / 1 not / 64)
   bubble --p COORDS --eps E [--n N] [--J J] [--out PATH]
   selftest                   named invariant suite
-
-FLOW_THREADS caps the BLAS thread pools; it must be read before numpy loads.
 """
-
-import os
-
-if os.environ.get("FLOW_THREADS"):
-    _cap = os.environ["FLOW_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from .config import load_scenario
-from .errors import ConfigError, CRFlowError, IndexOutOfRange
+from .errors import ConfigError, CRFlowError, IndexOutOfRange, TruncationLoss
 from .flow import Termination, run as run_flow
 from .morse import CriticalPoint, MorseData, sbc_check, theorem_gate
 
@@ -181,12 +172,15 @@ def cmd_bubble(args):
     if abs(norm - 1.0) > 1e-9:
         print("usage error: --p must be a unit vector", file=sys.stderr)
         return 64
-    basis = build_basis(args.n, args.J)
     try:
+        basis = build_basis(args.n, args.J)
         field = bubble(p, args.eps, basis)
-    except CRFlowError as exc:
+    except TruncationLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, CRFlowError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 64
     path = args.out or "bubble.csv"
     with open(path, "w", encoding="utf-8") as fh:
         head = []

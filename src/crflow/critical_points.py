@@ -2,9 +2,9 @@
 
 This is plumbing around the exact gate in morse.py: projected-gradient Newton
 from grid seeds, dedup of the zoo of converged points, index classification by
-tangent-Hessian eigenvalue signs and the sub-Laplacian sign from the spectral
-operator.  Degenerate or unresolved points surface as warnings, never as
-silently dropped data.
+tangent-Hessian eigenvalue signs and the sub-Laplacian sign from
+MonomialSpace.sub_laplacian, all read from PolyCalculus.jet.  Degenerate or
+unresolved points surface as warnings, never as silently dropped data.
 """
 
 import numpy as np
@@ -20,26 +20,26 @@ SEED = 0               # random Newton seeds
 
 def _newton_on_sphere(calc, seeds, max_iter=60, tol=1e-12):
     """Projected Newton for grad_S f = 0 from every seed (rows of complex
-    coords) at once.  Each step applies the pseudo-inverse of the exact
-    tangent Hessian (eigenvalues below 1e-10 of the largest in modulus are
-    cut) to the tangent gradient, capped at length 0.5; a seed stops when
-    its tangent gradient falls below tol.  Returns the points and whether
-    each converged within max_iter steps."""
+    coords) at once, with one jet of the active seeds per step.  Each step
+    applies the pseudo-inverse of the exact tangent Hessian (eigenvalues
+    below 1e-10 of the largest in modulus are cut) to the tangent gradient,
+    capped at length 0.5; a seed stops when its tangent gradient falls below
+    tol.  Returns the points and whether each converged within max_iter
+    steps."""
     X = real_coords(seeds)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     ok = np.zeros(len(X), dtype=bool)
     active = np.arange(len(X))
     for _ in range(max_iter):
         x = X[active, 0::2] + 1j * X[active, 1::2]
-        g, gnorm = calc.tangent_gradient(x)
-        done = gnorm < tol
+        jet = calc.jet(x)
+        done = np.linalg.norm(jet.tangent, axis=1) < tol
         ok[active[done]] = True
-        active, x, g = active[~done], x[~done], g[~done]
+        keep = ~done & np.isfinite(jet.sphere_hessian).all(axis=(1, 2))
+        active, g = active[keep], jet.tangent[keep]
+        Q, Ht = jet.frame[keep], jet.sphere_hessian[keep]
         if not len(active):
             break
-        Q, Ht = calc.tangent_hessian(x)
-        finite = np.isfinite(Ht).all(axis=(1, 2))
-        active, Q, Ht, g = active[finite], Q[finite], Ht[finite], g[finite]
         lam, V = np.linalg.eigh(Ht)
         big = np.abs(lam) > 1e-10 * np.abs(lam).max(axis=1, keepdims=True)
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=big)
@@ -70,23 +70,22 @@ def find_critical_points(f, n_seeds=160):
     seeds = np.concatenate([
         basis.nodes[order[:third]], basis.nodes[order[-third:]],
         basis.nodes[order[:: max(1, len(order) // third)]], random_pts])
-    found = []
-    warnings = []
     points, ok = _newton_on_sphere(calc, seeds)
+    unique = []
     for x in points[ok]:
-        if any(np.linalg.norm(x - y) < DEDUP_TOL for y, *_ in found):
-            continue
-        eigs = calc.hessian_eigs(x)
+        if all(np.linalg.norm(x - y) >= DEDUP_TOL for y in unique):
+            unique.append(x)
+    unique = np.array(unique).reshape(-1, basis.n + 1)
+    jet = calc.jet(unique)
+    found, warnings = [], []
+    for x, eigs, lap, value in zip(unique, np.linalg.eigvalsh(jet.sphere_hessian),
+                                   jet.sub_laplacian, jet.value):
         if np.abs(eigs).min() < HESSIAN_TOL:
             warnings.append(f"near-degenerate Hessian at {np.round(x, 4)}")
-            continue
-        lap = float(calc.sub_laplacian_value(x[None, :])[0])
-        if abs(lap) < LAP_TOL:
+        elif abs(lap) < LAP_TOL:
             warnings.append(f"sub-Laplacian ~ 0 at {np.round(x, 4)}")
-            continue
-        value = float(calc.value(x[None, :])[0])
-        index = int(np.sum(eigs < 0))
-        found.append((x, index, -1 if lap < 0 else 1, value))
+        else:
+            found.append((x, int(np.sum(eigs < 0)), -1 if lap < 0 else 1, float(value)))
     euler = sum((-1) ** ind for _, ind, _, _ in found)
     if euler != 0:
         warnings.append(

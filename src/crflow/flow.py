@@ -354,10 +354,9 @@ def _f_data_at(f, point):
     """(f, |grad_S f|, Lap_b f) at an arbitrary sphere point."""
     basis = f.basis
     calc = PolyCalculus(basis.space, basis.monomial_coeffs(f.coeffs))
-    pt = np.asarray(point, dtype=complex)[None, :]
-    _, gnorm = calc.tangent_gradient(pt)
-    return (float(calc.value(pt)[0]), float(gnorm[0]),
-            float(calc.sub_laplacian_value(pt)[0]))
+    jet = calc.jet(np.asarray(point, dtype=complex)[None, :])
+    return (float(jet.value[0]), float(np.linalg.norm(jet.tangent[0])),
+            float(jet.sub_laplacian[0]))
 
 
 def run(u0, f, config=None):

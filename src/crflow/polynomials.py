@@ -20,6 +20,7 @@ Key facts used throughout:
 """
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,59 +190,48 @@ class MonomialSpace:
 def real_coords(points):
     """Ambient real coordinates (Re x_1, Im x_1, ..., Im x_nc) of points."""
     points = np.asarray(points, dtype=complex)
-    return np.stack([points.real, points.imag], axis=-1).reshape(points.shape[:-1] + (-1,))
+    shape = points.shape[:-1] + (2 * points.shape[-1],)
+    return np.stack([points.real, points.imag], axis=-1).reshape(shape)
+
+
+class PointJet(NamedTuple):
+    """PolyCalculus.jet at N points; D = 2 nc real coordinates."""
+    value: np.ndarray           # (N,) Re f
+    sub_laplacian: np.ndarray   # (N,) Lap_b Re f
+    gradient: np.ndarray        # (N, D) in real_coords
+    hessian: np.ndarray         # (N, D, D) in real_coords
+    tangent: np.ndarray         # (N, D) gradient minus its radial part
+    frame: np.ndarray           # (N, D, D - 1) orthonormal tangent bases Q
+    sphere_hessian: np.ndarray  # (N, D - 1, D - 1) Q^T (hessian - <gradient, X> I) Q
 
 
 class PolyCalculus:
-    """Cached point calculus for one polynomial: values, exact first and
-    second derivatives of its real part in real_coords, sphere gradients and
-    Hessians, sub-Laplacian values."""
+    """Point calculus of one polynomial: its value, sub-Laplacian and exact
+    first and second derivatives of its real part, from one monomial table
+    per point set."""
 
     def __init__(self, space, coeff):
         self.space = space
-        self.coeff = np.asarray(coeff, dtype=complex)
-        self._grads = space.wirtinger_gradients(self.coeff)
-        # row 2 nc s + r: the s-th Wirtinger derivative of gradient row r
-        self._hess = space.wirtinger_gradients(self._grads).reshape(-1, space.dim)
-        self._lap = space.sub_laplacian(self.coeff)
+        coeff = np.asarray(coeff, dtype=complex)
+        grads = space.wirtinger_gradients(coeff)
+        # row 2 nc s + r of the Hessian rows: the s-th Wirtinger derivative
+        # of gradient row r
+        hess = space.wirtinger_gradients(grads).reshape(-1, space.dim)
+        self._rows = np.vstack([coeff, space.sub_laplacian(coeff), grads, hess])
         # rows d/d Re x_i = d_i + dbar_i and d/d Im x_i = i (d_i - dbar_i)
         eye = np.eye(space.nc)
         self._real = np.hstack([np.kron(eye, [[1], [1j]]), np.kron(eye, [[1], [-1j]])])
 
-    def value(self, points):
-        return np.real(self.space.evaluate(self.coeff, points))
-
-    def sub_laplacian_value(self, points):
-        return np.real(self.space.evaluate(self._lap, points))
-
-    def ambient_gradient(self, points):
-        """Gradient in ambient real coordinates: shape (N, 2 nc)."""
-        return np.real(self.space.evaluate(self._grads, points).T @ self._real.T)
-
-    def ambient_hessian(self, points):
-        """Hessian in ambient real coordinates: shape (N, 2 nc, 2 nc)."""
+    def jet(self, points):
+        """PointJet at the points (N, nc); the sphere parts take X =
+        real_coords(points) as the unit normal."""
         D = 2 * self.space.nc
-        W = self.space.evaluate(self._hess, points).T.reshape(-1, D, D)
-        return np.real(self._real @ W @ self._real.T)
-
-    def tangent_gradient(self, points):
-        amb = self.ambient_gradient(points)
-        X = real_coords(points)
-        rad = np.sum(amb * X, axis=1)
-        tang = amb - rad[:, None] * X
-        return tang, np.linalg.norm(tang, axis=1)
-
-    def tangent_hessian(self, points):
-        """(Q, H) at sphere points (rows): orthonormal bases Q (N, 2 nc,
-        2 nc - 1) of the tangent spaces at the points X and the sphere
-        Hessians H = Q^T (Hess - <grad, X> I) Q in them."""
-        X, eye = real_coords(points), np.eye(2 * self.space.nc)
-        radial = np.sum(self.ambient_gradient(points) * X, axis=1)
-        H = self.ambient_hessian(points) - radial[:, None, None] * eye
-        frame = np.concatenate([X[:, :, None], np.broadcast_to(eye, H.shape)], axis=2)
+        W = self.space.evaluate(self._rows, points)
+        grad = np.real(W[2:2 + D].T @ self._real.T)
+        hess = np.real(self._real @ W[2 + D:].T.reshape(-1, D, D) @ self._real.T)
+        X, eye = real_coords(points), np.eye(D)
+        radial = np.sum(grad * X, axis=1)
+        frame = np.concatenate([X[:, :, None], np.broadcast_to(eye, hess.shape)], axis=2)
         Q = np.linalg.qr(frame)[0][:, :, 1:]
-        return Q, Q.mT @ H @ Q
-
-    def hessian_eigs(self, point):
-        """Eigenvalues of the sphere Hessian at a sphere point."""
-        return np.linalg.eigvalsh(self.tangent_hessian(np.asarray(point)[None, :])[1][0])
+        return PointJet(W[0].real, W[1].real, grad, hess, grad - radial[:, None] * X,
+                        Q, Q.mT @ (hess - radial[:, None, None] * eye) @ Q)

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .polynomials import MonomialSpace
 
-BUDGET = 3.5e7   # max entries of the synthesis matrix
+BUDGET = 3.5e7   # max entries of the fiber table
 
 
 def sphere_volume_cached(n):
@@ -185,14 +185,19 @@ class Basis:
         # H_{k,j} is the conjugate of H_{j,k}, so only j <= k is built
         blocks = [(j, m - j, _harmonic_nullspace(space, j, m - j))
                   for m in range(J + 1) for j in range(m // 2 + 1)]
-        # predict sizes before allocating
+        # predict the fiber table's size before allocating: J + 1 charge
+        # groups of L rows, L the largest group, each row 2 S M^n long
         M = deg + 1
         T, _ = _simplex_rule(n, deg // 2 + 1)
         n_nodes = len(T) * M ** nc
-        nb = sum(null.shape[1] * (1 if j == k else 2) for j, k, null in blocks)
-        if nb * n_nodes > BUDGET:
+        group_rows = np.zeros(J + 1, dtype=np.int64)
+        for j, k, null in blocks:
+            group_rows[k - j] += null.shape[1] * (1 if j == k else 2)
+        L, width = int(group_rows.max()), 2 * (n_nodes // M)
+        if (J + 1) * L * width > BUDGET:
             raise BudgetExceeded(
-                f"basis needs {nb} x {n_nodes} grid entries, over budget {BUDGET:.0f}")
+                f"fiber table needs {J + 1} x {L} x {width} = {(J + 1) * L * width} "
+                f"entries, over budget {BUDGET:.0f}")
 
         self.n, self.J = n, J
         self.nodes, self.weights = sphere_quadrature(n, deg)
@@ -278,9 +283,8 @@ class Basis:
         slot = np.zeros(self.nb, dtype=np.int64)
         for q in range(J + 1):
             slot[group == q] = np.arange(np.sum(group == q))
-        L = int(slot.max()) + 1
         self._slot = group * L + slot           # flat (group, slot) of each row
-        table = np.zeros(((J + 1) * L, 2 * len(base)))
+        table = np.zeros(((J + 1) * L, width))
         table[self._slot] = np.concatenate([g.real, g.imag], axis=1)
         self._table = table.reshape(J + 1, L, -1)
         angle = 2.0 * pi * np.outer(np.arange(M), np.arange(J + 1)) / M
@@ -475,7 +479,8 @@ def grad_inner_values(u, w):
     components, scaled as Lap_b = (Lap_S - T^2)/4.
     """
     nc = u.basis.n + 1
-    U, W = _first_order_values(u), _first_order_values(w)
+    U = _first_order_values(u)
+    W = U if w is u else _first_order_values(w)
     ambient = np.sum(U[:nc] * W[nc:2 * nc] + U[nc:2 * nc] * W[:nc], axis=0)
     return (2.0 * ambient - U[-2] * W[-2] - U[-1] * W[-1]) / 4.0
 

@@ -218,6 +218,21 @@ def test_bubble_bad_point(tmp_path):
     assert proc.returncode == 64
 
 
+@pytest.mark.parametrize("args", [
+    ["--p", "0,0,1,0", "--eps", "2"],                            # eps outside (0, 1]
+    ["--p", "0,0,1,0", "--eps", "0.5", "--J", "0"],
+    ["--p", "1,0", "--eps", "0.5", "--n", "0"],
+    ["--p", "0,0,0,0,1,0", "--eps", "0.5", "--n", "2", "--J", "8"],   # over BUDGET
+], ids=["eps-2", "J-0", "n-0", "n2-J8"])
+def test_bubble_bad_input_is_a_usage_error(tmp_path, args):
+    proc = invoke(["bubble"] + args, cwd=tmp_path)
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+    assert not (tmp_path / "bubble.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # selftest machinery (library level checks of the named failures)
 # ---------------------------------------------------------------------------

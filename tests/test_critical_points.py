@@ -6,6 +6,7 @@ import pytest
 import crflow
 from crflow.critical_points import find_critical_points
 from crflow.morse import theorem_gate
+from crflow.polynomials import MonomialSpace, PolyCalculus
 from crflow.presets import f_dipole, f_two_peak
 
 
@@ -85,3 +86,21 @@ def test_two_peak_points_match_reference(basis):
         assert (p.index, p.laplacian_sign) == (index, sign)
         assert abs(p.f_value - value) < 1e-10
         assert np.abs(np.asarray(p.location) - np.asarray(loc)).max() < 1e-8
+
+
+def test_one_monomial_table_per_newton_iteration_and_one_to_classify(basis, monkeypatch):
+    # every jet evaluates one monomial table; the Newton iteration takes one
+    # jet of its active seeds per step, and the classification one jet of
+    # all distinct converged points
+    evaluate, jet = MonomialSpace.evaluate, PolyCalculus.jet
+    tables, sizes = [], []
+    monkeypatch.setattr(MonomialSpace, "evaluate",
+                        lambda self, *args: tables.append(1) or evaluate(self, *args))
+    monkeypatch.setattr(PolyCalculus, "jet",
+                        lambda self, points: sizes.append(len(points)) or jet(self, points))
+    data, _ = find_critical_points(f_two_peak(basis))
+    assert len(tables) == len(sizes)
+    newton, classify = sizes[:-1], sizes[-1]
+    assert classify == len(data.critical_points) == 8
+    assert newton == sorted(newton, reverse=True)    # the active set only shrinks
+    assert len(newton) <= 60                          # max_iter

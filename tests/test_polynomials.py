@@ -69,6 +69,31 @@ def test_evaluate_blocks_match_unblocked(space):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_jet_makes_one_evaluate_call(monkeypatch):
+    space = MonomialSpace(3, 4)
+    calc = PolyCalculus(space, random_coeffs(space, seed=11))
+    calls = []
+    evaluate = MonomialSpace.evaluate
+    monkeypatch.setattr(MonomialSpace, "evaluate",
+                        lambda self, *args: calls.append(1) or evaluate(self, *args))
+    jet = calc.jet(sphere_points(3, 7, seed=12))
+    assert len(calls) == 1
+    assert jet.value.shape == jet.sub_laplacian.shape == (7,)
+    assert jet.gradient.shape == jet.tangent.shape == (7, 6)
+    assert jet.frame.shape == (7, 6, 5)
+    assert jet.sphere_hessian.shape == (7, 5, 5)
+
+
+def test_jet_value_and_sub_laplacian_are_the_evaluated_rows():
+    space = MonomialSpace(2, 6)
+    coeff = random_coeffs(space, seed=13)
+    pts = sphere_points(2, 9, seed=14)
+    jet = PolyCalculus(space, coeff).jet(pts)
+    for got, c in ((jet.value, coeff), (jet.sub_laplacian, space.sub_laplacian(coeff))):
+        want = np.real(space.evaluate(c, pts))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_ambient_gradient_matches_central_differences():
     space = MonomialSpace(2, 8)
     calc = PolyCalculus(space, random_coeffs(space, seed=7))
@@ -81,31 +106,33 @@ def test_ambient_gradient_matches_central_differences():
         e = np.zeros(4)
         e[j] = h
         up, down = X + e, X - e
-        fd[:, j] = (calc.value(up[:, 0::2] + 1j * up[:, 1::2])
-                    - calc.value(down[:, 0::2] + 1j * down[:, 1::2])) / (2 * h)
-    grad = calc.ambient_gradient(pts)
+        fd[:, j] = (calc.jet(up[:, 0::2] + 1j * up[:, 1::2]).value
+                    - calc.jet(down[:, 0::2] + 1j * down[:, 1::2]).value) / (2 * h)
+    grad = calc.jet(pts).gradient
     assert grad.shape == (6, 4)
     assert np.abs(grad - fd).max() <= 1e-7 * np.abs(grad).max()
 
 
-def test_hessian_eigs_of_height_function_at_its_maximum():
+def test_sphere_hessian_of_height_function_at_its_maximum():
     # Re x_0 restricted to S^3 peaks at (1, 0) with tangent Hessian -I
     space = MonomialSpace(2, 2)
     coeff = np.zeros(space.dim, dtype=complex)
     coeff[space.index[((1, 0), (0, 0))]] = 0.5
     coeff[space.index[((0, 0), (1, 0))]] = 0.5
-    eigs = PolyCalculus(space, coeff).hessian_eigs(np.array([1.0, 0.0]))
+    jet = PolyCalculus(space, coeff).jet(np.array([[1.0, 0.0]]))
+    eigs = np.linalg.eigvalsh(jet.sphere_hessian[0])
     assert np.abs(eigs + 1.0).max() < 1e-8
+    assert np.abs(jet.tangent).max() < 1e-15
 
 
 def central_difference_hessian(calc, point, h=1e-5):
-    """Symmetrized central differences of ambient_gradient at one point."""
+    """Symmetrized central differences of the jet's gradient at one point."""
     D = 2 * calc.space.nc
     X = np.empty(D)
     X[0::2] = point.real
     X[1::2] = point.imag
     stencil = X + np.concatenate([h * np.eye(D), -h * np.eye(D)])
-    G = calc.ambient_gradient(stencil[:, 0::2] + 1j * stencil[:, 1::2])
+    G = calc.jet(stencil[:, 0::2] + 1j * stencil[:, 1::2]).gradient
     H = (G[:D] - G[D:]).T / (2 * h)
     return (H + H.T) / 2.0
 
@@ -115,19 +142,19 @@ def test_exact_hessian_matches_central_differences(nc, maxdeg):
     space = MonomialSpace(nc, maxdeg)
     calc = PolyCalculus(space, random_coeffs(space, seed=9))
     pts = sphere_points(nc, 5, seed=10)
-    hess = calc.ambient_hessian(pts)
-    assert hess.shape == (5, 2 * nc, 2 * nc)
-    for x, H in zip(pts, hess):
+    jet = calc.jet(pts)
+    assert jet.hessian.shape == (5, 2 * nc, 2 * nc)
+    for x, H, grad, Ht in zip(pts, jet.hessian, jet.gradient, jet.sphere_hessian):
         fd = central_difference_hessian(calc, x)
         scale = np.abs(H).max()
         assert np.abs(H - fd).max() <= 1e-7 * scale
         # sphere Hessian: project H - <grad, X> I on the tangent space
         X = np.empty(2 * nc)
         X[0::2], X[1::2] = x.real, x.imag
-        radial = float(calc.ambient_gradient(x[None, :])[0] @ X)
+        radial = float(grad @ X)
         Q = np.linalg.qr(np.concatenate([X[:, None], np.eye(2 * nc)], axis=1))[0][:, 1:]
         want = np.linalg.eigvalsh(Q.T @ (fd - radial * np.eye(2 * nc)) @ Q)
-        assert np.abs(calc.hessian_eigs(x) - want).max() <= 1e-7 * scale
+        assert np.abs(np.linalg.eigvalsh(Ht) - want).max() <= 1e-7 * scale
 
 
 def test_f_from_spec_evaluates_terms_beyond_the_band_limit():

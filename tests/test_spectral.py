@@ -110,6 +110,17 @@ def test_budget_exceeded():
         crflow.build_basis(2, 8)
 
 
+def test_budget_counts_the_fiber_table(monkeypatch):
+    import crflow.spectral as spectral
+
+    entries = crflow.build_basis(2, 4)._table.size
+    monkeypatch.setattr(spectral, "BUDGET", entries)
+    assert crflow.build_basis(2, 4)._table.size == entries
+    monkeypatch.setattr(spectral, "BUDGET", entries - 1)
+    with pytest.raises(BudgetExceeded, match=f"= {entries} entries"):
+        crflow.build_basis(2, 4)
+
+
 def test_monomial_eigenvalue_oracle(basis8):
     # brute force (round Laplacian - T^2)/4 on the monomial x_1 x_2 gives
     # eigenvalue 1 for n = 1 (bidegree (2,0))
@@ -395,6 +406,24 @@ def test_grad_inner_matches_carre_du_champ(basis8):
                      - w.values * crflow.sub_laplacian(u).values)
         g = grad_inner_values(u, w)
         assert np.abs(g - ref).max() < 1e-10 * np.abs(g).max()
+
+
+def test_grad_inner_of_a_field_with_itself_synthesizes_it_once(basis8, monkeypatch):
+    import crflow.spectral as spectral
+
+    u = low_degree_field(basis8, 16, True)
+    twin = Field.from_coeffs(basis8, u.coeffs.copy())    # equal, not identical
+    want = spectral.grad_inner_values(u, twin)
+    calls = []
+    first_order = spectral._first_order_values
+    monkeypatch.setattr(spectral, "_first_order_values",
+                        lambda v: calls.append(v) or first_order(v))
+    assert np.array_equal(spectral.grad_inner_values(u, u), want)
+    assert len(calls) == 1
+    assert np.array_equal(spectral.horizontal_grad_sq_values(u), np.real(want))
+    assert len(calls) == 2
+    spectral.grad_inner_values(u, twin)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
