@@ -107,7 +107,7 @@ def cmd_run(args):
         summary["f_at_shadow"] = result.f_at_shadow
         summary["grad_f_at_shadow"] = result.grad_f_at_shadow
         summary["sub_laplacian_f_at_shadow"] = result.lap_f_at_shadow
-    fmax, fmin = float(f.real_values.max()), float(f.real_values.min())
+    fmax, fmin = float(f.values.max()), float(f.values.min())
     summary["f_ratio"] = fmax / fmin
     summary["sbc"] = sbc_check(fmax, fmin, scenario.n)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -188,7 +188,7 @@ def cmd_bubble(args):
             head += [f"x_{i}_re", f"x_{i}_im"]
         head += ["weight", "u"]
         fh.write(",".join(head) + "\n")
-        for node, w, val in zip(basis.nodes, basis.weights, field.real_values):
+        for node, w, val in zip(basis.nodes, basis.weights, field.values):
             row = []
             for c in node:
                 row += [c.real, c.imag]

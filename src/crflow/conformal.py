@@ -10,10 +10,10 @@ BUBBLE_RESIDUAL_TOL = 0.05   # relative L2 projection residual
 
 
 def compose_values(u, phi):
-    """Grid values of u o phi, via exact polynomial evaluation at phi(nodes)."""
+    """Real grid values of u o phi, by exact polynomial evaluation at phi(nodes)."""
     basis = u.basis
     mapped = phi.apply_xy(basis.nodes)
-    return basis.space.evaluate(basis.monomial_coeffs(u.coeffs), mapped)
+    return basis.space.evaluate(basis.monomial_coeffs(u.coeffs), mapped).real
 
 
 def pullback_factor(u, phi):
@@ -30,8 +30,8 @@ def projection_residual(basis, values, projected=None):
     """Relative L2 (quadrature) distance between values and their projection."""
     if projected is None:
         projected = basis.synthesize(basis.project(values))
-    num = basis.quad(np.abs(values - projected.astype(complex)) ** 2).real
-    den = basis.quad(np.abs(values) ** 2).real
+    num = basis.quad((values - projected) ** 2)
+    den = basis.quad(values ** 2)
     return float(np.sqrt(max(num, 0.0) / den))
 
 

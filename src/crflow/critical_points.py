@@ -60,7 +60,7 @@ def find_critical_points(f, n_seeds=160):
     """
     basis = f.basis
     calc = PolyCalculus(basis.space, basis.monomial_coeffs(f.coeffs))
-    fv = f.real_values
+    fv = f.values
     order = np.argsort(fv)
     third = max(4, n_seeds // 3)
     rng = np.random.default_rng(SEED)

@@ -11,6 +11,10 @@ RK4 on basis coefficients followed by a multiplicative volume renormalization;
 steps that would raise the scale-invariant energy E_f beyond a small slack are
 retried with half the step.
 
+Fields are real (real coefficients, real grid values); complex numbers are
+points of C^{n+1} only, so the moment b and the Kazdan-Warner vector are
+taken over the real coordinates Re x_i, Im x_i.
+
 Each formula is written once, in the flow kernel: `_grid_terms` (grid values
 of u, R and the density dV_theta from one two-row synthesis), `_energy`,
 `_alpha_energy_f`, `_deviation` (alpha f - R and F2) and `_volume_factor`.
@@ -25,7 +29,7 @@ import numpy as np
 from .errors import (ConfigError, CRFlowError, DegenerateDenominator,
                      NonPositiveFactor, PositivityLoss, StepRejected)
 from .morse import sbc_check
-from .polynomials import PolyCalculus
+from .polynomials import PolyCalculus, real_coords
 from .spectral import Field, coordinate_grad_inner_values, grad_inner_values
 
 
@@ -106,7 +110,7 @@ def _rhs_coeffs(basis, c, fvals):
 
 def curvature_values(u):
     """Exact grid values of the Webster curvature of u^{2/n} theta_0."""
-    return _grid_terms(u.basis, u.coeffs.real)[1]
+    return _grid_terms(u.basis, u.coeffs)[1]
 
 
 def energy(u):
@@ -119,26 +123,26 @@ def energy(u):
 
 def energy_consistency(u):
     """(spectral E, curvature-side int R dV_theta, |difference|)."""
-    _, R, dens = _grid_terms(u.basis, u.coeffs.real)
+    _, R, dens = _grid_terms(u.basis, u.coeffs)
     e1, e2 = energy(u), float(dens @ R)
     return e1, e2, abs(e1 - e2)
 
 
 def alpha(u, f):
     """Normalizing constant: alpha int f dV_theta = int R dV_theta = E(u)."""
-    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.real_values),
-                           f.real_values)[0]
+    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.values),
+                           f.values)[0]
 
 
 def energy_f(u, f):
     """Scale- and conformally-invariant normalized energy."""
-    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.real_values),
-                           f.real_values)[1]
+    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.values),
+                           f.values)[1]
 
 
 def volume_renormalize(u):
     """Scale u so that int u^{2+2/n} dV = vol (exactly restorable)."""
-    return _volume_factor(u.basis, density(u.basis, u.real_values)) * u
+    return _volume_factor(u.basis, density(u.basis, u.values)) * u
 
 
 def cr_yamabe_constant(n, vol):
@@ -151,7 +155,7 @@ def beta_threshold(f):
     bubble-ratio bound max f / min f < 2^{1/n}."""
     basis = f.basis
     n = basis.n
-    fv = f.real_values
+    fv = f.values
     fmin, fmax = float(fv.min()), float(fv.max())
     if fmin <= 0:
         raise ConfigError("f must be positive for the energy gate")
@@ -174,8 +178,8 @@ class DiagnosticsRecord:
     alpha: float
     F2: float
     G2: float
-    P: np.ndarray
-    b: np.ndarray
+    P: np.ndarray               # int x dV_theta, complex (n+1,)
+    b: np.ndarray               # int X (alpha f - R) dV_theta, X = real_coords
     kw_residual: float
     max_u: float
     mass_concentration: float
@@ -185,7 +189,7 @@ def center_of_mass(u, dens=None):
     """P = int x u^{2+2/n} dV and its normalization P_hat (P itself when |P|
     is below 1e-12); dens, if given, is u's density."""
     basis = u.basis
-    dens = density(basis, u.real_values) if dens is None else dens
+    dens = density(basis, u.values) if dens is None else dens
     P = dens @ basis.nodes
     norm = np.linalg.norm(P)
     P_hat = P / norm if norm > 1e-12 else P
@@ -197,7 +201,7 @@ def mass_concentration(u, rho=0.5, dens=None):
     radius rho, maximized over a spread subsample of about MAX_CENTERS grid
     centers; dens, if given, is u's density."""
     basis = u.basis
-    dens = density(basis, u.real_values) if dens is None else dens
+    dens = density(basis, u.values) if dens is None else dens
     total = dens.sum()
     X = np.concatenate([basis.nodes.real, basis.nodes.imag], axis=1)
     stride = max(1, len(X) // MAX_CENTERS)
@@ -213,12 +217,11 @@ def mass_concentration(u, rho=0.5, dens=None):
 
 
 def kazdan_warner_vector(R_field, dens):
-    """The 2(n+1) complex integrals int <grad x_i, grad R> dV_theta (and the
-    conjugate-coordinate ones) for a factor u with density dens and Webster
-    curvature field R_field; zero in the continuum for every conformal
-    factor."""
-    kw = coordinate_grad_inner_values(R_field) @ dens
-    return np.concatenate([kw, np.conj(kw)])
+    """The 2(n+1) integrals int <grad X_r, grad R> dV_theta over the real
+    coordinates X = real_coords(x), for a factor u with density dens and
+    Webster curvature field R_field; zero in the continuum for every
+    conformal factor."""
+    return coordinate_grad_inner_values(R_field) @ dens
 
 
 def diagnostics(u, f, rho=0.5):
@@ -226,22 +229,22 @@ def diagnostics(u, f, rho=0.5):
     synthesis of u gives the grid values and the density that E_f, alpha,
     F2, P, b, the Kazdan-Warner vector and the mass scan all read."""
     basis = u.basis
-    c = u.coeffs.real
+    c = u.coeffs
     uv, rv, dens = _grid_terms(basis, c)
-    a, ef = _alpha_energy_f(basis, c, dens, f.real_values)
-    dev, F2 = _deviation(a, rv, dens, f.real_values)
+    a, ef = _alpha_energy_f(basis, c, dens, f.values)
+    dev, F2 = _deviation(a, rv, dens, f.values)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
-    grad_sq = np.real(grad_inner_values(dev_field, dev_field))
+    grad_sq = grad_inner_values(dev_field, dev_field)
     G2 = float(basis.weights @ (grad_sq * uv ** 2))
     P, _ = center_of_mass(u, dens=dens)
-    moments = dens * dev
-    b = np.concatenate([moments @ basis.nodes, moments @ np.conj(basis.nodes)])
+    b = (dens * dev) @ real_coords(basis.nodes)
     kw = kazdan_warner_vector(Field.from_values(basis, rv), dens)
     return DiagnosticsRecord(
         E=energy(u), E_f=ef, alpha=a, F2=F2, G2=max(G2, 0.0),
         P=P, b=b,
-        kw_residual=float(np.linalg.norm(kw)),
+        # the norm over the functions x_i and conj x_i is sqrt2 times this one
+        kw_residual=float(np.sqrt(2.0) * np.linalg.norm(kw)),
         max_u=float(uv.max()),
         mass_concentration=mass_concentration(u, rho=rho, dens=dens))
 
@@ -273,8 +276,8 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     FlowState, with its alpha and F2, and the dt actually used.
     """
     basis = state.u.basis
-    fvals = f.real_values
-    c0 = state.u.coeffs.real
+    fvals = f.values
+    c0 = state.u.coeffs
     ef0 = energy_f(state.u, f)
     try:
         k1 = _rhs_coeffs(basis, c0, fvals)      # independent of dt
@@ -370,7 +373,7 @@ def run(u0, f, config=None):
     from .normalization import find_centering, shadow
 
     config = config or FlowConfig()
-    if not f.real_values.min() > 0:
+    if not f.values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
     u = volume_renormalize(u0)
     if config.enforce_beta:
@@ -442,7 +445,7 @@ def run(u0, f, config=None):
             status, message = Termination.CONVERGED, f"F2 = {state.F2:.3e}"
             break
         # the mass scan only matters once max u is past the blow-up bound
-        max_u = float(state.u.real_values.max())
+        max_u = float(state.u.values.max())
         if max_u > config.blowup_factor:
             mass = mass_concentration(state.u, rho=config.concentration_rho)
             if mass > config.mass_threshold:

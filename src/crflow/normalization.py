@@ -110,7 +110,7 @@ def find_centering(u, max_iter=MAX_ITER):
     """
     basis = u.basis
     n = basis.n
-    uv = u.real_values
+    uv = u.values
     dens = density(basis, uv)
     gap = abs(dens.sum() - basis.vol) / basis.vol
     if gap > VOL_TOL:

@@ -176,15 +176,18 @@ class MonomialSpace:
                              np.array(tgt, dtype=np.int64), np.array(fac, dtype=float)))
         return maps
 
-    def wirtinger_gradients(self, coeff):
-        """Coefficients of d/dx_i (row i) and d/d conj(x_i) (row nc + i),
+    def gradients(self, coeff):
+        """Coefficients of the real-coordinate derivatives d/d Re x_i = d_i +
+        dbar_i (row 2i) and d/d Im x_i = i (d_i - dbar_i) (row 2i + 1), in
+        real_coords order, with d_i = d/dx_i and dbar_i = d/d conj(x_i);
         each in this space: shape (2 nc, dim) for a coefficient vector,
         (2 nc, k, dim) for a (k, dim) coefficient matrix."""
         coeff = np.asarray(coeff)
-        grads = np.zeros((2 * self.nc,) + coeff.shape, dtype=complex)
+        wirt = np.zeros((2 * self.nc,) + coeff.shape, dtype=complex)
         for r, (src, tgt, fac) in enumerate(self.wirtinger_maps):
-            grads[r][..., tgt] = fac * coeff[..., src]
-        return grads
+            wirt[r][..., tgt] = fac * coeff[..., src]
+        d, dbar = wirt[:self.nc], wirt[self.nc:]
+        return np.stack([d + dbar, 1j * (d - dbar)], axis=1).reshape(wirt.shape)
 
 
 def real_coords(points):
@@ -213,25 +216,21 @@ class PolyCalculus:
     def __init__(self, space, coeff):
         self.space = space
         coeff = np.asarray(coeff, dtype=complex)
-        grads = space.wirtinger_gradients(coeff)
-        # row 2 nc s + r of the Hessian rows: the s-th Wirtinger derivative
-        # of gradient row r
-        hess = space.wirtinger_gradients(grads).reshape(-1, space.dim)
+        grads = space.gradients(coeff)
+        # row 2 nc s + r of the Hessian rows: the s-th derivative of
+        # gradient row r
+        hess = space.gradients(grads).reshape(-1, space.dim)
         self._rows = np.vstack([coeff, space.sub_laplacian(coeff), grads, hess])
-        # rows d/d Re x_i = d_i + dbar_i and d/d Im x_i = i (d_i - dbar_i)
-        eye = np.eye(space.nc)
-        self._real = np.hstack([np.kron(eye, [[1], [1j]]), np.kron(eye, [[1], [-1j]])])
 
     def jet(self, points):
         """PointJet at the points (N, nc); the sphere parts take X =
         real_coords(points) as the unit normal."""
         D = 2 * self.space.nc
-        W = self.space.evaluate(self._rows, points)
-        grad = np.real(W[2:2 + D].T @ self._real.T)
-        hess = np.real(self._real @ W[2 + D:].T.reshape(-1, D, D) @ self._real.T)
+        W = self.space.evaluate(self._rows, points).real
+        grad, hess = W[2:2 + D].T, W[2 + D:].T.reshape(-1, D, D)
         X, eye = real_coords(points), np.eye(D)
         radial = np.sum(grad * X, axis=1)
         frame = np.concatenate([X[:, :, None], np.broadcast_to(eye, hess.shape)], axis=2)
         Q = np.linalg.qr(frame)[0][:, :, 1:]
-        return PointJet(W[0].real, W[1].real, grad, hess, grad - radial[:, None] * X,
+        return PointJet(W[0], W[1], grad, hess, grad - radial[:, None] * X,
                         Q, Q.mT @ (hess - radial[:, None, None] * eye) @ Q)

@@ -4,11 +4,12 @@ Fields are held as coefficient vectors over a real orthonormal basis of
 bigraded harmonic polynomial restrictions of total degree <= J, together with
 cached values on a quadrature grid.  For j < k each orthonormal h of H_{j,k}
 gives the pair sqrt2 Re h, sqrt2 Im h, which spans H_{j,k} + H_{k,j}; the
-conjugation-closed H_{j,j} gets a real orthonormal basis of its own.  A real
-field therefore has real coefficients, and synthesis and analysis
+conjugation-closed H_{j,j} gets a real orthonormal basis of its own.  Fields
+are real: real coefficients, real grid values, and synthesis and analysis
 (funcs @ (weights * values)) are the two real transforms of one real
-matrix funcs; complex fields are transformed as their real and imaginary
-parts.
+matrix funcs.  Complex numbers describe points of C^{n+1} only (the nodes
+and the monomials evaluated at them); a complex input to a transform
+raises TypeError.
 
 The grid is a product rule in Hopf coordinates
 x_k = sqrt(t_k) e^{i th_k}: uniform phases (exact for charges |a_k - b_k| <=
@@ -32,10 +33,10 @@ Lap_b = (Lap_S - T^2) / 4, with Lap_S the round Laplacian and T the Hopf
 derivative; it is diagonal, with eigenvalue (4 j k + 2 n (j + k)) / 4 on the
 bidegree-(j,k) block, so the linear coordinate functions carry eigenvalue
 n/2.  The horizontal-gradient pairing is computed from first derivatives on
-the basis, Gamma_b(u, w) = (2 sum_i (d_i u dbar_i w + dbar_i u d_i w) -
-(E u)(E w) - (T u)(T w)) / 4, with d_i = d/dx_i, dbar_i = d/d conj(x_i),
-E = j + k and T = i (j - k) on H_{j,k}; on the real basis T is a rotation
-inside each (sqrt2 Re h, sqrt2 Im h) pair, so T u is real for real u.
+the basis, Gamma_b(u, w) = (grad u . grad w - (E u)(E w) - (T u)(T w)) / 4,
+with grad the ambient gradient in the real coordinates real_coords (Re x_1,
+Im x_1, ..), E = j + k and T = i (j - k) on H_{j,k}; on the real basis T is
+a rotation inside each (sqrt2 Re h, sqrt2 Im h) pair, so T u is real.
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import BudgetExceeded
-from .polynomials import MonomialSpace
+from .polynomials import MonomialSpace, real_coords
 
 BUDGET = 3.5e7   # max entries of the fiber table
 
@@ -144,16 +145,12 @@ def _harmonic_nullspace(space, j, k):
     return vt[rank:].T
 
 
-def _by_real_rows(transform, x, width):
-    """A real transform of rows (r, width) applied to x (..., width); a
-    complex x goes through as its real and imaginary parts in one call."""
-    lead = x.shape[:-1]
-    rows = x.reshape(-1, width)
-    if not np.iscomplexobj(x):
-        return transform(rows).reshape(lead + (-1,))
-    both = transform(np.concatenate([rows.real, rows.imag]))
-    both = both.reshape((2,) + lead + (-1,))
-    return both[0] + 1j * both[1]
+def _real(x):
+    """x as an array; complex input raises TypeError, as fields are real."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError("fields are real: got complex input")
+    return x
 
 
 class Basis:
@@ -170,7 +167,7 @@ class Basis:
                          lies in H_{j,k} + H_{k,j}
       eigenvalues      : (nb,) sub-Laplacian eigenvalues, >= 0
       poly             : (nb, dim msJ) complex coefficients in the monomial space
-      wirtinger        : (2(n+1), nb, nb) derivative matrices, built lazily
+      gradient         : (2(n+1), nb, nb) real derivative matrices, built lazily
       vol              : total measure of the sphere
     """
 
@@ -317,14 +314,15 @@ class Basis:
         return out[self._slot].T
 
     def synthesize(self, coeffs):
-        """Grid values of coefficient rows, shape (..., nb) -> (..., N)."""
-        return _by_real_rows(self._synthesize_rows, np.asarray(coeffs), self.nb)
+        """Grid values of real coefficient rows, shape (..., nb) -> (..., N)."""
+        c = _real(coeffs)
+        return self._synthesize_rows(c.reshape(-1, self.nb)).reshape(c.shape[:-1] + (-1,))
 
     def project(self, values):
-        """Basis coefficients of grid values, shape (..., N) -> (..., nb):
+        """Basis coefficients of real grid values, shape (..., N) -> (..., nb):
         funcs @ (weights * values) row by row, without funcs."""
-        return _by_real_rows(self._project_rows, self.weights * np.asarray(values),
-                             len(self.weights))
+        v = self.weights * _real(values)
+        return self._project_rows(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1] + (-1,))
 
     @cached_property
     def funcs(self):
@@ -341,8 +339,8 @@ class Basis:
         return self.funcs * self.weights
 
     def quad(self, values):
-        """Quadrature integral of grid values (complex allowed)."""
-        return complex(self.weights @ np.asarray(values))
+        """Quadrature integral of real grid values."""
+        return float(self.weights @ _real(values))
 
     # -- first-order calculus -------------------------------------------
 
@@ -352,33 +350,34 @@ class Basis:
         return self._hopf_factor * np.asarray(coeffs)[..., self._hopf_partner]
 
     @cached_property
-    def wirtinger(self):
-        """(2(n+1), nb, nb) coefficient matrices of d/dx_i (rows 0..n) and
-        d/d conj(x_i) (rows n+1..2n+1): coeffs of the derivative of u are
-        u.coeffs @ wirtinger[r].
+    def gradient(self):
+        """(2(n+1), nb, nb) real coefficient matrices of d/dX_r, X =
+        real_coords (Re x_1, Im x_1, ..): coeffs of the derivative of u are
+        u.coeffs @ gradient[r].
 
-        d/dx_i commutes with the ambient Laplacian and lowers the degree by
-        one, so it maps the basis functions of total degree m into the span
-        of those of degree m - 1; each degree's derivatives are solved
-        against those functions' polynomials.
+        d/dX_r commutes with the ambient Laplacian and lowers the degree by
+        one, so it maps the real basis functions of total degree m into the
+        real span of those of degree m - 1; each degree's derivatives are
+        solved, all together, by one real least squares against those
+        functions' polynomials, with real_coords splitting each complex
+        monomial coefficient into its real and imaginary parts.
         """
         degree = np.array([j + k for j, k in self.bidegrees])
-        out = np.zeros((2 * (self.n + 1), self.nb, self.nb), dtype=complex)
-        for r, (src_m, tgt_m, fac) in enumerate(self.space.wirtinger_maps):
-            dpoly = np.zeros_like(self.poly)
-            dpoly[:, tgt_m] = fac * self.poly[:, src_m]
-            for m in range(1, self.J + 1):
-                src, tgt = np.flatnonzero(degree == m), np.flatnonzero(degree == m - 1)
-                cols = np.flatnonzero(self.space.degree == m - 1)
-                Q = self.poly[np.ix_(tgt, cols)]
-                dP = dpoly[np.ix_(src, cols)]
-                X = np.linalg.lstsq(Q.T, dP.T, rcond=None)[0].T
-                resid = float(np.abs(X @ Q - dP).max())
-                if resid > 1e-10 * max(1.0, float(np.abs(dP).max())):
-                    raise RuntimeError(
-                        f"derivative of the degree-{m} functions leaves degree "
-                        f"{m - 1}: residual {resid:.1e}")
-                out[r][np.ix_(src, tgt)] = X
+        D = 2 * (self.n + 1)
+        out = np.zeros((D, self.nb, self.nb))
+        for m in range(1, self.J + 1):
+            src, tgt = np.flatnonzero(degree == m), np.flatnonzero(degree == m - 1)
+            cols = np.flatnonzero(self.space.degree == m - 1)
+            Q = real_coords(self.poly[np.ix_(tgt, cols)])
+            dP = real_coords(self.space.gradients(self.poly[src])[..., cols])
+            dP = dP.reshape(-1, Q.shape[1])
+            X = np.linalg.lstsq(Q.T, dP.T, rcond=None)[0].T
+            resid = float(np.abs(X @ Q - dP).max())
+            if resid > 1e-10 * max(1.0, float(np.abs(dP).max())):
+                raise RuntimeError(
+                    f"derivative of the degree-{m} functions leaves degree "
+                    f"{m - 1}: residual {resid:.1e}")
+            out[:, src[:, None], tgt] = X.reshape(D, len(src), len(tgt))
         return out
 
     def monomial_coeffs(self, coeffs):
@@ -407,9 +406,8 @@ class Field:
 
     @classmethod
     def from_coeffs(cls, basis, coeffs):
-        coeffs = np.asarray(coeffs)
-        coeffs = coeffs.astype(np.result_type(coeffs, float), copy=False)
-        return cls(basis, coeffs, basis.synthesize(coeffs))
+        values = basis.synthesize(coeffs)       # TypeError on complex coeffs
+        return cls(basis, np.asarray(coeffs, dtype=float), values)
 
     @classmethod
     def from_values(cls, basis, values):
@@ -421,13 +419,15 @@ class Field:
         return cls.from_values(basis, np.full(len(basis.nodes), value))
 
     @classmethod
-    def coordinate(cls, basis, i, conjugate=False):
-        vals = np.conj(basis.nodes[:, i]) if conjugate else basis.nodes[:, i]
-        return cls.from_values(basis, vals)
+    def coordinate(cls, basis, j):
+        """The real coordinate X_j = real_coords(x)[j] (Re x_1, Im x_1, ..)."""
+        return cls.from_values(basis, real_coords(basis.nodes)[:, j])
 
     @property
     def real_values(self):
-        return np.real(self.values)
+        """The grid values, which are real: kept as a name because
+        perfbench reads it."""
+        return self.values
 
     def __add__(self, other):
         if not isinstance(other, Field):
@@ -456,50 +456,43 @@ def sub_laplacian(u):
 
 def integrate(u):
     """Quadrature integral against the spherical volume form."""
-    val = u.basis.quad(u.values)
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
-        return val
-    return val.real
+    return u.basis.quad(u.values)
 
 
 def _first_order_values(u):
-    """Grid values of d/dx_i u, d/d conj(x_i) u (i = 0..n), E u and T u."""
+    """Grid values of d/dX_r u (r = 0..2n+1, X = real_coords), E u and T u."""
     basis = u.basis
     euler = np.array(basis.bidegrees).sum(axis=1) * u.coeffs
-    return basis.synthesize(np.vstack([u.coeffs @ basis.wirtinger, euler,
+    return basis.synthesize(np.vstack([u.coeffs @ basis.gradient, euler,
                                        basis.hopf(u.coeffs)]))
 
 
 def grad_inner_values(u, w):
     """Exact grid values of the horizontal-gradient pairing <grad u, grad w>.
 
-    Bilinear (no conjugation), from first derivatives of the basis fields:
-    (2 sum_i (d_i u dbar_i w + dbar_i u d_i w) - (E u)(E w) - (T u)(T w)) / 4,
-    i.e. the ambient gradient pairing minus its radial (Euler) and Hopf
-    components, scaled as Lap_b = (Lap_S - T^2)/4.
+    From first derivatives of the basis fields: (grad u . grad w - (E u)(E w)
+    - (T u)(T w)) / 4, i.e. the ambient gradient pairing minus its radial
+    (Euler) and Hopf components, scaled as Lap_b = (Lap_S - T^2)/4.
     """
-    nc = u.basis.n + 1
     U = _first_order_values(u)
     W = U if w is u else _first_order_values(w)
-    ambient = np.sum(U[:nc] * W[nc:2 * nc] + U[nc:2 * nc] * W[:nc], axis=0)
-    return (2.0 * ambient - U[-2] * W[-2] - U[-1] * W[-1]) / 4.0
+    ambient = np.sum(U[:-2] * W[:-2], axis=0)
+    return (ambient - U[-2] * W[-2] - U[-1] * W[-1]) / 4.0
 
 
 def coordinate_grad_inner_values(w):
-    """Grid values of <grad x_i, grad w> for i = 0..n, shape (n+1, N).
+    """Grid values of <grad X_r, grad w> for the real coordinates X =
+    real_coords(x), shape (2(n+1), N).
 
-    With d_l x_i = delta_il, dbar_l x_i = 0, E x_i = x_i and T x_i = i x_i
-    the pairing is (2 dbar_i w - x_i (E w) - i x_i (T w)) / 4.
+    With d/dX_l X_r = delta_lr, E X = X and T X = real_coords(i x) the
+    pairing is (d/dX_r w - X_r (E w) - (T X_r)(T w)) / 4.
     """
-    nc = w.basis.n + 1
+    nodes = w.basis.nodes
     W = _first_order_values(w)
-    return (2.0 * W[nc:2 * nc] - w.basis.nodes.T * (W[-2] + 1j * W[-1])) / 4.0
-
-
-def horizontal_grad_sq_values(u):
-    return np.real(grad_inner_values(u, u))
+    return (W[:-2] - real_coords(nodes).T * W[-2]
+            - real_coords(1j * nodes).T * W[-1]) / 4.0
 
 
 def horizontal_grad_sq(u):
     """|grad u|^2 as a Field (projection of the exact point values)."""
-    return Field.from_values(u.basis, horizontal_grad_sq_values(u))
+    return Field.from_values(u.basis, grad_inner_values(u, u))

@@ -29,10 +29,10 @@ def test_bubble_volume_identity(basis):
     # which grows geometrically as eps shrinks at fixed J (measured at J=8)
     p = critical_exponent(1)
     u5 = bubble(NORTH, 0.5, basis)
-    vol5 = float(basis.weights @ u5.real_values ** p)
+    vol5 = float(basis.weights @ u5.values ** p)
     assert abs(vol5 - basis.vol) / basis.vol < 5e-4
     u2 = bubble(NORTH, 0.2, basis, residual_tol=0.5)
-    vol2 = float(basis.weights @ u2.real_values ** p)
+    vol2 = float(basis.weights @ u2.values ** p)
     assert abs(vol2 - basis.vol) / basis.vol < 0.25
 
 
@@ -41,7 +41,7 @@ def test_bubble_peak_location(basis):
     p = rng.normal(size=2) + 1j * rng.normal(size=2)
     p /= np.linalg.norm(p)
     u = bubble(p, 0.2, basis, residual_tol=0.5)
-    peak = basis.nodes[np.argmax(u.real_values)]
+    peak = basis.nodes[np.argmax(u.values)]
     # within one grid cell of p (chordal metric; the azimuthal spacing at
     # J = 8 is 2 pi / 21 ~ 0.3)
     assert np.linalg.norm(peak - p) < 0.3
@@ -55,7 +55,7 @@ def test_bubble_truncation_loss_raised(basis):
 def test_bubble_positive_on_grid(basis):
     for eps in (1.0, 0.6, 0.3):
         u = bubble(NORTH, eps, basis, residual_tol=0.5)
-        assert u.real_values.min() > 0
+        assert u.values.min() > 0
 
 
 def test_projection_residual_scaling(basis):

@@ -96,11 +96,11 @@ def test_normalized_factor_volume(basis):
     p = critical_exponent(1)
     u = volume_renormalize(crflow.bubble(NORTH, 0.5, basis))
     res = find_centering(u)
-    total = float(basis.weights @ res.v.real_values ** p)
+    total = float(basis.weights @ res.v.values ** p)
     # truncation-limited at eps = 0.5 (the continuum identity is exact)
     assert abs(total - basis.vol) / basis.vol < 1e-3
     res1 = find_centering(Field.constant(basis, 1.0))
-    total1 = float(basis.weights @ res1.v.real_values ** p)
+    total1 = float(basis.weights @ res1.v.values ** p)
     assert abs(total1 - basis.vol) / basis.vol < 1e-8
 
 
@@ -161,7 +161,7 @@ def _two_peak_drift_samples(step_blocks=5, block=80):
     from crflow.presets import f_two_peak
     basis = crflow.build_basis(1, 8)
     f = f_two_peak(basis)
-    vals = crflow.bubble(np.array([0, 1.0 + 0j]), 0.55, basis).real_values \
+    vals = crflow.bubble(np.array([0, 1.0 + 0j]), 0.55, basis).values \
         * (1 + 0.25 * np.real(basis.nodes[:, 0])
            + 0.15 * np.imag(basis.nodes[:, 1] * np.conj(basis.nodes[:, 0])))
     u = volume_renormalize(Field.from_values(basis, vals))

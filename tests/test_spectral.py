@@ -20,14 +20,7 @@ def basis2_n2():
 
 def random_field(basis, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    c = scale * (rng.normal(size=basis.nb) + 1j * rng.normal(size=basis.nb))
-    return Field.from_coeffs(basis, c)
-
-
-def random_real_field(basis, seed, scale=1.0):
-    # real values; over the real basis they have real coefficients
-    u = random_field(basis, seed, scale)
-    return Field.from_values(basis, np.real(u.values))
+    return Field.from_coeffs(basis, scale * rng.normal(size=basis.nb))
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +142,19 @@ def test_analyze_constant(basis8):
 
 
 def test_analyze_coordinate_unit_coefficient(basis8):
-    # the L2-normalized multiple of x_1 has unit coefficient norm; the natural
-    # normalization here is sqrt((n+1)/vol) x_1.  Its coefficients lie on the
-    # {0,1} pair, and T acts on them as i: x_1 is in H_{1,0}, not H_{0,1}
+    # the L2-normalized multiple of Re x_1 has unit coefficient norm; the
+    # natural normalization here is sqrt(2(n+1)/vol) Re x_1.  Its coefficients
+    # lie on the {0,1} pair, and T acts on x_1 = Re x_1 + i Im x_1 as i:
+    # T Re x_1 = -Im x_1 and T Im x_1 = Re x_1, so x_1 is in H_{1,0}
     n = basis8.n
-    scale = np.sqrt((n + 1) / basis8.vol)
-    u = Field.from_values(basis8, scale * basis8.nodes[:, 0])
-    assert abs(np.linalg.norm(u.coeffs) - 1.0) < 1e-10
-    nz = np.abs(u.coeffs) > 1e-10
+    scale = np.sqrt(2 * (n + 1) / basis8.vol)
+    re, im = (Field.from_values(basis8, scale * part(basis8.nodes[:, 0]))
+              for part in (np.real, np.imag))
+    assert abs(np.linalg.norm(re.coeffs) - 1.0) < 1e-10
+    nz = np.abs(re.coeffs) > 1e-10
     assert all(basis8.bidegrees[i] == (0, 1) for i in np.nonzero(nz)[0])
-    assert np.abs(basis8.hopf(u.coeffs) - 1j * u.coeffs).max() < 1e-10
+    assert np.abs(basis8.hopf(re.coeffs) + im.coeffs).max() < 1e-10
+    assert np.abs(basis8.hopf(im.coeffs) - re.coeffs).max() < 1e-10
 
 
 def test_roundtrip_band_limited(basis8):
@@ -208,21 +204,16 @@ def transform_basis(request):
     return crflow.build_basis(*request.param)
 
 
-@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "stacked"])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_transforms_match_dense_reference(transform_basis, kind, shape):
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["real-1d", "real-stacked"])
+def test_transforms_match_dense_reference(transform_basis, shape):
     basis = transform_basis
     rng = np.random.default_rng(31)
     c = rng.normal(size=shape + (basis.nb,))
     v = rng.normal(size=shape + (len(basis.nodes),))
-    if kind == "complex":
-        c = c + 1j * rng.normal(size=c.shape)
-        v = v + 1j * rng.normal(size=v.shape)
     for got, ref in ((basis.synthesize(c), dense_synthesis(basis, c)),
                      (basis.project(v), dense_projection(basis, v))):
-        if kind == "real":
-            assert got.dtype == np.float64
-            ref = ref.real
+        assert got.dtype == np.float64
+        ref = ref.real
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -273,26 +264,24 @@ def test_real_basis_funcs(basis8, basis2_n2):
 
 
 def test_real_field_has_real_coefficients(basis8):
-    u = random_real_field(basis8, 21)
+    u = random_field(basis8, 21)
     assert u.coeffs.dtype == np.float64 and u.values.dtype == np.float64
     v = Field.from_values(basis8, u.values)
     assert np.abs(v.coeffs - u.coeffs).max() < 1e-10
     assert np.abs(Field.from_coeffs(basis8, u.coeffs).values - u.values).max() < 1e-10
 
 
-def test_complex_transforms_split_real_and_imaginary(basis8):
-    rng = np.random.default_rng(22)
-    a, b = rng.normal(size=(2, 3, basis8.nb))
-    both = basis8.synthesize(a + 1j * b)
-    assert both.shape == (3, len(basis8.nodes))
-    ref = basis8.synthesize(a) + 1j * basis8.synthesize(b)
-    tol = 1e-12 * np.abs(ref).max()
-    assert np.abs(both - ref).max() < tol
-    assert np.abs(basis8.synthesize(a[0] + 1j * b[0]) - ref[0]).max() < tol
-    v, w = np.real(ref[0]), np.imag(ref[0])
-    proj = basis8.project(v + 1j * w)
-    assert np.abs(proj - (basis8.project(v) + 1j * basis8.project(w))).max() < 1e-12
-    assert np.abs(proj - (a[0] + 1j * b[0])).max() < 1e-10
+def test_complex_input_raises_type_error(basis8):
+    # fields are real; numpy alone would drop the imaginary part with a warning
+    c = np.zeros((3, basis8.nb), dtype=complex)
+    v = np.ones(len(basis8.nodes), dtype=complex)
+    for call in (lambda: basis8.synthesize(c), lambda: basis8.synthesize(c[0]),
+                 lambda: basis8.project(v), lambda: basis8.quad(v),
+                 lambda: Field.from_values(basis8, v),
+                 lambda: Field.from_values(basis8, basis8.nodes[:, 0]),
+                 lambda: Field.from_coeffs(basis8, c[0])):
+        with pytest.raises(TypeError, match="real"):
+            call()
 
 
 def test_hopf_is_pair_rotation(basis8):
@@ -317,21 +306,20 @@ def test_sub_laplacian_constant_and_anchor(basis8, basis2_n2):
         n = basis.n
         one = Field.constant(basis, 1.0)
         assert np.abs(crflow.sub_laplacian(one).values).max() < 1e-12
-        for i in range(n + 1):
-            xi = Field.coordinate(basis, i)
-            lap = crflow.sub_laplacian(xi)
-            assert np.abs(lap.values + (n / 2.0) * xi.values).max() < 1e-10
-            xb = Field.coordinate(basis, i, conjugate=True)
-            lap = crflow.sub_laplacian(xb)
-            assert np.abs(lap.values + (n / 2.0) * xb.values).max() < 1e-10
+        for j in range(2 * n + 2):
+            xj = Field.coordinate(basis, j)
+            lap = crflow.sub_laplacian(xj)
+            assert np.abs(lap.values + (n / 2.0) * xj.values).max() < 1e-10
 
 
 def test_sub_laplacian_product_monomial(basis8):
-    # x_1 x_2 is a (2,0) harmonic: eigenvalue n = 1
-    vals = basis8.nodes[:, 0] * basis8.nodes[:, 1]
-    u = Field.from_values(basis8, vals)
-    lap = crflow.sub_laplacian(u)
-    assert np.abs(lap.values + vals).max() < 1e-10
+    # x_1 x_2 is a (2,0) harmonic: its real and imaginary parts have
+    # eigenvalue n = 1
+    prod = basis8.nodes[:, 0] * basis8.nodes[:, 1]
+    for vals in (prod.real, prod.imag):
+        u = Field.from_values(basis8, vals)
+        lap = crflow.sub_laplacian(u)
+        assert np.abs(lap.values + vals).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +333,11 @@ def test_grad_sq_constant_is_zero(basis8):
 
 def test_grad_sq_integrates_by_parts(basis8):
     for seed in (3, 4, 5):
-        u = random_real_field(basis8, seed)
+        u = random_field(basis8, seed)
         g = crflow.horizontal_grad_sq(u)
         lhs = crflow.integrate(g)
         lap = crflow.sub_laplacian(u)
-        rhs = -basis8.quad(u.values * lap.values).real
+        rhs = -basis8.quad(u.values * lap.values)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -357,36 +345,32 @@ def test_grad_sq_eigenfunction_rayleigh(basis8):
     n = basis8.n
     u = Field.from_values(basis8, np.real(basis8.nodes[:, 0]))
     num = crflow.integrate(crflow.horizontal_grad_sq(u))
-    den = basis8.quad(np.abs(u.values) ** 2).real
+    den = basis8.quad(u.values ** 2)
     assert abs(num / den - n / 2.0) < 1e-10
 
 
 def test_grad_sq_nonnegative_up_to_truncation(basis8):
-    from crflow.spectral import horizontal_grad_sq_values
+    from crflow.spectral import grad_inner_values
 
     # the point values are an exact polynomial identity: nonnegative outright
-    u = random_real_field(basis8, 6)
-    gv = horizontal_grad_sq_values(u)
+    u = random_field(basis8, 6)
+    gv = grad_inner_values(u, u)
     assert gv.min() > -1e-10 * np.abs(gv).max()
     # the degree-J projection of the degree-2J square can undershoot, but for
     # a smooth (low-degree) field the dip stays at projection-residual size
-    rng = np.random.default_rng(60)
-    low = np.zeros(basis8.nb, dtype=complex)
-    low_idx = [i for i, (j, k) in enumerate(basis8.bidegrees) if j + k <= 3]
-    low[low_idx] = rng.normal(size=len(low_idx)) + 1j * rng.normal(size=len(low_idx))
-    u_smooth = Field.from_values(basis8, np.real(basis8.synthesize(low)))
+    u_smooth = low_degree_field(basis8, 60, max_degree=3)
     g = crflow.horizontal_grad_sq(u_smooth)
-    assert g.values.real.min() > -1e-8 * np.abs(g.values).max()
+    assert g.values.min() > -1e-8 * np.abs(g.values).max()
 
 
-def low_degree_field(basis, seed, real):
-    # coefficients only in bidegrees j + k <= 4, so products stay in degree J = 8
+def low_degree_field(basis, seed, max_degree=4):
+    # coefficients only in bidegrees j + k <= max_degree; at 4, products stay
+    # in degree J = 8
     rng = np.random.default_rng(seed)
-    c = np.zeros(basis.nb, dtype=complex)
-    low = [i for i, (j, k) in enumerate(basis.bidegrees) if j + k <= 4]
-    c[low] = rng.normal(size=len(low)) + 1j * rng.normal(size=len(low))
-    u = Field.from_coeffs(basis, c)
-    return Field.from_values(basis, np.real(u.values)) if real else u
+    c = np.zeros(basis.nb)
+    low = [i for i, (j, k) in enumerate(basis.bidegrees) if j + k <= max_degree]
+    c[low] = rng.normal(size=len(low))
+    return Field.from_coeffs(basis, c)
 
 
 def test_grad_inner_matches_carre_du_champ(basis8):
@@ -395,9 +379,9 @@ def test_grad_inner_matches_carre_du_champ(basis8):
     # independent reference: (Lap_b(uw) - u Lap_b w - w Lap_b u) / 2, exact
     # here because uw is band-limited to degree 8
     pairs = [
-        (low_degree_field(basis8, 11, True), low_degree_field(basis8, 12, True)),
-        (Field.coordinate(basis8, 0), low_degree_field(basis8, 13, True)),
-        (low_degree_field(basis8, 14, False), low_degree_field(basis8, 15, False)),
+        (low_degree_field(basis8, 11), low_degree_field(basis8, 12)),
+        (Field.coordinate(basis8, 0), low_degree_field(basis8, 13)),
+        (low_degree_field(basis8, 14), Field.coordinate(basis8, 3)),
     ]
     for u, w in pairs:
         uw = Field.from_values(basis8, u.values * w.values)
@@ -411,7 +395,7 @@ def test_grad_inner_matches_carre_du_champ(basis8):
 def test_grad_inner_of_a_field_with_itself_synthesizes_it_once(basis8, monkeypatch):
     import crflow.spectral as spectral
 
-    u = low_degree_field(basis8, 16, True)
+    u = low_degree_field(basis8, 16)
     twin = Field.from_coeffs(basis8, u.coeffs.copy())    # equal, not identical
     want = spectral.grad_inner_values(u, twin)
     calls = []
@@ -420,7 +404,8 @@ def test_grad_inner_of_a_field_with_itself_synthesizes_it_once(basis8, monkeypat
                         lambda v: calls.append(v) or first_order(v))
     assert np.array_equal(spectral.grad_inner_values(u, u), want)
     assert len(calls) == 1
-    assert np.array_equal(spectral.horizontal_grad_sq_values(u), np.real(want))
+    assert np.array_equal(spectral.horizontal_grad_sq(u).values,
+                          Field.from_values(basis8, want).values)
     assert len(calls) == 2
     spectral.grad_inner_values(u, twin)
     assert len(calls) == 4
@@ -453,5 +438,5 @@ def test_parseval(basis8):
     for seed in (9, 10):
         u = random_field(basis8, seed)
         w = random_field(basis8, seed + 100)
-        quad_ip = basis8.quad(u.values * np.conj(w.values))
-        assert abs(quad_ip - np.sum(u.coeffs * np.conj(w.coeffs))) < 1e-10
+        quad_ip = basis8.quad(u.values * w.values)
+        assert abs(quad_ip - u.coeffs @ w.coeffs) < 1e-10
