@@ -82,13 +82,13 @@ def cmd_run(args):
     except (ConfigError, CRFlowError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
+    outdir = args.output_dir or "."
+    os.makedirs(outdir, exist_ok=True)     # an unwritable path fails before the flow
     try:
         result = run_flow(u0, f, scenario.flow)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
-    outdir = args.output_dir or "."
-    os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                          result.records, scenario.n)
     summary = {
@@ -244,7 +244,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:      # an output path that cannot be written
+        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 64
 
 
 if __name__ == "__main__":

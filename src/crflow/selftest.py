@@ -35,18 +35,23 @@ def check_cayley_roundtrip(n=1, samples=1000, seed=11):
 
 
 def check_group_laws(n=1, samples=1000, seed=12):
+    """D_a D_b = D_ab; delta_{q,r} against its closed form (r z + q_z,
+    r^2 tau + q_tau + 2 r Im(q_z . conj z)); and T_q T_p = T_{q.p} with
+    q.p = (q_z + p_z, q_tau + p_tau + 2 Im(q_z . conj p_z))."""
     rng = np.random.default_rng(seed)
     z, tau = _random_heisenberg(rng, n, samples)
     a, b = rng.uniform(0.2, 3.0, size=2)
     z1, t1 = dilate_xy(*dilate_xy(z, tau, a), b)
     z2, t2 = dilate_xy(z, tau, a * b)
     err = max(np.abs(z1 - z2).max(), np.abs(t1 - t2).max())
-    qz = rng.normal(size=n) + 1j * rng.normal(size=n)
-    qt = float(rng.normal())
+    (qz, pz), (qt, pt) = _random_heisenberg(rng, n, 2)
     r = float(rng.uniform(0.3, 2.5))
     zd, td = delta_xy(z, tau, qz, qt, r)
-    zr, tr = translate_xy(*dilate_xy(z, tau, r), qz, qt)
-    err = max(err, np.abs(zd - zr).max(), np.abs(td - tr).max())
+    want_t = r * r * tau + qt + 2.0 * r * np.imag(np.conj(z) @ qz)
+    err = max(err, np.abs(zd - (r * z + qz)).max(), np.abs(td - want_t).max())
+    zc, tc = translate_xy(*translate_xy(z, tau, pz, pt), qz, qt)
+    zs, ts = translate_xy(z, tau, qz + pz, qt + pt + 2.0 * np.imag(np.vdot(pz, qz)))
+    err = max(err, np.abs(zc - zs).max(), np.abs(tc - ts).max())
     return "group-laws", err < 1e-10, f"max error {err:.2e}"
 
 

@@ -234,6 +234,44 @@ def test_bubble_bad_input_is_a_usage_error(tmp_path, args):
 
 
 # ---------------------------------------------------------------------------
+# output paths that cannot be written
+# ---------------------------------------------------------------------------
+
+def _unwritable_args(command, scenario, target):
+    return {
+        "run": ["run", str(scenario), "--output-dir", str(target)],
+        "constants": ["constants", "--n", "1", "--json", str(target)],
+        "bubble": ["bubble", "--p", "0,0,1,0", "--eps", "0.5", "--J", "5",
+                   "--out", str(target)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["run", "constants", "bubble"])
+def test_unwritable_output_is_a_usage_error(tmp_path, command):
+    # a path under a regular file cannot be created, whatever the user's
+    # permissions
+    (tmp_path / "F").write_text("")
+    target = tmp_path / "F" / "out"
+    write_config(tmp_path / "scenario.json")
+    proc = invoke(_unwritable_args(command, tmp_path / "scenario.json", target),
+                  cwd=tmp_path)
+    assert proc.returncode == 64, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+    assert str(target) in lines[0]
+
+
+def test_run_checks_its_output_directory_before_the_flow(tmp_path, monkeypatch):
+    import crflow.cli as cli
+
+    (tmp_path / "F").write_text("")
+    write_config(tmp_path / "scenario.json")
+    monkeypatch.setattr(cli, "run_flow", lambda *args: pytest.fail("the flow ran"))
+    args = _unwritable_args("run", tmp_path / "scenario.json", tmp_path / "F" / "out")
+    assert cli.main(args) == 64
+
+
+# ---------------------------------------------------------------------------
 # selftest machinery (library level checks of the named failures)
 # ---------------------------------------------------------------------------
 
@@ -255,6 +293,20 @@ def test_selftest_eigen_anchor_detects_corruption():
     corrupted[hot] *= 1.5
     name, ok, detail = check_eigen_anchor(n=1, J=3, eigenvalues=corrupted)
     assert name == "eigen-anchor" and not ok
+
+
+def test_selftest_group_laws_detect_a_missing_twist(monkeypatch):
+    import crflow.geometry as geometry
+    import crflow.selftest as selftest
+
+    def untwisted(z, tau, qz, qtau):
+        return np.asarray(z, dtype=complex) + qz, np.asarray(tau, dtype=float) + qtau
+
+    assert selftest.check_group_laws(n=1)[1]
+    monkeypatch.setattr(geometry, "translate_xy", untwisted)
+    monkeypatch.setattr(selftest, "translate_xy", untwisted)
+    name, ok, _ = selftest.check_group_laws(n=1)
+    assert name == "group-laws" and not ok
 
 
 def test_selftest_monotonicity_gate_negative_control():
