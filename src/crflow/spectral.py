@@ -220,31 +220,22 @@ class Basis:
             conj = np.array([space.index[(b, a)] for a, b in space.mons[rows]])
             if j == k:
                 # conjugation permutes the monomials of P_{j,j}; the Re and
-                # Im parts of the null vectors span the real part of H_{j,j}
+                # Im parts of the null vectors span the real part of H_{j,j},
+                # and d real generators of it are chosen without the weights
                 cconj = coef[:, conj - rows.start]
-                block = np.concatenate([block.real, block.imag])
                 coef = np.concatenate([(coef + cconj) / 2.0, (coef - cconj) / 2.0j])
-            # eigh picks vectors inside degenerate eigenspaces by rounding, so
-            # each block is then fixed canonically, continuous in the weights;
-            # the Grams are fiber-invariant, so the base points suffice
+                gen = np.linalg.svd(np.concatenate([coef.real, coef.imag], axis=1))[0][:, :d].T
+                block, coef = gen @ np.concatenate([block.real, block.imag]), gen @ coef
+            # the Gram matrices have degenerate eigenvalues, so the symmetric
+            # (Lowdin) G^{-1/2} fixes each block canonically, continuous in
+            # the weights; the Grams are fiber-invariant, so the base points
+            # suffice
             G = (block * base_weights) @ block.conj().T
             evals, evecs = np.linalg.eigh(G)
-            keep = evals > 1e-12 * evals.max()
-            if keep.sum() != d:
-                raise RuntimeError(f"H_{(j, k)} has rank {keep.sum()}, not {d}")
-            R = evecs[:, keep] / np.sqrt(evals[keep])
-            if j < k:
-                R = R @ evecs.conj().T                  # G^{-1/2}
+            if not evals.min() > 1e-12 * evals.max():
+                raise RuntimeError(f"H_{(j, k)} has a singular Gram matrix")
+            R = (evecs / np.sqrt(evals)) @ evecs.conj().T
             onb, onb_poly = R.T @ block, R.T @ coef
-            if j == k:
-                # the 2d rows span d dimensions: rotate the orthonormal rows
-                # onto d real generators chosen without the weights, by the
-                # polar factor of their overlaps
-                U = np.linalg.svd(np.concatenate([coef.real, coef.imag], axis=1))[0]
-                gen = U[:, :d].T @ block
-                Uc, _, Vct = np.linalg.svd((gen * base_weights) @ onb.T)
-                Q = Uc @ Vct
-                onb, onb_poly = Q @ onb, Q @ onb_poly
             P = np.zeros((d, space.dim), dtype=complex)
             P[:, rows] = onb_poly
             if j < k:
