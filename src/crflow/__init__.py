@@ -5,7 +5,7 @@ Layers:
   geometry        Cayley chart, Heisenberg group, conformal automorphisms
   spectral        bigraded-harmonic basis, quadrature, sub-Laplacian
   conformal       pullback factors and bubble fields
-  flow            curvature operator, energies, RK4 flow with diagnostics
+  flow            curvature operator, energies, RKC2 flow with diagnostics
   normalization   center-of-mass automorphisms and the shadow of a state
   constants       the six bubble-expansion constants in closed form, with
                   chart quadrature and Monte Carlo as cross-checks

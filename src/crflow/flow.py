@@ -6,10 +6,11 @@ the Webster curvature of u^{2/n} theta_0,
     R = u^{-(1+2/n)} ( -(2+2/n) Lap_b u + R_0 u ),      R_0 = n(n+1)/2,
 
 and alpha is the unique constant making the total curvature match the
-f-average: alpha int f dV_theta = int R dV_theta.  Time stepping is explicit
-RK4 on basis coefficients followed by a multiplicative volume renormalization;
-steps that would raise the scale-invariant energy E_f beyond a small slack are
-retried with half the step.
+f-average: alpha int f dV_theta = int R dV_theta.  Time stepping is the
+explicit damped second-order Runge-Kutta-Chebyshev method (RKC2) on basis
+coefficients, with as many stages as the stiffness of the state asks for,
+followed by a multiplicative volume renormalization; steps that would raise the
+scale-invariant energy E_f beyond a small slack are retried with half the step.
 
 Fields are real (real coefficients, real grid values); complex numbers are
 points of C^{n+1} only, so the moment b and the Kazdan-Warner vector are
@@ -20,6 +21,7 @@ of u, R and the density dV_theta from one two-row synthesis), `_energy`,
 `_alpha_energy_f`, `_deviation` (alpha f - R and F2) and `_volume_factor`.
 """
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -34,6 +36,7 @@ from .spectral import Field, coordinate_grad_inner_values, grad_inner_values
 
 
 MAX_CENTERS = 512    # ball centers scanned by mass_concentration
+RKC_DAMPING = 2.0 / 13.0    # epsilon of the damped RKC2 step
 
 
 def base_curvature(n):
@@ -203,7 +206,7 @@ def mass_concentration(u, rho=0.5, dens=None):
     basis = u.basis
     dens = density(basis, u.values) if dens is None else dens
     total = dens.sum()
-    X = np.concatenate([basis.nodes.real, basis.nodes.imag], axis=1)
+    X = real_coords(basis.nodes)
     stride = max(1, len(X) // MAX_CENTERS)
     centers = X[::stride]
     cos_rho = np.cos(rho)
@@ -268,27 +271,83 @@ class FlowState:
     shadow_converged: bool | None = None
 
 
-def step(state, f, dt, slack=1e-10, dt_min=1e-7):
-    """One monotonicity-gated RK4 step with volume renormalization.
+@functools.cache
+def _rkc_scheme(s):
+    """(beta, mu~_1, stages) of the s-stage damped RKC2 method (Sommeijer,
+    Shampine & Verwer, J. Comput. Appl. Math. 88 (1998)): its real stability
+    interval is [-beta, 0], and stages holds (mu_j, nu_j, mu~_j, gamma~_j)
+    for j = 2..s."""
+    w0 = 1.0 + RKC_DAMPING / s ** 2
+    # Chebyshev T_j and its first two derivatives at w0, for j = 0..s
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
+    w1 = dT[s] / d2T[s]
+    b = [d2T[j] / dT[j] ** 2 if j >= 2 else 0.0 for j in range(s + 1)]
+    b[0] = b[1] = b[2]
+    a = [1.0 - b[j] * T[j] for j in range(s + 1)]
+    stages = []
+    for j in range(2, s + 1):
+        mu_t = 2.0 * b[j] * w1 / b[j - 1]
+        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2],
+                       mu_t, -a[j - 1] * mu_t))
+    return (w0 + 1.0) / w1, b[1] * w1, tuple(stages)
 
-    Halves dt on positivity loss or an E_f increase beyond slack; raises
-    PositivityLoss / StepRejected when dt_min is reached.  Returns the new
-    FlowState, with its alpha and F2, and the dt actually used.
+
+def _stage_count(z):
+    """The smallest s >= 2 whose stability interval [-beta(s), 0] holds -z;
+    beta(s) is close to 0.653 s^2, which gives the first guess."""
+    s = max(2, int(round(np.sqrt(z / 0.653))))
+    while s > 2 and _rkc_scheme(s - 1)[0] >= z:
+        s -= 1
+    while _rkc_scheme(s)[0] < z:
+        s += 1
+    return s
+
+
+def _stiff_radius(basis, uv):
+    """(n+1) lambda_max (min u)^{-2/n}: a bound on the spectral radius of the
+    stiff part (n+1) u^{-2/n} Lap_b of the flow's Jacobian at grid values uv."""
+    n = basis.n
+    return (n + 1) * float(basis.eigenvalues.max()) * float(uv.min()) ** (-2.0 / n)
+
+
+def _rkc(c0, F0, dt, s, rhs):
+    """Y_s of the s-stage damped RKC2 method for c' = rhs(c) from c0, with
+    F0 = rhs(c0): s - 1 further rhs evaluations."""
+    _, mu1, stages = _rkc_scheme(s)
+    y_prev, y = c0, c0 + mu1 * dt * F0
+    for mu, nu, mu_t, gamma_t in stages:
+        y_prev, y = y, ((1.0 - mu - nu) * c0 + mu * y + nu * y_prev
+                        + mu_t * dt * rhs(y) + gamma_t * dt * F0)
+    return y
+
+
+def step(state, f, dt, slack=1e-10, dt_min=1e-7):
+    """One monotonicity-gated damped RKC2 step with volume renormalization.
+
+    The stage count is the smallest whose stability interval covers dt times
+    the state's stiff radius, so the step is stable at any dt.  Halves dt on
+    positivity loss or an E_f increase beyond slack, reusing the first
+    stage's right-hand side; raises PositivityLoss / StepRejected when dt_min
+    is reached.  Returns the new FlowState, with its alpha and F2, and the dt
+    actually used.
     """
     basis = state.u.basis
     fvals = f.values
     c0 = state.u.coeffs
     ef0 = energy_f(state.u, f)
     try:
-        k1 = _rhs_coeffs(basis, c0, fvals)      # independent of dt
+        F0 = _rhs_coeffs(basis, c0, fvals)      # independent of dt
     except NonPositiveFactor as exc:
         raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
+    rho = _stiff_radius(basis, state.u.values)
     while True:
         try:
-            k2 = _rhs_coeffs(basis, c0 + 0.5 * dt * k1, fvals)
-            k3 = _rhs_coeffs(basis, c0 + 0.5 * dt * k2, fvals)
-            k4 = _rhs_coeffs(basis, c0 + dt * k3, fvals)
-            c1 = c0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            c1 = _rkc(c0, F0, dt, _stage_count(dt * rho),
+                      lambda c: _rhs_coeffs(basis, c, fvals))
             v1, R1, dens = _grid_terms(basis, c1)
         except NonPositiveFactor:
             if dt / 2.0 < dt_min:
@@ -420,7 +479,7 @@ def run(u0, f, config=None):
         # t_max exactly, as t >= dt > t_max - t leaves no rounding in t + dt.
         # t is a sum of n_steps rounded additions, off by at most n_steps
         # half-ulps of t_max; a step that would stop within that of t_max is
-        # stretched to land on it, so no RK4 attempt goes to the remainder
+        # stretched to land on it, so no step attempt goes to the remainder
         gap = config.t_max - state.t
         dt_try = gap if gap - dt <= n_steps * np.spacing(config.t_max) else dt
         try:
