@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import crflow
-from crflow.constants import (NAMES, all_constants, constant, monte_carlo_constant,
-                              quadrature_constant)
+from crflow import hquad
+from crflow.constants import (NAMES, _integrand, all_constants, constant,
+                              monte_carlo_constant, quadrature_constant)
 from crflow.errors import NonConvergentQuadrature
 from crflow.hquad import heisenberg_integral, sphere_volume, surface_area_odd_sphere
 
@@ -70,6 +71,27 @@ def test_divergent_integrand_raises():
         heisenberg_integral(lambda r, t: 1.0 / (1.0 + 0 * r + 0 * t), 1)
 
 
+def test_panel_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(hquad, "MAX_PANELS", 25)
+    g, _ = _integrand("A5", 1)
+    with pytest.raises(NonConvergentQuadrature):
+        heisenberg_integral(g, 1, tol=1e-12)
+
+
+def test_integrand_calls_stay_within_the_block_cap():
+    g, _ = _integrand("A5", 1)
+    sizes = []
+
+    def recorded(r, t):
+        sizes.append(np.size(r))
+        return g(r, t)
+
+    value, _ = heisenberg_integral(recorded, 1, tol=1e-10)
+    assert abs(value - constant("A5", 1).value) < 1e-9
+    assert max(sizes) <= hquad.BLOCK_PANELS * hquad.M_HI ** 2
+    assert max(sizes) > hquad.M_HI ** 2     # the panels of a round share calls
+
+
 # ---------------------------------------------------------------------------
 # the constants
 # ---------------------------------------------------------------------------
@@ -98,7 +120,6 @@ def test_constants_reference_values(name, n):
 
 def test_sign_structure_of_a2_integrand():
     # the A2 integrand changes sign yet integrates positive
-    from crflow.constants import _integrand
     g, _ = _integrand("A2", 2)
     assert g(np.array([0.1]), np.array([0.0]))[0] < 0
     assert g(np.array([3.0]), np.array([0.0]))[0] > 0
@@ -106,7 +127,6 @@ def test_sign_structure_of_a2_integrand():
 
 
 def test_sign_structure_of_a5_integrand():
-    from crflow.constants import _integrand
     g, sigma_form = _integrand("A5", 2)
     assert sigma_form
     assert g(np.array([1.0]), np.array([0.2]))[0] > 0
@@ -150,8 +170,28 @@ def test_closed_form_matches_references(n):
         assert est.method == "closed form"
 
 
+# values of the unblocked evaluation: blocking must not move the samples
+@pytest.mark.parametrize("name, n, mean, se", [
+    ("A4", 1, 79.2202686475114, 0.19811508089638435),
+    ("A5", 2, 90.2993974313854, 0.6247559339248674)])
+def test_monte_carlo_keeps_its_seeded_samples(name, n, mean, se):
+    got_mean, got_se = monte_carlo_constant(name, n)
+    assert got_mean == pytest.approx(mean, rel=1e-13, abs=0)
+    assert got_se == pytest.approx(se, rel=1e-13, abs=0)
+
+
 def test_unknown_constant_rejected():
     with pytest.raises(ValueError):
         constant("A7", 1)
     with pytest.raises(ValueError):
         quadrature_constant("A7", 1)
+    with pytest.raises(ValueError):
+        monte_carlo_constant("A7", 1)
+
+
+def test_monte_carlo_rejects_bad_input():
+    with pytest.raises(ValueError, match="n must be"):
+        monte_carlo_constant("A1", 0)
+    for n_samples in (0, 1):
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_constant("A1", 1, n_samples=n_samples)
