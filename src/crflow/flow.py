@@ -16,14 +16,19 @@ Fields are real (real coefficients, real grid values); complex numbers are
 points of C^{n+1} only, so the moment b and the Kazdan-Warner vector are
 taken over the real coordinates Re x_i, Im x_i.
 
-Each formula is written once, in the flow kernel: `_grid_terms` (grid values
-of u, R and the density dV_theta from one two-row synthesis), `_energy`,
-`_alpha_energy_f`, `_deviation` (alpha f - R and F2) and `_volume_factor`.
+Each formula is written once, in the flow kernel: `_fiber_terms` (u, u R
+and the density dV_theta, in fiber order, from one two-row synthesis; its
+grid-order view is `_grid_terms`), `_density`, `_energy`, `_alpha_energy_f`,
+`_deviation` (alpha f - R and F2), `_volume_factor` and `_project_rhs` (the
+right-hand side from the kernel's values).  The RKC2 stages run in the
+transforms' native layout: padded slot coefficients and fiber-ordered values,
+with no permutation inside a step, and an accepted state carries its E_f and
+right-hand side into the next step.
 """
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -53,40 +58,52 @@ def critical_exponent(n):
 # the flow kernel and the pointwise building blocks on it
 # ---------------------------------------------------------------------------
 
+def _density(weights, u, q):
+    """Quadrature weights of dV_theta = u^{2+2/n} dV_theta0 at values u with
+    q = u^{2/n} and quadrature weights `weights`, as w u u q."""
+    return weights * u * u * q
+
+
 def density(basis, uv):
     """Quadrature weights of dV_theta = u^{2+2/n} dV_theta0 at grid values uv,
-    as w u u u^{2/n}: the same rounding as `_grid_terms`."""
-    return basis.weights * uv * uv * uv ** (2.0 / basis.n)
+    with the same rounding as the flow kernel."""
+    return _density(basis.weights, uv, uv ** (2.0 / basis.n))
 
 
-def _grid_terms(basis, c):
-    """Grid values (u, R, dens) of the factor with real coefficients c: one
-    two-row synthesis of [c, -lambda c], the positivity check, the Webster
-    curvature R and the volume density, from one power q = u^{2/n}."""
+def _fiber_terms(basis, x):
+    """Fiber-ordered values (u, uR, dens) of the factor with padded slot
+    coefficients x: one two-row synthesis of x and of -Lap_b u (slot
+    coefficients lambda x), the positivity check, u R with R the Webster
+    curvature, and the volume density, from one power q = u^{2/n}."""
     n = basis.n
-    u, lap = basis.synthesize(np.stack([c, -basis.eigenvalues * c]))
+    u, lap_neg = basis.synthesize_native(np.array((x, basis.slot_eigenvalues * x)))
     if u.min() <= 0:
         raise NonPositiveFactor("conformal factor must be positive on the grid")
     q = u ** (2.0 / n)
-    R = (-(2.0 + 2.0 / n) * lap + base_curvature(n) * u) / (u * q)
-    return u, R, basis.weights * u * u * q
+    uR = ((2.0 + 2.0 / n) * lap_neg + base_curvature(n) * u) / q
+    return u, uR, _density(basis.fiber_weights, u, q)
 
 
-def _energy(basis, c):
-    """int ((2+2/n)|grad u|^2 + R_0 u^2) dV from coefficients (Parseval)."""
-    n = basis.n
-    w = (2.0 + 2.0 / n) * basis.eigenvalues + base_curvature(n)
-    return float(w @ np.abs(c) ** 2)
+def _grid_terms(basis, c):
+    """Grid values (u, R, dens) of the factor with real coefficients c: the
+    fiber-order kernel, permuted to grid order."""
+    u, uR, dens = basis.from_fibers(np.stack(_fiber_terms(basis, basis.to_slots(c))))
+    return u, uR / u, dens
 
 
-def _alpha_energy_f(basis, c, dens, fvals):
-    """(alpha, E_f) with alpha int f dV_theta = E and
-    E_f = E / (int f dV_theta)^{n/(n+1)}."""
+def _energy(n, lam, c):
+    """int ((2+2/n)|grad u|^2 + R_0 u^2) dV (Parseval) from real coefficients
+    c with sub-Laplacian eigenvalues lam, in either layout: pads add 0."""
+    return float((2.0 + 2.0 / n) * ((lam * c) @ c) + base_curvature(n) * (c @ c))
+
+
+def _alpha_energy_f(n, E, dens, fvals):
+    """(alpha, E_f) of the factor with energy E and density dens: alpha int f
+    dV_theta = E and E_f = E / (int f dV_theta)^{n/(n+1)}."""
     f_vol = float(dens @ fvals)
     if abs(f_vol) < 1e-14:
         raise DegenerateDenominator("int f dV_theta vanished")
-    E = _energy(basis, c)
-    return E / f_vol, E / f_vol ** (basis.n / (basis.n + 1.0))
+    return E / f_vol, E / f_vol ** (n / (n + 1.0))
 
 
 def _deviation(a, R, dens, fvals):
@@ -104,11 +121,21 @@ def _volume_factor(basis, dens):
     return (basis.vol / total) ** (basis.n / (2.0 * basis.n + 2.0))
 
 
-def _rhs_coeffs(basis, c, fvals):
-    """Basis coefficients of (n/2)(alpha f - R) u for real coefficients c."""
-    u, R, dens = _grid_terms(basis, c)
-    dev, _ = _deviation(_alpha_energy_f(basis, c, dens, fvals)[0], R, dens, fvals)
-    return basis.project(0.5 * basis.n * dev * u)
+def _project_rhs(basis, a, u, uR, ffib):
+    """Padded slot coefficients of (n/2)(a f - R) u, from the fiber-ordered
+    values of u, u R and f."""
+    g = (0.5 * basis.n) * basis.fiber_weights * (a * ffib * u - uR)
+    return basis.project_native(g[None])[0]
+
+
+def _rhs_coeffs(basis, x, ffib):
+    """The flow's right-hand side (n/2)(alpha f - R) u in the native layout:
+    padded slot coefficients, for padded slot coefficients x and the
+    fiber-ordered values ffib of f."""
+    n = basis.n
+    u, uR, dens = _fiber_terms(basis, x)
+    a, _ = _alpha_energy_f(n, _energy(n, basis.slot_eigenvalues, x), dens, ffib)
+    return _project_rhs(basis, a, u, uR, ffib)
 
 
 def curvature_values(u):
@@ -121,7 +148,7 @@ def energy(u):
 
     Evaluated spectrally (exact for band-limited u); agrees with the
     curvature-side evaluation int R dV_theta, see energy_consistency."""
-    return _energy(u.basis, u.coeffs)
+    return _energy(u.basis.n, u.basis.eigenvalues, u.coeffs)
 
 
 def energy_consistency(u):
@@ -133,13 +160,13 @@ def energy_consistency(u):
 
 def alpha(u, f):
     """Normalizing constant: alpha int f dV_theta = int R dV_theta = E(u)."""
-    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.values),
+    return _alpha_energy_f(u.basis.n, energy(u), density(u.basis, u.values),
                            f.values)[0]
 
 
 def energy_f(u, f):
     """Scale- and conformally-invariant normalized energy."""
-    return _alpha_energy_f(u.basis, u.coeffs, density(u.basis, u.values),
+    return _alpha_energy_f(u.basis.n, energy(u), density(u.basis, u.values),
                            f.values)[1]
 
 
@@ -232,9 +259,9 @@ def diagnostics(u, f, rho=0.5):
     synthesis of u gives the grid values and the density that E_f, alpha,
     F2, P, b, the Kazdan-Warner vector and the mass scan all read."""
     basis = u.basis
-    c = u.coeffs
-    uv, rv, dens = _grid_terms(basis, c)
-    a, ef = _alpha_energy_f(basis, c, dens, f.values)
+    uv, rv, dens = _grid_terms(basis, u.coeffs)
+    E = energy(u)
+    a, ef = _alpha_energy_f(basis.n, E, dens, f.values)
     dev, F2 = _deviation(a, rv, dens, f.values)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
@@ -244,7 +271,7 @@ def diagnostics(u, f, rho=0.5):
     b = (dens * dev) @ real_coords(basis.nodes)
     kw = kazdan_warner_vector(Field.from_values(basis, rv), dens)
     return DiagnosticsRecord(
-        E=energy(u), E_f=ef, alpha=a, F2=F2, G2=max(G2, 0.0),
+        E=E, E_f=ef, alpha=a, F2=F2, G2=max(G2, 0.0),
         P=P, b=b,
         # the norm over the functions x_i and conj x_i is sqrt2 times this one
         kw_residual=float(np.sqrt(2.0) * np.linalg.norm(kw)),
@@ -258,9 +285,11 @@ def diagnostics(u, f, rho=0.5):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One state of a run.  `step` sets F2, the run loop's stop test; `run`
-    sets the diagnostics and the shadow (theta, eps, shadow_converged) of the
-    states it records."""
+    """One state of a run.  `step` sets F2, the run loop's stop test, and
+    E_f and rhs, the right-hand side (n/2)(alpha f - R) u as padded slot
+    coefficients; the next step reuses them only while rhs_key is
+    (u.coeffs, f.values) of its own u and f.  `run` sets the diagnostics and
+    the shadow (theta, eps, shadow_converged) of the states it records."""
     t: float
     u: Field
     alpha: float
@@ -269,6 +298,9 @@ class FlowState:
     theta: np.ndarray | None = None
     eps: float | None = None
     shadow_converged: bool | None = None
+    E_f: float | None = None
+    rhs: np.ndarray | None = None
+    rhs_key: tuple | None = field(default=None, repr=False)
 
 
 @functools.cache
@@ -332,43 +364,54 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     the state's stiff radius, so the step is stable at any dt.  Halves dt on
     positivity loss or an E_f increase beyond slack, reusing the first
     stage's right-hand side; raises PositivityLoss / StepRejected when dt_min
-    is reached.  Returns the new FlowState, with its alpha and F2, and the dt
-    actually used.
+    is reached.  Returns the new FlowState, with its alpha, F2, E_f and
+    right-hand side, and the dt actually used.
+
+    The stages run in the transforms' native layout: padded slot
+    coefficients and fiber-ordered grid values, converted once per step.
     """
     basis = state.u.basis
-    fvals = f.values
-    c0 = state.u.coeffs
-    ef0 = energy_f(state.u, f)
-    try:
-        F0 = _rhs_coeffs(basis, c0, fvals)      # independent of dt
-    except NonPositiveFactor as exc:
-        raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
+    n, lam = basis.n, basis.slot_eigenvalues
+    ffib = basis.to_fibers(f.values)
+    x0 = basis.to_slots(state.u.coeffs)
+    key = state.rhs_key
+    if key is not None and key[0] is state.u.coeffs and key[1] is f.values:
+        ef0, F0 = state.E_f, state.rhs
+    else:
+        ef0 = energy_f(state.u, f)
+        try:
+            F0 = _rhs_coeffs(basis, x0, ffib)      # independent of dt
+        except NonPositiveFactor as exc:
+            raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
     rho = _stiff_radius(basis, state.u.values)
     while True:
         try:
-            c1 = _rkc(c0, F0, dt, _stage_count(dt * rho),
-                      lambda c: _rhs_coeffs(basis, c, fvals))
-            v1, R1, dens = _grid_terms(basis, c1)
+            x1 = _rkc(x0, F0, dt, _stage_count(dt * rho),
+                      lambda x: _rhs_coeffs(basis, x, ffib))
+            u, uR, dens = _fiber_terms(basis, x1)
         except NonPositiveFactor:
             if dt / 2.0 < dt_min:
                 raise PositivityLoss(
                     f"factor lost positivity at dt = {dt:.3e} (dt_min reached)")
             dt /= 2.0
             continue
+        # u -> sigma u scales u R by sigma^{1-2/n} and dens by sigma^{2+2/n},
+        # so the renormalized state needs no further synthesis
         sigma = _volume_factor(basis, dens)
-        u1 = sigma * Field(basis, c1, v1)
-        dens = density(basis, u1.values)
-        a1, ef1 = _alpha_energy_f(basis, u1.coeffs, dens, fvals)
+        x1, u = sigma * x1, sigma * u
+        uR, dens = sigma ** (1.0 - 2.0 / n) * uR, sigma ** (2.0 + 2.0 / n) * dens
+        a1, ef1 = _alpha_energy_f(n, _energy(n, lam, x1), dens, ffib)
         if ef1 > ef0 + slack:
             if dt / 2.0 < dt_min:
                 raise StepRejected(
                     f"energy gate violated by {ef1 - ef0:.3e} at dt_min")
             dt /= 2.0
             continue
-        # R(sigma u) = sigma^{-2/n} R(u), so F2 needs no further synthesis
-        R1 = sigma ** (-2.0 / basis.n) * R1
-        _, F2 = _deviation(a1, R1, dens, fvals)
-        return FlowState(state.t + dt, u1, a1, F2=F2), dt
+        _, F2 = _deviation(a1, uR / u, dens, ffib)
+        u1 = Field(basis, basis.from_slots(x1), basis.from_fibers(u))
+        return FlowState(state.t + dt, u1, a1, F2=F2, E_f=ef1,
+                         rhs=_project_rhs(basis, a1, u, uR, ffib),
+                         rhs_key=(u1.coeffs, f.values)), dt
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,13 @@ and keeps the weights.  Grid point s M^{n+1} + (p_0..p_n) sits at t = p_0 on
 the fiber over the base point (s, p_1 - p_0, .., p_n - p_0 mod M), and each
 basis row is Re(g(base) w^{q t}) with charge q = j - k.  The basis is built
 on the base points alone, and both transforms run through a table of g,
-grouped by |q|, and the M x 2(J+1) matrix [cos | sin] of 2 pi |q| t / M:
-two dense products and a permutation each way.  The dense (nb, N) funcs is
-built lazily, as the reference for tests; no transform reads it.
+grouped by |q| and padded to L rows per group, and the M x 2(J+1) matrix
+[cos | sin] of 2 pi |q| t / M.  The transform core is two dense products
+each way between the native layouts: coefficients as padded slot vectors
+(zero on the pads) and grid values in fiber order.  synthesize and project
+add a scatter or gather of the slots and a permutation of the grid at
+either end; the flow's stages skip them.  The dense (nb, N) funcs is built
+lazily, as the reference for tests; no transform reads it.
 
 The monomials behind the basis are enumerated, evaluated on the grid and
 differentiated by polynomials.MonomialSpace.  The sub-Laplacian is
@@ -280,40 +284,72 @@ class Basis:
 
     # -- transforms -----------------------------------------------------
 
-    def _synthesize_rows(self, c):
-        """Grid values (r, N) of real coefficient rows c (r, nb)."""
-        r = len(c)
+    # The native layouts: coefficients as padded slot vectors, (Q L) long
+    # with row i at _slot[i] and zero on the pads, and grid values in fiber
+    # order, point _fiber_to_grid[k] at k.  The core runs between the two;
+    # synthesize and project add the conversions at either end.
+
+    def synthesize_native(self, x):
+        """Fiber-ordered grid values (r, N) of padded slot-ordered real
+        coefficient rows x (r, Q L)."""
+        r = len(x)
         Q, L, P2 = self._table.shape
-        padded = np.zeros((r, Q * L))
-        padded[:, self._slot] = c
         # per group: (Q, r, L) @ (Q, L, 2P), then [Re | Im] of each group
         # against [cos | sin] along the fiber
-        ab = np.matmul(padded.reshape(r, Q, L).transpose(1, 0, 2), self._table)
+        ab = np.matmul(x.reshape(r, Q, L).transpose(1, 0, 2), self._table)
         ab = ab.reshape(Q, r, 2, P2 // 2).transpose(1, 2, 0, 3).reshape(r, 2 * Q, -1)
-        fibers = np.matmul(self._fourier, ab).reshape(r, -1)       # (r, M P)
-        return np.take(fibers, self._grid_to_fiber, axis=1)
+        return np.matmul(self._fourier, ab).reshape(r, -1)         # (r, M P)
 
-    def _project_rows(self, v):
-        """Coefficients (r, nb) of real weighted grid rows v (r, N): the
-        adjoint of _synthesize_rows."""
+    def project_native(self, v):
+        """Padded slot-ordered coefficients (r, Q L), exactly zero on the
+        pads, of real weighted fiber-ordered grid rows v (r, N): the adjoint
+        of synthesize_native."""
         r = len(v)
         Q, L, P2 = self._table.shape
-        fibers = np.take(v, self._fiber_to_grid, axis=1).reshape(r, len(self._fourier), -1)
-        ab = np.matmul(self._fourier.T, fibers)                    # (r, 2Q, P)
+        ab = np.matmul(self._fourier.T, v.reshape(r, len(self._fourier), -1))
         ab = ab.reshape(r, 2, Q, P2 // 2).transpose(2, 1, 3, 0).reshape(Q, P2, r)
-        out = np.matmul(self._table, ab).reshape(Q * L, r)
-        return out[self._slot].T
+        return np.matmul(self._table, ab).reshape(Q * L, r).T
+
+    def to_slots(self, c):
+        """Padded slot vectors (..., Q L) of coefficient rows (..., nb)."""
+        x = np.zeros(c.shape[:-1] + (self._table.shape[0] * self._table.shape[1],))
+        x[..., self._slot] = c
+        return x
+
+    def from_slots(self, x):
+        """Coefficient rows (..., nb) of padded slot vectors (..., Q L)."""
+        return np.take(x, self._slot, axis=-1)
+
+    def to_fibers(self, values):
+        """Grid values (..., N) in fiber order."""
+        return np.take(values, self._fiber_to_grid, axis=-1)
+
+    def from_fibers(self, values):
+        """Fiber-ordered values (..., N) in grid order."""
+        return np.take(values, self._grid_to_fiber, axis=-1)
+
+    @cached_property
+    def fiber_weights(self):
+        """The quadrature weights in fiber order."""
+        return self.to_fibers(self.weights)
+
+    @cached_property
+    def slot_eigenvalues(self):
+        """The sub-Laplacian eigenvalues as a slot vector, zero on the pads."""
+        return self.to_slots(self.eigenvalues)
 
     def synthesize(self, coeffs):
         """Grid values of real coefficient rows, shape (..., nb) -> (..., N)."""
         c = _real(coeffs)
-        return self._synthesize_rows(c.reshape(-1, self.nb)).reshape(c.shape[:-1] + (-1,))
+        x = self.to_slots(c.reshape(-1, self.nb))
+        return self.from_fibers(self.synthesize_native(x)).reshape(c.shape[:-1] + (-1,))
 
     def project(self, values):
         """Basis coefficients of real grid values, shape (..., N) -> (..., nb):
         funcs @ (weights * values) row by row, without funcs."""
         v = self.weights * _real(values)
-        return self._project_rows(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1] + (-1,))
+        x = self.project_native(self.to_fibers(v.reshape(-1, v.shape[-1])))
+        return self.from_slots(x).reshape(v.shape[:-1] + (-1,))
 
     @cached_property
     def funcs(self):

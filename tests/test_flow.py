@@ -164,17 +164,24 @@ def test_energy_f_conformal_invariance(J, tol):
 # rhs and stepping
 # ---------------------------------------------------------------------------
 
+def rhs_coeffs(basis, c, fvals):
+    """_rhs_coeffs across the native-layout boundary: the coefficients c in
+    as a slot vector, f's grid values in fiber order, coefficients out."""
+    x = _rhs_coeffs(basis, basis.to_slots(c), basis.to_fibers(fvals))
+    return basis.from_slots(x)
+
+
 def test_rhs_stationary_cases(basis):
     one = Field.constant(basis, 1.0)
     for f in (f_constant(basis), Field.constant(basis, 2.0)):
-        rhs = basis.synthesize(_rhs_coeffs(basis, one.coeffs, f.values))
+        rhs = basis.synthesize(rhs_coeffs(basis, one.coeffs, f.values))
         assert np.abs(rhs).max() < 1e-12
 
 
 def test_rhs_sign_follows_deviation(basis):
     u = perturbed_factor(basis, 8, amp=0.1)
     f = f_dipole(basis, amplitude=0.2)
-    rhs = basis.synthesize(_rhs_coeffs(basis, u.coeffs, f.values))
+    rhs = basis.synthesize(rhs_coeffs(basis, u.coeffs, f.values))
     a = alpha(u, f)
     dev = a * f.values - curvature_values(u)
     # pointwise product of the exact deviation with u is what gets projected;
@@ -343,8 +350,8 @@ def test_stiff_radius_bounds_the_jacobian(basis):
         v = rng.normal(size=c.shape)
         v /= np.linalg.norm(v)
         for _ in range(60):
-            jv = (_rhs_coeffs(basis, c + h * v, f.values)
-                  - _rhs_coeffs(basis, c - h * v, f.values)) / (2 * h)
+            jv = (rhs_coeffs(basis, c + h * v, f.values)
+                  - rhs_coeffs(basis, c - h * v, f.values)) / (2 * h)
             estimate = np.linalg.norm(jv)
             v = jv / estimate
         rho = _stiff_radius(basis, u.values)
@@ -444,6 +451,83 @@ def test_step_takes_k1_once_across_halvings(basis, monkeypatch):
     s_retry = flow._stage_count(0.025 * flow._stiff_radius(basis, u.values))
     assert s_retry >= 2
     assert len(calls) == 1 + 1 + (s_retry - 1)
+
+
+def test_step_carries_its_energy_and_rhs(basis, monkeypatch):
+    # the accepted state's E_f and right-hand side, taken from the step's
+    # own synthesis, are those of a fresh evaluation at the new u
+    from crflow import flow
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 25)
+
+    def assert_carry(state):
+        ef = energy_f(state.u, f)
+        assert abs(state.E_f - ef) <= 1e-14 * ef
+        fresh = _rhs_coeffs(basis, basis.to_slots(state.u.coeffs),
+                            basis.to_fibers(f.values))
+        assert np.abs(state.rhs - fresh).max() <= 1e-13 * np.abs(fresh).max()
+        assert state.rhs_key[0] is state.u.coeffs and state.rhs_key[1] is f.values
+
+    state, dt = step(FlowState(0.0, u, alpha(u, f)), f, 0.05)
+    assert dt == 0.05
+    assert_carry(state)
+    rhs = flow._rhs_coeffs
+    calls = []
+
+    def halving(*args):
+        calls.append(None)
+        if len(calls) == 1:          # the first attempt's second stage
+            raise NonPositiveFactor("forced halving")
+        return rhs(*args)
+
+    monkeypatch.setattr(flow, "_rhs_coeffs", halving)
+    state, dt = step(state, f, 0.05)
+    assert dt == 0.025
+    monkeypatch.undo()
+    assert_carry(state)
+
+
+def test_step_recomputes_a_carry_that_is_not_its_own(basis):
+    # replace(state, u=other) and a step under another f keep the carried
+    # E_f and rhs of the old pair; the step must recompute both
+    from dataclasses import replace
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 25)
+    state, _ = step(FlowState(0.0, u, alpha(u, f)), f, 0.05)
+    other = perturbed_factor(basis, 27)
+    g = f_dipole(basis, amplitude=0.1)
+    for stale, fresh, h in ((replace(state, u=other), FlowState(0.05, other, 0.0), f),
+                            (state, FlowState(0.05, state.u, 0.0), g)):
+        got, _ = step(stale, h, 0.05)
+        want, _ = step(fresh, h, 0.05)
+        assert np.array_equal(got.u.coeffs, want.u.coeffs)
+        assert got.E_f == want.E_f
+    # while a record's replace(state, diagnostics=..) keeps the carry
+    kept = replace(state, diagnostics=diagnostics(state.u, f))
+    assert np.array_equal(step(kept, f, 0.05)[0].u.coeffs,
+                          step(state, f, 0.05)[0].u.coeffs)
+
+
+def test_run_evaluates_the_rhs_once_plus_the_stages(basis, monkeypatch):
+    # F0 of the first state, then s_i - 1 stages per step: every later F0 is
+    # carried over from the accepted state, across the records' replace too
+    from crflow import flow
+    from crflow.flow import FlowConfig, run
+    f = f_dipole(basis, amplitude=0.2)
+    rhs_calls = _count_calls(monkeypatch, flow, "_rhs_coeffs")
+    stage_count = flow._stage_count
+    stages = []
+
+    def counted(z):
+        stages.append(stage_count(z))
+        return stages[-1]
+
+    monkeypatch.setattr(flow, "_stage_count", counted)
+    res = run(perturbed_factor(basis, 23, amp=0.03), f,
+              FlowConfig(dt_init=0.05, t_max=0.5, record_every=3,
+                         compute_shadow=False))
+    assert res.final_state.t == 0.5 and len(stages) == 10    # no halving
+    assert len(rhs_calls) == 1 + sum(s - 1 for s in stages)
 
 
 def test_step_from_nonpositive_factor_is_positivity_loss(basis):

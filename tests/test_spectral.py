@@ -218,6 +218,33 @@ def test_transforms_match_dense_reference(transform_basis, shape):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_native_core_with_its_boundaries_is_the_transforms(transform_basis):
+    # the flow's stages run the core between padded slot vectors and
+    # fiber-ordered values; converted at both ends it is synthesize/project
+    basis = transform_basis
+    rng = np.random.default_rng(35)
+    for shape in ((1,), (3,)):
+        c = rng.normal(size=shape + (basis.nb,))
+        v = rng.normal(size=shape + (len(basis.nodes),))
+        values = basis.from_fibers(basis.synthesize_native(basis.to_slots(c)))
+        assert np.array_equal(values, basis.synthesize(c))
+        coeffs = basis.from_slots(basis.project_native(basis.to_fibers(basis.weights * v)))
+        assert np.array_equal(coeffs, basis.project(v))
+    assert np.array_equal(basis.fiber_weights, basis.to_fibers(basis.weights))
+    assert np.array_equal(basis.from_slots(basis.slot_eigenvalues), basis.eigenvalues)
+
+
+def test_projected_slot_vectors_are_zero_on_the_pads(transform_basis):
+    # the stage recurrence adds slot vectors and never clears the pads
+    basis = transform_basis
+    pads = np.ones(basis.to_slots(np.zeros(basis.nb)).shape, dtype=bool)
+    pads[basis._slot] = False
+    assert pads.any()
+    v = np.random.default_rng(37).normal(size=(2, len(basis.nodes)))
+    x = basis.project_native(basis.to_fibers(basis.weights * v))
+    assert np.all(x[:, pads] == 0.0) and np.all(basis.slot_eigenvalues[pads] == 0.0)
+
+
 def test_fiber_shift_multiplies_charge_q_by_its_phase(transform_basis):
     # x -> w x, w = e^{2 pi i/M}, multiplies H_{j,k} by w^q, q = j - k: on a
     # pair (sqrt2 Re h, sqrt2 Im h) with coefficients (a, b) the charge-q
