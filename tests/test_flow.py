@@ -502,10 +502,6 @@ def test_step_recomputes_a_carry_that_is_not_its_own(basis):
         want, _ = step(fresh, h, 0.05)
         assert np.array_equal(got.u.coeffs, want.u.coeffs)
         assert got.E_f == want.E_f
-    # while a record's replace(state, diagnostics=..) keeps the carry
-    kept = replace(state, diagnostics=diagnostics(state.u, f))
-    assert np.array_equal(step(kept, f, 0.05)[0].u.coeffs,
-                          step(state, f, 0.05)[0].u.coeffs)
 
 
 def test_run_evaluates_the_rhs_once_plus_the_stages(basis, monkeypatch):
