@@ -37,7 +37,7 @@ from .errors import (ConfigError, CRFlowError, DegenerateDenominator,
                      NonPositiveFactor, PositivityLoss, StepRejected)
 from .morse import sbc_check
 from .polynomials import PolyCalculus, real_coords
-from .spectral import Field, coordinate_grad_inner_values, grad_inner_values
+from .spectral import Field, grad_inner_values, horizontal_gradient_values
 
 
 MAX_CENTERS = 512    # ball centers scanned by mass_concentration
@@ -247,11 +247,13 @@ def mass_concentration(u, rho=0.5, dens=None):
 
 
 def kazdan_warner_vector(R_field, dens):
-    """The 2(n+1) integrals int <grad X_r, grad R> dV_theta over the real
+    """The 2(n+1) integrals int <grad_b X_r, grad_b R> dV_theta over the real
     coordinates X = real_coords(x), for a factor u with density dens and
     Webster curvature field R_field; zero in the continuum for every
-    conformal factor."""
-    return coordinate_grad_inner_values(R_field) @ dens
+    conformal factor.  The horizontal gradient of X_r is e_r less its parts
+    along X and JX, so the integrand is the r-th component of R's own
+    horizontal gradient, over 4."""
+    return horizontal_gradient_values(R_field) @ dens / 4.0
 
 
 def diagnostics(u, f, rho=0.5):

@@ -117,7 +117,7 @@ def find_centering(u, max_iter=MAX_ITER):
         raise ValueError(f"find_centering: relative volume gap {gap:.3e} "
                          f"exceeds VOL_TOL = {VOL_TOL:g}; volume-normalize u")
 
-    P, P_hat = center_of_mass(u)
+    P, P_hat = center_of_mass(u, dens=dens)
     if np.linalg.norm(P) > 1e-12:
         U = unitary_from_north(-P_hat)      # chart infinity lands on P_hat
     else:

@@ -7,11 +7,22 @@ representation exact.  Real coordinates are X_{2i} = Re x_i, X_{2i+1} = Im x_i.
 
 import numpy as np
 
-from .conformal import bubble
+from .conformal import bubble, projection_residual
 from .errors import ConfigError
 from .flow import base_curvature, volume_renormalize
 from .polynomials import MonomialSpace, real_coords
 from .spectral import Field
+
+
+def _band_limited(basis, vals, what):
+    """The field of exact grid values vals of a polynomial f; ConfigError
+    when f has a component above the basis degree J."""
+    field = Field.from_values(basis, vals)
+    resid = projection_residual(basis, vals, field.values)
+    if resid > 1e-10:
+        raise ConfigError(f"{what} has degree above J = {basis.J}: projection "
+                          f"residual {resid:.1e} exceeds 1e-10; increase J")
+    return field
 
 
 def f_constant(basis):
@@ -21,7 +32,7 @@ def f_constant(basis):
 def f_dipole(basis, amplitude=0.25, axis=0):
     """Single-maximum tilt: R_0 (1 + a X_axis); Morse with one max, one min."""
     vals = base_curvature(basis.n) * (1.0 + amplitude * real_coords(basis.nodes)[:, axis])
-    return Field.from_values(basis, vals)
+    return _band_limited(basis, vals, "the dipole preset")
 
 
 # quadratic-plus-linear landscape on S^3 with two unequal peaks joined by a
@@ -46,7 +57,7 @@ def f_two_peak(basis, scale=1.0):
     vals = base_curvature(n) * (1.0 + scale * g)
     if vals.min() <= 0:
         raise ConfigError("two-peak preset lost positivity; reduce scale")
-    return Field.from_values(basis, vals)
+    return _band_limited(basis, vals, "the two-peak preset")
 
 
 PRESETS = {
@@ -61,7 +72,7 @@ def f_from_spec(basis, spec):
 
     Term lists are dictionaries {"powers_x": [...], "powers_xbar": [...],
     "coeff": c} with c real or [re, im]; the sum must be real and positive on
-    the grid (degree at most 4).
+    the grid, of degree at most 4 and, on the sphere, at most J.
     """
     if isinstance(spec, str):
         key = spec.strip().lower().replace(" ", "-").replace("_", "-")
@@ -92,7 +103,7 @@ def f_from_spec(basis, spec):
         raise ConfigError("f_spec terms do not sum to a real function")
     if vals.real.min() <= 0:
         raise ConfigError("parsed f is not strictly positive on the grid")
-    return Field.from_values(basis, vals.real)
+    return _band_limited(basis, vals.real, "parsed f")
 
 
 def u0_from_spec(basis, spec, seed=0):

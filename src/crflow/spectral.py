@@ -36,18 +36,19 @@ differentiated by polynomials.MonomialSpace.  The sub-Laplacian is
 Lap_b = (Lap_S - T^2) / 4, with Lap_S the round Laplacian and T the Hopf
 derivative; it is diagonal, with eigenvalue (4 j k + 2 n (j + k)) / 4 on the
 bidegree-(j,k) block, so the linear coordinate functions carry eigenvalue
-n/2.  The horizontal-gradient pairing is computed from first derivatives on
-the basis, Gamma_b(u, w) = (grad u . grad w - (E u)(E w) - (T u)(T w)) / 4,
-with grad the ambient gradient in the real coordinates real_coords (Re x_1,
-Im x_1, ..), E = j + k and T = i (j - k) on H_{j,k}; on the real basis T is
-a rotation inside each (sqrt2 Re h, sqrt2 Im h) pair, so T u is real.
+n/2.  The horizontal gradient H u is the horizontal projection of the
+ambient gradient grad u, taken in the real coordinates real_coords (Re x_1,
+Im x_1, ..) from first derivatives on the basis: grad u less its components
+along the normal X = real_coords(x) and the Hopf field JX = real_coords(i x),
+which are the Euler derivative E u = (j + k) u and T u = i (j - k) u on
+H_{j,k}.  The pairing is Gamma_b(u, w) = H u . H w / 4.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import factorial, pi
-from numbers import Number
+from numbers import Real
 
 import numpy as np
 
@@ -213,7 +214,7 @@ class Basis:
         base = self._fiber_to_grid[:n_nodes // M]                # t = 0
         base_nodes, base_weights = self.nodes[base], M * self.weights[base]
 
-        gs, polys, eigs, tags, pair = [], [], [], [], []
+        gs, polys, eigs, tags = [], [], [], []
         for j, k, null in blocks:
             d = null.shape[1]
             if d == 0:
@@ -256,16 +257,11 @@ class Basis:
             polys.append(P)
             eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / 4.0] * len(onb)
             tags += [(j, k)] * len(onb)
-            pair += [1, -1] * d if j < k else [0] * d   # offset to the pair partner
 
         self.eigenvalues = np.array(eigs)
         self.bidegrees = tags
         self.poly = np.concatenate(polys)
         self.nb = len(tags)
-        # T(sqrt2 Re h) = -(j-k) sqrt2 Im h and T(sqrt2 Im h) = (j-k) sqrt2 Re h
-        pair = np.array(pair)
-        self._hopf_partner = np.arange(self.nb) + pair
-        self._hopf_factor = pair * np.array([j - k for j, k in tags], dtype=float)
 
         # the fiber table: row r is Re(g_r w^{q t}), q = j - k <= 0, so it is
         # Re g_r cos(2 pi |q| t / M) + Im g_r sin(2 pi |q| t / M); rows are
@@ -371,11 +367,6 @@ class Basis:
 
     # -- first-order calculus -------------------------------------------
 
-    def hopf(self, coeffs):
-        """Coefficients of T u, T = i (j - k) on H_{j,k}: a signed swap inside
-        each (sqrt2 Re h, sqrt2 Im h) pair, zero on H_{j,j}."""
-        return self._hopf_factor * np.asarray(coeffs)[..., self._hopf_partner]
-
     @cached_property
     def gradient(self):
         """(2(n+1), nb, nb) real coefficient matrices of d/dX_r, X =
@@ -469,8 +460,8 @@ class Field:
                      self.values - other.values)
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, Number):
-            return NotImplemented
+        if not isinstance(scalar, Real):
+            raise TypeError(f"fields scale by real numbers, not {type(scalar).__name__}")
         return Field(self.basis, scalar * self.coeffs, scalar * self.values)
 
     __rmul__ = __mul__
@@ -486,38 +477,23 @@ def integrate(u):
     return u.basis.quad(u.values)
 
 
-def _first_order_values(u):
-    """Grid values of d/dX_r u (r = 0..2n+1, X = real_coords), E u and T u."""
+def horizontal_gradient_values(u):
+    """Grid values (2(n+1), N) of the horizontal gradient of u in the real
+    coordinates X = real_coords(x): the ambient gradient less its components
+    along X and JX = real_coords(i x), which are E u and T u."""
     basis = u.basis
-    euler = np.array(basis.bidegrees).sum(axis=1) * u.coeffs
-    return basis.synthesize(np.vstack([u.coeffs @ basis.gradient, euler,
-                                       basis.hopf(u.coeffs)]))
+    grad = basis.synthesize(u.coeffs @ basis.gradient)
+    X, JX = real_coords(basis.nodes).T, real_coords(1j * basis.nodes).T
+    return grad - X * np.sum(X * grad, axis=0) - JX * np.sum(JX * grad, axis=0)
 
 
 def grad_inner_values(u, w):
-    """Exact grid values of the horizontal-gradient pairing <grad u, grad w>.
-
-    From first derivatives of the basis fields: (grad u . grad w - (E u)(E w)
-    - (T u)(T w)) / 4, i.e. the ambient gradient pairing minus its radial
-    (Euler) and Hopf components, scaled as Lap_b = (Lap_S - T^2)/4.
-    """
-    U = _first_order_values(u)
-    W = U if w is u else _first_order_values(w)
-    ambient = np.sum(U[:-2] * W[:-2], axis=0)
-    return (ambient - U[-2] * W[-2] - U[-1] * W[-1]) / 4.0
-
-
-def coordinate_grad_inner_values(w):
-    """Grid values of <grad X_r, grad w> for the real coordinates X =
-    real_coords(x), shape (2(n+1), N).
-
-    With d/dX_l X_r = delta_lr, E X = X and T X = real_coords(i x) the
-    pairing is (d/dX_r w - X_r (E w) - (T X_r)(T w)) / 4.
-    """
-    nodes = w.basis.nodes
-    W = _first_order_values(w)
-    return (W[:-2] - real_coords(nodes).T * W[-2]
-            - real_coords(1j * nodes).T * W[-1]) / 4.0
+    """Exact grid values of the horizontal-gradient pairing <grad_b u, grad_b w>,
+    H u . H w / 4 with H the horizontal gradient, scaled as
+    Lap_b = (Lap_S - T^2) / 4."""
+    U = horizontal_gradient_values(u)
+    W = U if w is u else horizontal_gradient_values(w)
+    return np.sum(U * W, axis=0) / 4.0
 
 
 def horizontal_grad_sq(u):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import crflow
+from crflow.errors import ConfigError
 from crflow.polynomials import _BLOCK_ENTRIES, MonomialSpace, PolyCalculus
 from crflow.presets import f_from_spec
 from crflow.spectral import Field
@@ -158,17 +159,29 @@ def test_exact_hessian_matches_central_differences(nc, maxdeg):
 
 
 def test_f_from_spec_evaluates_terms_beyond_the_band_limit():
-    # 1 + |x_0|^2 + 0.2 Re(x_0^2 conj(x_1)^2): the degree-4 term lies above
-    # J = 2, so the term list must not be read in the basis's own space
-    basis = crflow.build_basis(1, 2)
+    # 1 + |x_0|^2 + 0.2 Re(x_0^2 conj(x_1)^2): the degree-4 term is read in
+    # its own monomial space whatever J is, and is refused above J
     terms = [
         {"powers_x": [0, 0], "powers_xbar": [0, 0], "coeff": 1.0},
         {"powers_x": [1, 0], "powers_xbar": [1, 0], "coeff": 1.0},
         {"powers_x": [2, 0], "powers_xbar": [0, 2], "coeff": 0.1},
         {"powers_x": [0, 2], "powers_xbar": [2, 0], "coeff": [0.1, 0.0]},
     ]
+    for J in (2, 3):
+        with pytest.raises(ConfigError, match=f"above J = {J}: projection residual"):
+            f_from_spec(crflow.build_basis(1, J), terms)
+    basis = crflow.build_basis(1, 4)
     x0, x1 = basis.nodes.T
     direct = 1.0 + np.abs(x0) ** 2 + 0.2 * np.real(x0 ** 2 * np.conj(x1) ** 2)
     got = f_from_spec(basis, terms)
     want = Field.from_values(basis, direct)
     assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12
+    assert np.abs(got.values - direct).max() <= 1e-12
+
+
+def test_two_peak_preset_is_refused_below_its_degree():
+    from crflow.presets import f_two_peak
+
+    with pytest.raises(ConfigError, match="above J = 1"):
+        f_two_peak(crflow.build_basis(1, 1))
+    assert f_two_peak(crflow.build_basis(1, 2)).values.min() > 0

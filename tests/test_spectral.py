@@ -5,6 +5,7 @@ import pytest
 
 import crflow
 from crflow.errors import BudgetExceeded
+from crflow.polynomials import real_coords
 from crflow.spectral import Field, sphere_volume_cached
 
 
@@ -21,6 +22,13 @@ def basis2_n2():
 def random_field(basis, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return Field.from_coeffs(basis, scale * rng.normal(size=basis.nb))
+
+
+def jx_derivative(basis, coeffs):
+    # T u at the nodes: the ambient gradient's component along the Hopf
+    # field JX = real_coords(i x), for coefficient rows (..., nb)
+    grad = basis.synthesize(np.asarray(coeffs) @ basis.gradient)
+    return np.einsum("r...k,kr->...k", grad, real_coords(1j * basis.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +74,9 @@ def test_basis_j1_content():
     assert lam[0] == 0.0
     assert np.allclose(lam[1:], 0.5, atol=1e-12)
     # T = i (j - k) splits the pair span into H_{1,0} (T = i) and H_{0,1}
-    # (T = -i), two dimensions each, and kills the constant
-    T = basis.hopf(np.eye(basis.nb))
+    # (T = -i), two dimensions each, and kills the constant; T keeps each
+    # block, so projecting its values gives its matrix exactly
+    T = basis.project(jx_derivative(basis, np.eye(basis.nb)))
     assert np.allclose(np.sort(np.linalg.eigvals(T).imag), [-1, -1, 0, 1, 1],
                        atol=1e-12)
 
@@ -144,8 +153,8 @@ def test_analyze_constant(basis8):
 def test_analyze_coordinate_unit_coefficient(basis8):
     # the L2-normalized multiple of Re x_1 has unit coefficient norm; the
     # natural normalization here is sqrt(2(n+1)/vol) Re x_1.  Its coefficients
-    # lie on the {0,1} pair, and T acts on x_1 = Re x_1 + i Im x_1 as i:
-    # T Re x_1 = -Im x_1 and T Im x_1 = Re x_1, so x_1 is in H_{1,0}
+    # lie on the {0,1} pair, and the Hopf field acts on x_1 = Re x_1 + i Im x_1
+    # as i: T Re x_1 = -Im x_1 and T Im x_1 = Re x_1, so x_1 is in H_{1,0}
     n = basis8.n
     scale = np.sqrt(2 * (n + 1) / basis8.vol)
     re, im = (Field.from_values(basis8, scale * part(basis8.nodes[:, 0]))
@@ -153,8 +162,8 @@ def test_analyze_coordinate_unit_coefficient(basis8):
     assert abs(np.linalg.norm(re.coeffs) - 1.0) < 1e-10
     nz = np.abs(re.coeffs) > 1e-10
     assert all(basis8.bidegrees[i] == (0, 1) for i in np.nonzero(nz)[0])
-    assert np.abs(basis8.hopf(re.coeffs) + im.coeffs).max() < 1e-10
-    assert np.abs(basis8.hopf(im.coeffs) - re.coeffs).max() < 1e-10
+    assert np.abs(jx_derivative(basis8, re.coeffs) + im.values).max() < 1e-10
+    assert np.abs(jx_derivative(basis8, im.coeffs) - re.values).max() < 1e-10
 
 
 def test_roundtrip_band_limited(basis8):
@@ -258,7 +267,9 @@ def test_fiber_shift_multiplies_charge_q_by_its_phase(transform_basis):
     c = np.random.default_rng(33).normal(size=basis.nb)
     moved = basis.project(basis.synthesize(c)[shift])
     jk = np.array(basis.bidegrees)
-    re = np.flatnonzero(basis._hopf_partner > np.arange(basis.nb))  # the Re rows
+    # the Re rows: the even offsets of each j < k block
+    re = np.array([i for i, (j, k) in enumerate(basis.bidegrees)
+                   if j < k and (i - basis.bidegrees.index((j, k))) % 2 == 0])
     q = jk[re, 0] - jk[re, 1]
     z, z_moved = c[re] - 1j * c[re + 1], moved[re] - 1j * moved[re + 1]
     assert np.abs(z_moved - omega ** q * z).max() < 1e-12
@@ -306,22 +317,38 @@ def test_complex_input_raises_type_error(basis8):
                  lambda: basis8.project(v), lambda: basis8.quad(v),
                  lambda: Field.from_values(basis8, v),
                  lambda: Field.from_values(basis8, basis8.nodes[:, 0]),
-                 lambda: Field.from_coeffs(basis8, c[0])):
+                 lambda: Field.from_coeffs(basis8, c[0]),
+                 lambda: 1j * Field.constant(basis8),
+                 lambda: np.complex128(2) * Field.constant(basis8)):
         with pytest.raises(TypeError, match="real"):
             call()
 
 
-def test_hopf_is_pair_rotation(basis8):
-    jk = np.array(basis8.bidegrees)
-    c = np.random.default_rng(23).normal(size=basis8.nb)
-    # T o T = -(j - k)^2 on each pair
-    TT = basis8.hopf(basis8.hopf(c))
-    assert np.abs(TT + (jk[:, 0] - jk[:, 1]) ** 2 * c).max() < 1e-12
-    # and T is i (|a| - |b|) on the monomial x^a conj(x)^b
-    space = basis8.space
-    lhs = basis8.monomial_coeffs(basis8.hopf(c))
-    rhs = 1j * space.charge * basis8.monomial_coeffs(c)
-    assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(rhs).max()
+@pytest.mark.parametrize("n, J", [(1, 8), (2, 4)], ids=["n1J8", "n2J4"])
+def test_euler_and_hopf_fields_match_the_monomial_oracle(n, J):
+    # on the monomial x^a conj(x)^b the Euler field X is |a| + |b| and the
+    # Hopf field JX is i (|a| - |b|); the horizontal gradient is orthogonal
+    # to both
+    from crflow.spectral import horizontal_gradient_values
+
+    basis = crflow.build_basis(n, J)
+    space = basis.space
+    jk = np.array(basis.bidegrees)
+    c = np.random.default_rng(23).normal(size=basis.nb)
+    mono = basis.monomial_coeffs(c)
+    grad = basis.synthesize(c @ basis.gradient)
+    X, JX = real_coords(basis.nodes), real_coords(1j * basis.nodes)
+    for field, factor in ((X, space.degree), (JX, 1j * space.charge)):
+        got = np.einsum("rk,kr->k", grad, field)
+        want = np.real(space.evaluate(factor * mono, basis.nodes))
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+    # T o T = -(j - k)^2 on each pair, through two transform round trips
+    TT = basis.project(jx_derivative(basis, basis.project(jx_derivative(basis, c))))
+    want = -(jk[:, 0] - jk[:, 1]) ** 2 * c
+    assert np.abs(TT - want).max() < 1e-13 * np.abs(want).max()
+    H = horizontal_gradient_values(Field.from_coeffs(basis, c))
+    for field in (X, JX):
+        assert np.abs(np.einsum("rk,kr->k", H, field)).max() < 1e-12 * np.abs(H).max()
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +431,20 @@ def test_grad_inner_matches_carre_du_champ(basis8):
     from crflow.spectral import grad_inner_values
 
     # independent reference: (Lap_b(uw) - u Lap_b w - w Lap_b u) / 2, exact
-    # here because uw is band-limited to degree 8
-    pairs = [
-        (low_degree_field(basis8, 11), low_degree_field(basis8, 12)),
-        (Field.coordinate(basis8, 0), low_degree_field(basis8, 13)),
-        (low_degree_field(basis8, 14), Field.coordinate(basis8, 3)),
-    ]
-    for u, w in pairs:
-        uw = Field.from_values(basis8, u.values * w.values)
-        ref = 0.5 * (crflow.sub_laplacian(uw).values
-                     - u.values * crflow.sub_laplacian(w).values
-                     - w.values * crflow.sub_laplacian(u).values)
-        g = grad_inner_values(u, w)
-        assert np.abs(g - ref).max() < 1e-10 * np.abs(g).max()
+    # here because uw is band-limited to degree J, at n = 1 and n = 2
+    for basis, degree in ((basis8, 4), (crflow.build_basis(2, 4), 2)):
+        pairs = [
+            (low_degree_field(basis, 11, degree), low_degree_field(basis, 12, degree)),
+            (Field.coordinate(basis, 0), low_degree_field(basis, 13, degree)),
+            (low_degree_field(basis, 14, degree), Field.coordinate(basis, 3)),
+        ]
+        for u, w in pairs:
+            uw = Field.from_values(basis, u.values * w.values)
+            ref = 0.5 * (crflow.sub_laplacian(uw).values
+                         - u.values * crflow.sub_laplacian(w).values
+                         - w.values * crflow.sub_laplacian(u).values)
+            g = grad_inner_values(u, w)
+            assert np.abs(g - ref).max() < 1e-10 * np.abs(g).max()
 
 
 def test_grad_inner_of_a_field_with_itself_synthesizes_it_once(basis8, monkeypatch):
@@ -426,9 +454,9 @@ def test_grad_inner_of_a_field_with_itself_synthesizes_it_once(basis8, monkeypat
     twin = Field.from_coeffs(basis8, u.coeffs.copy())    # equal, not identical
     want = spectral.grad_inner_values(u, twin)
     calls = []
-    first_order = spectral._first_order_values
-    monkeypatch.setattr(spectral, "_first_order_values",
-                        lambda v: calls.append(v) or first_order(v))
+    gradient = spectral.horizontal_gradient_values
+    monkeypatch.setattr(spectral, "horizontal_gradient_values",
+                        lambda v: calls.append(v) or gradient(v))
     assert np.array_equal(spectral.grad_inner_values(u, u), want)
     assert len(calls) == 1
     assert np.array_equal(spectral.horizontal_grad_sq(u).values,
