@@ -16,14 +16,24 @@ Fields are real (real coefficients, real grid values); complex numbers are
 points of C^{n+1} only, so the moment b and the Kazdan-Warner vector are
 taken over the real coordinates Re x_i, Im x_i.
 
-Each formula is written once, in the flow kernel: `_fiber_terms` (u, u R
-and the density dV_theta, in fiber order, from one two-row synthesis; its
-grid-order view is `_grid_terms`), `_density`, `_energy`, `_alpha_energy_f`,
-`_deviation` (alpha f - R and F2), `_volume_factor` and `_project_rhs` (the
-right-hand side from the kernel's values).  The RKC2 stages run in the
-transforms' native layout: padded slot coefficients and fiber-ordered values,
-with no permutation inside a step, and an accepted state carries its E_f and
-right-hand side into the next step.
+Each formula is written once, in the flow kernel.  The curvature row
+A = (2+2/n) lambda + R_0 (`Basis.yamabe_slots`, zero on the pads) makes u R
+u^{2/n} linear in the coefficients x: one two-row synthesis of (x, A x)
+gives u and u R q with q = u^{2/n}, and the energy is E = x . A x
+(`_curvature_rows`, `_energy`).  `_fiber_terms` evaluates a factor in
+fiber order, `_f_volume` gives int f dV_theta, `_project_rhs` the
+right-hand side and `_curvature_density` R and the density, which
+`_grid_terms` permutes to grid order for `diagnostics`, `curvature_values`
+and `energy_consistency`; `_density`, `_alpha_energy_f`, `_deviation`
+(alpha f - R and F2) and `_volume_factor` complete it.  The kernel reads and
+writes one workspace (`_Workspace`): f in fiber order, (n/2) w, (n/2) w f,
+the buffers and the transform plans between them.  `step` builds one per
+call; every RKC2 stage, the end-of-step positivity test, the
+renormalization, the E_f gate and F2 use it, and a stage allocates no
+grid-sized array.  The stages run in the transforms' native layout: padded
+slot coefficients and fiber-ordered values, with no permutation inside a
+step, and an accepted state carries its E_f and right-hand side into the
+next step.
 """
 
 import functools
@@ -37,16 +47,12 @@ from .errors import (ConfigError, CRFlowError, DegenerateDenominator,
                      NonPositiveFactor, PositivityLoss, StepRejected)
 from .morse import sbc_check
 from .polynomials import PolyCalculus, real_coords
-from .spectral import Field, grad_inner_values, horizontal_gradient_values
+from .spectral import (Field, base_curvature, grad_inner_values,
+                       horizontal_gradient_values)
 
 
 MAX_CENTERS = 512    # ball centers scanned by mass_concentration
 RKC_DAMPING = 2.0 / 13.0    # epsilon of the damped RKC2 step
-
-
-def base_curvature(n):
-    """Webster curvature of the round contact form."""
-    return n * (n + 1) / 2.0
 
 
 def critical_exponent(n):
@@ -70,37 +76,76 @@ def density(basis, uv):
     return _density(basis.weights, uv, uv ** (2.0 / basis.n))
 
 
-def _fiber_terms(basis, x):
-    """Fiber-ordered values (u, uR, dens) of the factor with padded slot
-    coefficients x: one two-row synthesis of x and of -Lap_b u (slot
-    coefficients lambda x), the positivity check, u R with R the Webster
-    curvature, and the volume density, from one power q = u^{2/n}."""
-    n = basis.n
-    u, lap_neg = basis.synthesize_native(np.array((x, basis.slot_eigenvalues * x)))
-    if u.min() <= 0:
+class _Workspace:
+    """The flow kernel's data for one basis and one f: f in fiber order,
+    (n/2) w and (n/2) w f with w the fiber-ordered weights, the buffers one
+    kernel evaluation fills (the curvature rows (x, A x), the values
+    (u, u R q), q = u^{2/n}, (n/2) w f u, two scratch rows and the projected
+    coefficients) and the transform plans between them.  Each evaluation
+    overwrites the last one's buffers; `step` builds one workspace per
+    call."""
+
+    def __init__(self, basis, fvals=None):
+        self.basis = basis
+        self.w = (0.5 * basis.n) * basis.fiber_weights
+        if fvals is not None:
+            self.f = basis.to_fibers(fvals)
+            self.wf = self.w * self.f
+        self.rows = np.empty((2, basis.yamabe_slots.size))
+        self.vals = np.empty((2, self.w.size))
+        self.u, self.uRq = self.vals
+        self.q, self.wfu, self.g, self.h = np.empty((4, self.w.size))
+        self.coeffs = np.empty(self.rows.shape[1])
+        self.synthesize = basis.synthesis_plan(self.rows, self.vals)
+        self.project = basis.projection_plan(self.g[None], self.coeffs[None])
+
+
+def _curvature_rows(basis, x, out=None):
+    """The slot rows (x, A x) of padded slot coefficients x, with A =
+    basis.yamabe_slots: their synthesis is (u, u R q), q = u^{2/n}."""
+    rows = np.empty((2, x.size)) if out is None else out
+    rows[0] = x
+    np.multiply(basis.yamabe_slots, x, out=rows[1])
+    return rows
+
+
+def _energy(rows):
+    """int ((2+2/n)|grad u|^2 + R_0 u^2) dV = x . A x (Parseval) from the
+    curvature rows (x, A x)."""
+    return float(rows[0] @ rows[1])
+
+
+def _fiber_terms(ws, x):
+    """Evaluate the factor with padded slot coefficients x into the
+    workspace ws: one two-row synthesis of its curvature rows gives (u, u R q)
+    in fiber order, then the positivity check, which a NaN fails too, and
+    q = u^{2/n}.  Returns the energy E."""
+    basis = ws.basis
+    rows = _curvature_rows(basis, x, out=ws.rows)
+    ws.synthesize()
+    if not ws.u.min() > 0:
         raise NonPositiveFactor("conformal factor must be positive on the grid")
-    q = u ** (2.0 / n)
-    uR = ((2.0 + 2.0 / n) * lap_neg + base_curvature(n) * u) / q
-    return u, uR, _density(basis.fiber_weights, u, q)
+    np.power(ws.u, 2.0 / basis.n, out=ws.q)
+    return _energy(rows)
 
 
-def _grid_terms(basis, c):
-    """Grid values (u, R, dens) of the factor with real coefficients c: the
-    fiber-order kernel, permuted to grid order."""
-    u, uR, dens = basis.from_fibers(np.stack(_fiber_terms(basis, basis.to_slots(c))))
-    return u, uR / u, dens
+def _f_volume(ws):
+    """int f dV_theta of the factor in ws, as (2/n) ((n/2) w f u) . (u q);
+    leaves (n/2) w f u in ws.wfu for _project_rhs."""
+    np.multiply(ws.wf, ws.u, out=ws.wfu)
+    np.multiply(ws.u, ws.q, out=ws.g)
+    return (2.0 / ws.basis.n) * float(ws.wfu @ ws.g)
 
 
-def _energy(n, lam, c):
-    """int ((2+2/n)|grad u|^2 + R_0 u^2) dV (Parseval) from real coefficients
-    c with sub-Laplacian eigenvalues lam, in either layout: pads add 0."""
-    return float((2.0 + 2.0 / n) * ((lam * c) @ c) + base_curvature(n) * (c @ c))
+def _curvature_density(ws):
+    """New fiber-ordered arrays (R, dens) of the factor in ws: its Webster
+    curvature (u R q) / (u q) and its density."""
+    return ws.uRq / (ws.u * ws.q), _density(ws.basis.fiber_weights, ws.u, ws.q)
 
 
-def _alpha_energy_f(n, E, dens, fvals):
-    """(alpha, E_f) of the factor with energy E and density dens: alpha int f
-    dV_theta = E and E_f = E / (int f dV_theta)^{n/(n+1)}."""
-    f_vol = float(dens @ fvals)
+def _alpha_energy_f(n, E, f_vol):
+    """(alpha, E_f) of the factor with energy E and int f dV_theta = f_vol:
+    alpha f_vol = E and E_f = E / f_vol^{n/(n+1)}."""
     if abs(f_vol) < 1e-14:
         raise DegenerateDenominator("int f dV_theta vanished")
     return E / f_vol, E / f_vol ** (n / (n + 1.0))
@@ -121,21 +166,33 @@ def _volume_factor(basis, dens):
     return (basis.vol / total) ** (basis.n / (2.0 * basis.n + 2.0))
 
 
-def _project_rhs(basis, a, u, uR, ffib):
-    """Padded slot coefficients of (n/2)(a f - R) u, from the fiber-ordered
-    values of u, u R and f."""
-    g = (0.5 * basis.n) * basis.fiber_weights * (a * ffib * u - uR)
-    return basis.project_native(g[None])[0]
+def _project_rhs(ws, a):
+    """Padded slot coefficients of (n/2)(a f - R) u for the factor in ws:
+    the projection of a (n/2) w f u - (n/2) w (u R q) / q, with (n/2) w f u
+    from _f_volume."""
+    g, h = ws.g, ws.h
+    np.divide(ws.uRq, ws.q, out=h)
+    h *= ws.w
+    np.multiply(ws.wfu, a, out=g)
+    g -= h
+    ws.project()
+    return ws.coeffs.copy()
 
 
-def _rhs_coeffs(basis, x, ffib):
+def _rhs_coeffs(ws, x):
     """The flow's right-hand side (n/2)(alpha f - R) u in the native layout:
-    padded slot coefficients, for padded slot coefficients x and the
-    fiber-ordered values ffib of f."""
-    n = basis.n
-    u, uR, dens = _fiber_terms(basis, x)
-    a, _ = _alpha_energy_f(n, _energy(n, basis.slot_eigenvalues, x), dens, ffib)
-    return _project_rhs(basis, a, u, uR, ffib)
+    padded slot coefficients, for padded slot coefficients x, through the
+    workspace ws of f."""
+    E = _fiber_terms(ws, x)
+    return _project_rhs(ws, _alpha_energy_f(ws.basis.n, E, _f_volume(ws))[0])
+
+
+def _grid_terms(basis, c):
+    """Grid values (u, R, dens) of the factor with real coefficients c: the
+    flow kernel's values, permuted from fiber to grid order."""
+    ws = _Workspace(basis)
+    _fiber_terms(ws, basis.to_slots(c))
+    return basis.from_fibers(np.stack((ws.u,) + _curvature_density(ws)))
 
 
 def curvature_values(u):
@@ -148,7 +205,7 @@ def energy(u):
 
     Evaluated spectrally (exact for band-limited u); agrees with the
     curvature-side evaluation int R dV_theta, see energy_consistency."""
-    return _energy(u.basis.n, u.basis.eigenvalues, u.coeffs)
+    return _energy(_curvature_rows(u.basis, u.basis.to_slots(u.coeffs)))
 
 
 def energy_consistency(u):
@@ -160,14 +217,14 @@ def energy_consistency(u):
 
 def alpha(u, f):
     """Normalizing constant: alpha int f dV_theta = int R dV_theta = E(u)."""
-    return _alpha_energy_f(u.basis.n, energy(u), density(u.basis, u.values),
-                           f.values)[0]
+    return _alpha_energy_f(u.basis.n, energy(u),
+                           float(density(u.basis, u.values) @ f.values))[0]
 
 
 def energy_f(u, f):
     """Scale- and conformally-invariant normalized energy."""
-    return _alpha_energy_f(u.basis.n, energy(u), density(u.basis, u.values),
-                           f.values)[1]
+    return _alpha_energy_f(u.basis.n, energy(u),
+                           float(density(u.basis, u.values) @ f.values))[1]
 
 
 def volume_renormalize(u):
@@ -263,7 +320,7 @@ def diagnostics(u, f, rho=0.5):
     basis = u.basis
     uv, rv, dens = _grid_terms(basis, u.coeffs)
     E = energy(u)
-    a, ef = _alpha_energy_f(basis.n, E, dens, f.values)
+    a, ef = _alpha_energy_f(basis.n, E, float(dens @ f.values))
     dev, F2 = _deviation(a, rv, dens, f.values)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
@@ -307,10 +364,12 @@ class FlowState:
 
 @functools.cache
 def _rkc_scheme(s):
-    """(beta, mu~_1, stages) of the s-stage damped RKC2 method (Sommeijer,
-    Shampine & Verwer, J. Comput. Appl. Math. 88 (1998)): its real stability
-    interval is [-beta, 0], and stages holds (mu_j, nu_j, mu~_j, gamma~_j)
-    for j = 2..s."""
+    """(beta, mu~_1, const, per_dt) of the s-stage damped RKC2 method
+    (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88 (1998)): its
+    real stability interval is [-beta, 0], and row j - 2 of const + dt per_dt
+    holds stage j's coefficients of the rows [Y_0, F(Y_0), a, b, F(Y_{j-1})]
+    of _rkc, with Y_{j-1} in a and Y_{j-2} in b for even j, and the reverse
+    for odd j."""
     w0 = 1.0 + RKC_DAMPING / s ** 2
     # Chebyshev T_j and its first two derivatives at w0, for j = 0..s
     T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
@@ -322,12 +381,16 @@ def _rkc_scheme(s):
     b = [d2T[j] / dT[j] ** 2 if j >= 2 else 0.0 for j in range(s + 1)]
     b[0] = b[1] = b[2]
     a = [1.0 - b[j] * T[j] for j in range(s + 1)]
-    stages = []
+    const, per_dt = np.zeros((2, s - 1, 5))
     for j in range(2, s + 1):
+        # mu_j, nu_j, mu~_j and gamma~_j of Y_j = (1 - mu_j - nu_j) Y_0 +
+        # mu_j Y_{j-1} + nu_j Y_{j-2} + mu~_j dt F(Y_{j-1}) + gamma~_j dt F(Y_0)
+        mu, nu = 2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2]
         mu_t = 2.0 * b[j] * w1 / b[j - 1]
-        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2],
-                       mu_t, -a[j - 1] * mu_t))
-    return (w0 + 1.0) / w1, b[1] * w1, tuple(stages)
+        const[j - 2, [0, 2 + j % 2, 3 - j % 2]] = 1.0 - mu - nu, mu, nu
+        per_dt[j - 2, [1, 4]] = -a[j - 1] * mu_t, mu_t
+    const.flags.writeable = per_dt.flags.writeable = False
+    return (w0 + 1.0) / w1, b[1] * w1, const, per_dt
 
 
 def _stage_count(z):
@@ -350,13 +413,17 @@ def _stiff_radius(basis, uv):
 
 def _rkc(c0, F0, dt, s, rhs):
     """Y_s of the s-stage damped RKC2 method for c' = rhs(c) from c0, with
-    F0 = rhs(c0): s - 1 further rhs evaluations."""
-    _, mu1, stages = _rkc_scheme(s)
-    y_prev, y = c0, c0 + mu1 * dt * F0
-    for mu, nu, mu_t, gamma_t in stages:
-        y_prev, y = y, ((1.0 - mu - nu) * c0 + mu * y + nu * y_prev
-                        + mu_t * dt * rhs(y) + gamma_t * dt * F0)
-    return y
+    F0 = rhs(c0): s - 1 further rhs evaluations.  Each stage is one product
+    of its five coefficients with the stacked rows [c0, F0, a, b, F], where
+    Y_{j-1} and Y_{j-2} trade the rows a and b, so Y_j overwrites Y_{j-2}."""
+    _, mu1, const, per_dt = _rkc_scheme(s)
+    Y = np.empty((5, len(c0)))
+    Y[0], Y[1], Y[3] = c0, F0, c0
+    Y[2] = c0 + mu1 * dt * F0
+    for j, coeffs in enumerate(const + dt * per_dt, start=2):
+        Y[4] = rhs(Y[2 + j % 2])
+        Y[3 - j % 2] = coeffs @ Y
+    return Y[3 - s % 2]
 
 
 def step(state, f, dt, slack=1e-10, dt_min=1e-7):
@@ -370,11 +437,12 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     right-hand side, and the dt actually used.
 
     The stages run in the transforms' native layout: padded slot
-    coefficients and fiber-ordered grid values, converted once per step.
+    coefficients and fiber-ordered grid values, converted once per step,
+    through one workspace that every kernel evaluation of the step reuses.
     """
     basis = state.u.basis
-    n, lam = basis.n, basis.slot_eigenvalues
-    ffib = basis.to_fibers(f.values)
+    n = basis.n
+    ws = _Workspace(basis, f.values)
     x0 = basis.to_slots(state.u.coeffs)
     key = state.rhs_key
     if key is not None and key[0] is state.u.coeffs and key[1] is f.values:
@@ -382,37 +450,42 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     else:
         ef0 = energy_f(state.u, f)
         try:
-            F0 = _rhs_coeffs(basis, x0, ffib)      # independent of dt
+            F0 = _rhs_coeffs(ws, x0)      # independent of dt
         except NonPositiveFactor as exc:
             raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
     rho = _stiff_radius(basis, state.u.values)
     while True:
         try:
             x1 = _rkc(x0, F0, dt, _stage_count(dt * rho),
-                      lambda x: _rhs_coeffs(basis, x, ffib))
-            u, uR, dens = _fiber_terms(basis, x1)
+                      lambda x: _rhs_coeffs(ws, x))
+            E1 = _fiber_terms(ws, x1)
         except NonPositiveFactor:
             if dt / 2.0 < dt_min:
                 raise PositivityLoss(
                     f"factor lost positivity at dt = {dt:.3e} (dt_min reached)")
             dt /= 2.0
             continue
-        # u -> sigma u scales u R by sigma^{1-2/n} and dens by sigma^{2+2/n},
-        # so the renormalized state needs no further synthesis
+        f_vol = _f_volume(ws)
+        R, dens = _curvature_density(ws)
+        # sigma u has energy sigma^2 E, density sigma^{2+2/n} dens and
+        # curvature sigma^{-2/n} R, so its alpha, F2 and right-hand side are
+        # those of u at sigma^{2/n} alpha times powers of sigma: the
+        # renormalized state needs no further synthesis
         sigma = _volume_factor(basis, dens)
-        x1, u = sigma * x1, sigma * u
-        uR, dens = sigma ** (1.0 - 2.0 / n) * uR, sigma ** (2.0 + 2.0 / n) * dens
-        a1, ef1 = _alpha_energy_f(n, _energy(n, lam, x1), dens, ffib)
-        if ef1 > ef0 + slack:
+        a1, ef1 = _alpha_energy_f(n, sigma ** 2 * E1,
+                                  sigma ** critical_exponent(n) * f_vol)
+        if not ef1 <= ef0 + slack:
             if dt / 2.0 < dt_min:
                 raise StepRejected(
                     f"energy gate violated by {ef1 - ef0:.3e} at dt_min")
             dt /= 2.0
             continue
-        _, F2 = _deviation(a1, uR / u, dens, ffib)
-        u1 = Field(basis, basis.from_slots(x1), basis.from_fibers(u))
-        return FlowState(state.t + dt, u1, a1, F2=F2, E_f=ef1,
-                         rhs=_project_rhs(basis, a1, u, uR, ffib),
+        a = sigma ** (2.0 / n) * a1
+        _, F2 = _deviation(a, R, dens, ws.f)
+        u1 = Field(basis, sigma * basis.from_slots(x1),
+                   sigma * basis.from_fibers(ws.u))
+        return FlowState(state.t + dt, u1, a1, F2=sigma ** (2.0 - 2.0 / n) * F2,
+                         E_f=ef1, rhs=sigma ** (1.0 - 2.0 / n) * _project_rhs(ws, a),
                          rhs_key=(u1.coeffs, f.values)), dt
 
 
@@ -479,6 +552,8 @@ def run(u0, f, config=None):
     config = config or FlowConfig()
     if not f.values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
+    if not (np.isfinite(u0.coeffs).all() and np.isfinite(u0.values).all()):
+        raise ConfigError("initial factor u0 must be finite")
     u = volume_renormalize(u0)
     if config.enforce_beta:
         gate = beta_threshold(f)

@@ -176,15 +176,29 @@ class MonomialSpace:
                              np.array(tgt, dtype=np.int64), np.array(fac, dtype=float)))
         return maps
 
-    def gradients(self, coeff):
+    def degree_range(self, m):
+        """The index range of the monomials of total degree m."""
+        return slice(self.blocks[(0, m)].start, self.blocks[(m, 0)].stop)
+
+    def gradients(self, coeff, degree=None):
         """Coefficients of the real-coordinate derivatives d/d Re x_i = d_i +
         dbar_i (row 2i) and d/d Im x_i = i (d_i - dbar_i) (row 2i + 1), in
         real_coords order, with d_i = d/dx_i and dbar_i = d/d conj(x_i);
         each in this space: shape (2 nc, dim) for a coefficient vector,
-        (2 nc, k, dim) for a (k, dim) coefficient matrix."""
+        (2 nc, k, dim) for a (k, dim) coefficient matrix.  With degree = m,
+        coeff holds the coefficients of the degree-m monomials only, and the
+        derivatives those of the degree-(m - 1) monomials only."""
         coeff = np.asarray(coeff)
-        wirt = np.zeros((2 * self.nc,) + coeff.shape, dtype=complex)
-        for r, (src, tgt, fac) in enumerate(self.wirtinger_maps):
+        maps, width = self.wirtinger_maps, self.dim
+        if degree is not None:
+            # each map lowers the degree by one, and its sources are sorted
+            s, t = self.degree_range(degree), self.degree_range(degree - 1)
+            maps, width = [], t.stop - t.start
+            for src, tgt, fac in self.wirtinger_maps:
+                keep = slice(*np.searchsorted(src, (s.start, s.stop)))
+                maps.append((src[keep] - s.start, tgt[keep] - t.start, fac[keep]))
+        wirt = np.zeros((2 * self.nc,) + coeff.shape[:-1] + (width,), dtype=complex)
+        for r, (src, tgt, fac) in enumerate(maps):
             wirt[r][..., tgt] = fac * coeff[..., src]
         d, dbar = wirt[:self.nc], wirt[self.nc:]
         return np.stack([d + dbar, 1j * (d - dbar)], axis=1).reshape(wirt.shape)

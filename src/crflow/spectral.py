@@ -24,12 +24,16 @@ the fiber over the base point (s, p_1 - p_0, .., p_n - p_0 mod M), and each
 basis row is Re(g(base) w^{q t}) with charge q = j - k.  The basis is built
 on the base points alone, and both transforms run through a table of g,
 grouped by |q| and padded to L rows per group, and the M x 2(J+1) matrix
-[cos | sin] of 2 pi |q| t / M.  The transform core is two dense products
-each way between the native layouts: coefficients as padded slot vectors
-(zero on the pads) and grid values in fiber order.  synthesize and project
-add a scatter or gather of the slots and a permutation of the grid at
-either end; the flow's stages skip them.  The dense (nb, N) funcs is built
-lazily, as the reference for tests; no transform reads it.
+[cos | sin] of 2 pi |q| t / M, its columns in (charge, part) order.  The
+transform core is two dense products each way between the native layouts:
+coefficients as padded slot vectors (zero on the pads) and grid values in
+fiber order.  The column order lets each product write straight into the
+layout the next one reads, so neither copies its intermediate, and a plan
+(synthesis_plan, projection_plan) binds both products to fixed buffers.
+synthesize and project add a scatter or gather of the slots and a
+permutation of the grid at either end; the flow's stages skip them.  The
+dense (nb, N) funcs is built lazily, as the reference for tests; no
+transform reads it.
 
 The monomials behind the basis are enumerated, evaluated on the grid and
 differentiated by polynomials.MonomialSpace.  The sub-Laplacian is
@@ -62,6 +66,11 @@ def sphere_volume_cached(n):
     """Volume 4 pi^{n+1} / n! of (S^{2n+1}, theta_0), from its closed form;
     hquad.sphere_volume computes it independently by chart quadrature."""
     return 4.0 * pi ** (n + 1) / factorial(n)
+
+
+def base_curvature(n):
+    """Webster curvature n(n+1)/2 of the round contact form theta_0."""
+    return n * (n + 1) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +165,11 @@ def _real(x):
     if np.iscomplexobj(x):
         raise TypeError("fields are real: got complex input")
     return x
+
+
+def _check_contiguous(*buffers):
+    if not all(b.flags.c_contiguous for b in buffers):
+        raise ValueError("transform buffers must be C-contiguous")
 
 
 class Basis:
@@ -275,36 +289,72 @@ class Basis:
         table = np.zeros(((J + 1) * L, width))
         table[self._slot] = np.concatenate([g.real, g.imag], axis=1)
         self._table = table.reshape(J + 1, L, -1)
+        # [cos | sin] of 2 pi |q| t / M, its columns in (charge, part) order
         angle = 2.0 * pi * np.outer(np.arange(M), np.arange(J + 1)) / M
-        self._fourier = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+        self._fourier = np.stack([np.cos(angle), np.sin(angle)], axis=2).reshape(M, -1)
 
     # -- transforms -----------------------------------------------------
 
     # The native layouts: coefficients as padded slot vectors, (Q L) long
     # with row i at _slot[i] and zero on the pads, and grid values in fiber
     # order, point _fiber_to_grid[k] at k.  The core runs between the two;
-    # synthesize and project add the conversions at either end.
+    # synthesize and project add the conversions at either end.  A plan
+    # binds the core to fixed buffers, so that a kernel which transforms the
+    # same buffer again and again makes the views and the intermediate once;
+    # its buffers must be C-contiguous, so that the views share their memory.
+
+    def synthesis_plan(self, x, out):
+        """A function of no arguments that writes the fiber-ordered grid
+        values (r, N) of the padded slot-ordered real coefficient rows in x
+        (r, Q L) into out, and returns out."""
+        _check_contiguous(x, out)
+        r = len(x)
+        Q, L, P2 = self._table.shape
+        M = len(self._fourier)
+        # per group: (Q, r, L) @ (Q, L, 2P) into ab (r, Q, 2P), which is
+        # (r, 2Q, P) in the (charge, part) order of the [cos | sin] columns
+        ab = np.empty((r, Q, P2))
+        groups, ab_groups = x.reshape(r, Q, L).transpose(1, 0, 2), ab.transpose(1, 0, 2)
+        ab_parts, fibers = ab.reshape(r, 2 * Q, -1), out.reshape(r, M, -1)
+
+        def run():
+            np.matmul(groups, self._table, out=ab_groups)
+            np.matmul(self._fourier, ab_parts, out=fibers)
+            return out
+        return run
+
+    def projection_plan(self, v, out):
+        """A function of no arguments that writes the padded slot-ordered
+        coefficients (r, Q L), exactly zero on the pads, of the real weighted
+        fiber-ordered grid rows in v (r, N) into out, and returns out: the
+        adjoint of the synthesis."""
+        _check_contiguous(v, out)
+        r = len(v)
+        Q, L, P2 = self._table.shape
+        M = len(self._fourier)
+        ab = np.empty((r, Q, P2))
+        fibers, ab_parts = v.reshape(r, M, -1), ab.reshape(r, 2 * Q, -1)
+        ab_groups, table_t = ab.transpose(1, 0, 2), self._table.transpose(0, 2, 1)
+        groups = out.reshape(r, Q, L).transpose(1, 0, 2)
+
+        def run():
+            np.matmul(self._fourier.T, fibers, out=ab_parts)
+            np.matmul(ab_groups, table_t, out=groups)
+            return out
+        return run
 
     def synthesize_native(self, x):
         """Fiber-ordered grid values (r, N) of padded slot-ordered real
         coefficient rows x (r, Q L)."""
-        r = len(x)
-        Q, L, P2 = self._table.shape
-        # per group: (Q, r, L) @ (Q, L, 2P), then [Re | Im] of each group
-        # against [cos | sin] along the fiber
-        ab = np.matmul(x.reshape(r, Q, L).transpose(1, 0, 2), self._table)
-        ab = ab.reshape(Q, r, 2, P2 // 2).transpose(1, 2, 0, 3).reshape(r, 2 * Q, -1)
-        return np.matmul(self._fourier, ab).reshape(r, -1)         # (r, M P)
+        out = np.empty((len(x), len(self.weights)))
+        return self.synthesis_plan(np.ascontiguousarray(x), out)()
 
     def project_native(self, v):
         """Padded slot-ordered coefficients (r, Q L), exactly zero on the
         pads, of real weighted fiber-ordered grid rows v (r, N): the adjoint
         of synthesize_native."""
-        r = len(v)
-        Q, L, P2 = self._table.shape
-        ab = np.matmul(self._fourier.T, v.reshape(r, len(self._fourier), -1))
-        ab = ab.reshape(r, 2, Q, P2 // 2).transpose(2, 1, 3, 0).reshape(Q, P2, r)
-        return np.matmul(self._table, ab).reshape(Q * L, r).T
+        out = np.empty((len(v), self._table.shape[0] * self._table.shape[1]))
+        return self.projection_plan(np.ascontiguousarray(v), out)()
 
     def to_slots(self, c):
         """Padded slot vectors (..., Q L) of coefficient rows (..., nb)."""
@@ -330,9 +380,13 @@ class Basis:
         return self.to_fibers(self.weights)
 
     @cached_property
-    def slot_eigenvalues(self):
-        """The sub-Laplacian eigenvalues as a slot vector, zero on the pads."""
-        return self.to_slots(self.eigenvalues)
+    def yamabe_slots(self):
+        """The multipliers (2+2/n) lambda + R_0 of the CR Yamabe operator
+        -(2+2/n) Lap_b + R_0 as a slot vector, zero on the pads: for a
+        factor u with slot coefficients x, A x holds those of u R u^{2/n},
+        R its Webster curvature, and x . A x is its energy."""
+        n = self.n
+        return self.to_slots((2.0 + 2.0 / n) * self.eigenvalues + base_curvature(n))
 
     def synthesize(self, coeffs):
         """Grid values of real coefficient rows, shape (..., nb) -> (..., N)."""
@@ -385,9 +439,9 @@ class Basis:
         out = np.zeros((D, self.nb, self.nb))
         for m in range(1, self.J + 1):
             src, tgt = np.flatnonzero(degree == m), np.flatnonzero(degree == m - 1)
-            cols = np.flatnonzero(self.space.degree == m - 1)
-            Q = real_coords(self.poly[np.ix_(tgt, cols)])
-            dP = real_coords(self.space.gradients(self.poly[src])[..., cols])
+            Q = real_coords(self.poly[tgt, self.space.degree_range(m - 1)])
+            dP = real_coords(self.space.gradients(
+                self.poly[src, self.space.degree_range(m)], degree=m))
             dP = dP.reshape(-1, Q.shape[1])
             X = np.linalg.lstsq(Q.T, dP.T, rcond=None)[0].T
             resid = float(np.abs(X @ Q - dP).max())
@@ -421,6 +475,9 @@ class Field:
     basis: Basis
     coeffs: np.ndarray
     values: np.ndarray
+
+    # numpy operands defer to Field's own operators, which take real scalars
+    __array_ufunc__ = None
 
     @classmethod
     def from_coeffs(cls, basis, coeffs):

@@ -8,7 +8,7 @@ from crflow.errors import DegenerateDenominator, NonPositiveFactor, PositivityLo
 from crflow.flow import (FlowState, alpha, base_curvature, beta_threshold,
                          critical_exponent, curvature_values, diagnostics,
                          density, energy, energy_consistency, energy_f, step,
-                         volume_renormalize, _rhs_coeffs)
+                         volume_renormalize, _rhs_coeffs, _Workspace)
 from crflow.polynomials import real_coords
 from crflow.presets import f_constant, f_dipole
 from crflow.spectral import Field
@@ -167,7 +167,7 @@ def test_energy_f_conformal_invariance(J, tol):
 def rhs_coeffs(basis, c, fvals):
     """_rhs_coeffs across the native-layout boundary: the coefficients c in
     as a slot vector, f's grid values in fiber order, coefficients out."""
-    x = _rhs_coeffs(basis, basis.to_slots(c), basis.to_fibers(fvals))
+    x = _rhs_coeffs(_Workspace(basis, fvals), basis.to_slots(c))
     return basis.from_slots(x)
 
 
@@ -431,6 +431,66 @@ def test_run_spends_no_step_on_rounding_remainder(basis, monkeypatch, dt_init, t
     assert len(steps) == n_steps
 
 
+@pytest.fixture(scope="module", params=[(1, 8), (1, 12), (2, 4)],
+                ids=["n1J8", "n1J12", "n2J4"])
+def kernel_basis(request):
+    return crflow.build_basis(*request.param)
+
+
+def test_kernel_matches_the_dense_formula(kernel_basis):
+    # (u, u R, dens) and the stage right-hand side against the formulas
+    # written out on the dense funcs: u = c funcs, u R = ((2+2/n) (lambda c)
+    # funcs + R_0 u) / u^{2/n}, dens = w u^{2+2/n}, and
+    # funcs (w (n/2)(alpha f - R) u) with alpha = E / int f dV_theta
+    from crflow.flow import _grid_terms
+    basis = kernel_basis
+    n, lam, w = basis.n, basis.eigenvalues, basis.weights
+    f = f_dipole(basis, amplitude=0.2)
+    c = perturbed_factor(basis, 41).coeffs
+    u = c @ basis.funcs
+    q = u ** (2.0 / n)
+    uR = ((2.0 + 2.0 / n) * ((lam * c) @ basis.funcs) + base_curvature(n) * u) / q
+    dens = w * u ** critical_exponent(n)
+    E = (2.0 + 2.0 / n) * ((lam * c) @ c) + base_curvature(n) * (c @ c)
+    a = E / (dens @ f.values)
+    rhs = basis.funcs @ (w * 0.5 * n * (a * f.values * u - uR))
+    gu, gR, gdens = _grid_terms(basis, c)
+    for got, want in ((gu, u), (gR * gu, uR), (gdens, dens),
+                      (rhs_coeffs(basis, c, f.values), rhs)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_stage_calls_through_one_workspace_keep_their_results(basis):
+    f = f_dipole(basis, amplitude=0.2)
+    ws = _Workspace(basis, f.values)
+    x1, x2 = (basis.to_slots(perturbed_factor(basis, s).coeffs) for s in (42, 43))
+    first = _rhs_coeffs(ws, x1)
+    kept = first.copy()
+    second = _rhs_coeffs(ws, x2)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, _rhs_coeffs(_Workspace(basis, f.values), x2))
+
+
+def test_accepted_state_is_not_a_view_into_the_workspace(basis, monkeypatch):
+    # the workspace's buffers are overwritten by the next step's kernel
+    from crflow import flow
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 25)
+    made = []
+
+    class Recorded(_Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(flow, "_Workspace", Recorded)
+    state, _ = step(FlowState(0.0, u, alpha(u, f)), f, 0.05)
+    assert len(made) == 1
+    buffers = [b for b in vars(made[0]).values() if isinstance(b, np.ndarray)]
+    for out in (state.rhs, state.u.coeffs, state.u.values):
+        assert not any(np.shares_memory(out, b) for b in buffers)
+
+
 def test_step_takes_k1_once_across_halvings(basis, monkeypatch):
     from crflow import flow
     f = f_dipole(basis, amplitude=0.2)
@@ -463,8 +523,8 @@ def test_step_carries_its_energy_and_rhs(basis, monkeypatch):
     def assert_carry(state):
         ef = energy_f(state.u, f)
         assert abs(state.E_f - ef) <= 1e-14 * ef
-        fresh = _rhs_coeffs(basis, basis.to_slots(state.u.coeffs),
-                            basis.to_fibers(f.values))
+        fresh = _rhs_coeffs(_Workspace(basis, f.values),
+                            basis.to_slots(state.u.coeffs))
         assert np.abs(state.rhs - fresh).max() <= 1e-13 * np.abs(fresh).max()
         assert state.rhs_key[0] is state.u.coeffs and state.rhs_key[1] is f.values
 
@@ -531,6 +591,29 @@ def test_step_from_nonpositive_factor_is_positivity_loss(basis):
     u = -1.0 * perturbed_factor(basis, 26)
     with pytest.raises(PositivityLoss):
         step(FlowState(0.0, u, 1.0), f, 0.05)
+
+
+def test_non_finite_factor_raises_typed_errors(basis, monkeypatch):
+    # u.min() <= 0 and ef1 > ef0 + slack are both False for a NaN, so the
+    # positivity test and the energy gate are written to fail on one; run
+    # rejects a non-finite u0 before it starts
+    from crflow import flow
+    from crflow.errors import ConfigError, StepRejected
+    from crflow.flow import FlowConfig, run
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 26)
+    coeffs = u.coeffs.copy()
+    coeffs[3] = np.nan
+    bad = Field.from_coeffs(basis, coeffs)
+    with pytest.raises(PositivityLoss):
+        step(FlowState(0.0, bad, 1.0), f, 0.05)
+    with pytest.raises(ConfigError, match="u0"):
+        run(bad, f, FlowConfig(t_max=0.1, compute_shadow=False))
+    alpha_energy_f = flow._alpha_energy_f
+    monkeypatch.setattr(flow, "_alpha_energy_f",
+                        lambda *args: (alpha_energy_f(*args)[0], np.nan))
+    with pytest.raises(StepRejected):
+        step(FlowState(0.0, u, alpha(u, f)), f, 0.05, dt_min=0.02)
 
 
 def _count_calls(monkeypatch, module, name):

@@ -239,8 +239,23 @@ def test_native_core_with_its_boundaries_is_the_transforms(transform_basis):
         assert np.array_equal(values, basis.synthesize(c))
         coeffs = basis.from_slots(basis.project_native(basis.to_fibers(basis.weights * v)))
         assert np.array_equal(coeffs, basis.project(v))
+        # plans on caller buffers read their input at each call and give
+        # the same values
+        x, out = np.zeros(basis.to_slots(c).shape), np.full(v.shape, np.nan)
+        synthesize = basis.synthesis_plan(x, out)
+        x[...] = basis.to_slots(c)
+        assert synthesize() is out and np.array_equal(basis.from_fibers(out), values)
+        w, out = np.zeros(v.shape), np.full(x.shape, np.nan)
+        project = basis.projection_plan(w, out)
+        w[...] = basis.to_fibers(basis.weights * v)
+        assert project() is out and np.array_equal(basis.from_slots(out), coeffs)
+        strided = np.empty(v.shape[:-1] + (2 * v.shape[-1],))[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            basis.synthesis_plan(x, strided)
+    n = basis.n
     assert np.array_equal(basis.fiber_weights, basis.to_fibers(basis.weights))
-    assert np.array_equal(basis.from_slots(basis.slot_eigenvalues), basis.eigenvalues)
+    assert np.array_equal(basis.from_slots(basis.yamabe_slots),
+                          (2.0 + 2.0 / n) * basis.eigenvalues + n * (n + 1) / 2.0)
 
 
 def test_projected_slot_vectors_are_zero_on_the_pads(transform_basis):
@@ -251,7 +266,7 @@ def test_projected_slot_vectors_are_zero_on_the_pads(transform_basis):
     assert pads.any()
     v = np.random.default_rng(37).normal(size=(2, len(basis.nodes)))
     x = basis.project_native(basis.to_fibers(basis.weights * v))
-    assert np.all(x[:, pads] == 0.0) and np.all(basis.slot_eigenvalues[pads] == 0.0)
+    assert np.all(x[:, pads] == 0.0) and np.all(basis.yamabe_slots[pads] == 0.0)
 
 
 def test_fiber_shift_multiplies_charge_q_by_its_phase(transform_basis):
@@ -319,9 +334,14 @@ def test_complex_input_raises_type_error(basis8):
                  lambda: Field.from_values(basis8, basis8.nodes[:, 0]),
                  lambda: Field.from_coeffs(basis8, c[0]),
                  lambda: 1j * Field.constant(basis8),
-                 lambda: np.complex128(2) * Field.constant(basis8)):
+                 lambda: np.complex128(2) * Field.constant(basis8),
+                 # numpy arrays defer to Field instead of broadcasting over it
+                 lambda: np.array([2.0, 3.0]) * Field.constant(basis8),
+                 lambda: np.array(2.0) * Field.constant(basis8)):
         with pytest.raises(TypeError, match="real"):
             call()
+    u = Field.constant(basis8)
+    assert np.array_equal((np.float64(2.0) * u).values, 2.0 * u.values)
 
 
 @pytest.mark.parametrize("n, J", [(1, 8), (2, 4)], ids=["n1J8", "n2J4"])
