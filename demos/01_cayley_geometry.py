@@ -5,9 +5,9 @@ Run:  python demos/01_cayley_geometry.py
 import numpy as np
 
 import crflow
-from crflow.geometry import (CRAutomorphism, HeisenbergPoint,
-                             cayley_forward_xy, cayley_inverse_xy,
-                             translate_xy, unitary_from_north)
+from crflow.geometry import (CRAutomorphism, cayley_forward_xy,
+                             cayley_inverse_xy, translate_xy,
+                             unitary_from_north)
 
 rng = np.random.default_rng(0)
 
@@ -25,8 +25,8 @@ print("T_(i,0) (1,0) =", (zt[0, 0], tt[0]), " (tau picks up 2 Im(i))")
 
 print("\n== automorphisms preserve the total measure ==")
 basis = crflow.build_basis(1, 8)
-phi = CRAutomorphism(unitary_from_north(np.array([0.6, 0.8j])),
-                     HeisenbergPoint(np.array([0.2 + 0.1j]), 0.1), 1.4)
+phi = CRAutomorphism.chart(unitary_from_north(np.array([0.6, 0.8j])),
+                           np.array([0.2 + 0.1j]), 0.1, 1.4)
 jac = phi.jacobian_xy(basis.nodes)
 print("int |det dphi| dV =", basis.weights @ jac, " vs vol =", basis.vol)
 print("jacobian positive:", jac.min() > 0)

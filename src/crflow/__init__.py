@@ -2,7 +2,7 @@
 flow on the CR sphere S^{2n+1}.
 
 Layers:
-  geometry        Cayley chart, Heisenberg group, conformal automorphisms
+  geometry        Cayley chart, Heisenberg group, U(n+1,1) automorphisms
   spectral        bigraded-harmonic basis, quadrature, sub-Laplacian
   conformal       pullback factors and bubble fields
   flow            curvature operator, energies, RKC2 flow with diagnostics
@@ -25,9 +25,9 @@ from .flow import (DiagnosticsRecord, FlowConfig, FlowState, RunResult,
                    Termination, alpha, base_curvature, beta_threshold,
                    center_of_mass, diagnostics, energy, energy_f,
                    mass_concentration, run, step, volume_renormalize)
-from .geometry import (CRAutomorphism, HeisenbergPoint, cayley_forward_xy,
-                       cayley_inverse_xy, delta_xy, dilate_xy, translate_xy,
-                       unitary_from_north, volume_density_xy)
+from .geometry import (CRAutomorphism, cayley_forward_xy, cayley_inverse_xy,
+                       delta_xy, dilate_xy, translate_xy, unitary_from_north,
+                       volume_density_xy)
 from .hquad import heisenberg_integral, sphere_volume
 from .morse import (CriticalPoint, GateReport, MorseData, counts, degree_sum,
                     sbc_check, solve_k, theorem_gate)

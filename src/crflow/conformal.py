@@ -43,7 +43,9 @@ def bubble(p, eps, basis, residual_tol=BUBBLE_RESIDUAL_TOL):
     spectral projection keeps that within the truncation residual, which is
     checked against residual_tol.
     """
-    phi = concentrating_automorphism(np.asarray(p, dtype=complex), eps, basis.n)
+    if len(p) != basis.n + 1:
+        raise ValueError(f"center needs n+1 = {basis.n + 1} coordinates, got {len(p)}")
+    phi = concentrating_automorphism(p, eps)
     vals = phi.conformal_exponent_xy(basis.nodes)
     field = Field.from_values(basis, vals)
     resid = projection_residual(basis, vals, field.values)

@@ -295,11 +295,11 @@ def mass_concentration(u, rho=0.5, dens=None):
     centers = X[::stride]
     cos_rho = np.cos(rho)
     best = 0.0
+    buf = np.empty((128, len(X)))
     for start in range(0, len(centers), 128):
         block = centers[start:start + 128]
-        dots = block @ X.T
-        masses = (dots >= cos_rho) @ dens
-        best = max(best, float(masses.max()))
+        dots = np.matmul(block, X.T, out=buf[:len(block)])
+        best = max(best, float((np.greater_equal(dots, cos_rho, out=dots) @ dens).max()))
     return best / total
 
 

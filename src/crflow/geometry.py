@@ -13,12 +13,10 @@ with inverse
 
 H^n carries dilations D_r(z, tau) = (r z, r^2 tau) and twisted translations
 T_{(z', t')}(z, tau) = (z + z', tau + t' + 2 Im(z' . conj(z))).  A conformal
-automorphism of the sphere is stored as the composition
-
-    phi = U o cayley_inverse o T_q o D_r o cayley_forward o U^{-1}
-
-for a unitary U, a translation q and a scale r > 0.  All point-wise functions
-below are vectorized over a leading axis of points.
+automorphism of the sphere is a matrix G in U(n+1, 1) acting by a linear
+fractional map, with no pole; CRAutomorphism.chart builds the G of
+U o cayley_inverse o T_q o D_r o cayley_forward o U^{-1}.  All point-wise
+functions below are vectorized over a leading axis of points.
 """
 
 from dataclasses import dataclass
@@ -49,11 +47,10 @@ def cayley_inverse_xy(z, tau):
     """Sphere points from chart coordinates; always lands off the south pole."""
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=float)
-    den = 1.0 + np.sum(np.abs(z) ** 2, axis=-1) - 1j * tau
-    out = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=complex)
-    out[..., :-1] = 2.0 * z / den[..., None]
-    out[..., -1] = (1.0 - np.sum(np.abs(z) ** 2, axis=-1) + 1j * tau) / den
-    return out
+    s = np.sum(np.abs(z) ** 2, axis=-1)
+    den = 1.0 + s - 1j * tau
+    last = (1.0 - s + 1j * tau) / den
+    return np.concatenate([2.0 * z / den[..., None], last[..., None]], axis=-1)
 
 
 def dilate_xy(z, tau, lam):
@@ -71,8 +68,7 @@ def translate_xy(z, tau, qz, qtau):
 
 def delta_xy(z, tau, qz, qtau, r):
     """delta_{q,r} = T_q o D_r, i.e. (r z + q_z, r^2 tau + q_tau + 2 r Im(q_z . conj z))."""
-    zd, td = dilate_xy(z, tau, r)
-    return translate_xy(zd, td, qz, qtau)
+    return translate_xy(*dilate_xy(z, tau, r), qz, qtau)
 
 
 def volume_density_xy(z, tau, n):
@@ -107,91 +103,73 @@ def unitary_from_north(p):
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# conformal automorphisms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HeisenbergPoint:
-    """A point (z, tau) of H^n = C^n x R."""
-    z: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "tau", float(self.tau))
-        if not (np.all(np.isfinite(z.view(float))) and np.isfinite(self.tau)):
-            raise ValueError("HeisenbergPoint components must be finite")
-
-    @property
-    def n(self):
-        return self.z.shape[0]
-
-
-def _identity_q(n):
-    return HeisenbergPoint(np.zeros(n, dtype=complex), 0.0)
-
-
-@dataclass(frozen=True)
 class CRAutomorphism:
-    """phi = U o Psi o T_q o D_r o pi o U^{-1} with U unitary and r > 0."""
-    U: np.ndarray
-    q: HeisenbergPoint
-    r: float
+    """phi(x) = (A x + b) / (c . x + d) for G = [[A, b], [c, d]] in U(n+1, 1):
+    G^* J G = J with J = diag(1, ..., 1, -1), so G maps the cone {(x, 1) :
+    |x| = 1} over the sphere to itself.  phi_1 o phi_2 has the matrix G1 @ G2."""
+    G: np.ndarray
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=complex)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "r", float(self.r))
-        if self.r <= 0:
-            raise NonPositiveScale("automorphism scale r must be > 0")
-        if np.abs(U.conj().T @ U - np.eye(U.shape[0])).max() > 1e-12:
-            raise ValueError("U must be unitary within 1e-12")
-        if U.shape[0] != self.q.n + 1:
-            raise ValueError("U size and q dimension disagree")
+        G = np.asarray(self.G, dtype=complex)
+        object.__setattr__(self, "G", G)
+        s = np.r_[np.ones(len(G) - 1), -1.0]        # J = diag(s)
+        with np.errstate(all="ignore"):     # a non-finite or zero G gives NaN
+            err = np.abs(G.conj().T * s @ G - np.diag(s)).max() / np.abs(G).max() ** 2
+        if not err <= 1e-12:
+            raise ValueError(f"G must be finite, G^* J G = J to 1e-12; error {err:.1e}")
 
     @property
     def n(self):
-        return self.q.n
+        return len(self.G) - 2
 
     @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n + 1, dtype=complex), _identity_q(n), 1.0)
+    def chart(cls, U, qz, qtau, r):
+        """U o Psi o T_q o D_r o pi o U^{-1}: C sends (x', x_{n+1}, 1) to the
+        Siegel coordinates (x', 1 + x_{n+1}, 1 - x_{n+1}) ~ (z, 1, |z|^2 - i tau),
+        where T_q and D_r are linear, and diag(U, 1) C^{-1} T_q D_r C diag(U, 1)^*
+        has G^* J G = r^2 J."""
+        if not r > 0:
+            raise NonPositiveScale(f"automorphism scale r must be > 0, got {r}")
+        n = len(U) - 1
+        C, T, V = (np.eye(n + 2, dtype=complex) for _ in range(3))
+        C[n:, n:], V[:-1, :-1] = [[1.0, 1.0], [-1.0, 1.0]], U
+        T[:n, n], T[n + 1, :n] = qz, 2.0 * np.conj(qz)
+        T[n + 1, n] = np.vdot(qz, qz) - 1j * qtau
+        D_r = np.r_[np.full(n, r), 1.0, r * r]
+        return cls(V @ np.linalg.solve(C, T * D_r) @ C @ V.conj().T / r)
 
     def inverse(self):
-        """(Psi T_q D_r pi)^{-1} = Psi T_{q~} D_{1/r} pi with q~ = D_{1/r}(-q)."""
-        qz, qtau = dilate_xy(-self.q.z, -self.q.tau, 1.0 / self.r)
-        return CRAutomorphism(self.U, HeisenbergPoint(qz, float(qtau)), 1.0 / self.r)
+        """J G^* J, the inverse matrix since G^* J G = J."""
+        s = np.r_[np.ones(self.n + 1), -1.0]
+        return CRAutomorphism(s[:, None] * self.G.conj().T * s)
 
     # ---- point-wise action --------------------------------------------
 
+    def _denominator(self, x):
+        return x @ self.G[-1, :-1] + self.G[-1, -1]
+
     def apply_xy(self, x):
         """phi(x) for x of shape (..., n+1)."""
-        xt = x @ np.conj(self.U)          # rows of U^{-1} x  ==  x @ conj(U)
-        z, tau = cayley_forward_xy(xt)
-        z2, t2 = delta_xy(z, tau, self.q.z, self.q.tau, self.r)
-        y = cayley_inverse_xy(z2, t2)
-        return y @ self.U.T
+        y = x @ self.G[:-1, :-1].T + self.G[:-1, -1]
+        return y / self._denominator(x)[..., None]
 
     def jacobian_xy(self, x):
-        """|det d phi|(x) = r^{2n+2} K(delta_{q,r}(pi(U^{-1} x))) / K(pi(U^{-1} x))."""
-        n = self.n
-        xt = x @ np.conj(self.U)
-        z, tau = cayley_forward_xy(xt)
-        z2, t2 = delta_xy(z, tau, self.q.z, self.q.tau, self.r)
-        return (self.r ** (2 * n + 2) * volume_density_xy(z2, t2, n)
-                / volume_density_xy(z, tau, n))
+        """|det d phi|(x) = |c . x + d|^{-2(n+1)}."""
+        return np.abs(self._denominator(x)) ** (-2.0 * (self.n + 1))
 
     def conformal_exponent_xy(self, x):
-        """|det d phi|^{n/(2n+2)}(x), the conformal-factor weight."""
-        n = self.n
-        return self.jacobian_xy(x) ** (n / (2.0 * n + 2.0))
+        """|det d phi|^{n/(2n+2)}(x) = |c . x + d|^{-n}, the conformal weight."""
+        return np.abs(self._denominator(x)) ** -float(self.n)
 
 
-def concentrating_automorphism(p, eps, n):
+def concentrating_automorphism(p, eps):
     """The automorphism whose conformal factor is the bubble at p with scale eps:
     chart centered at p (so -p sits at infinity), dilation by 1/eps."""
     if not (0 < eps <= 1):
         raise ValueError("bubble scale must lie in (0, 1]")
     U = unitary_from_north(np.asarray(p, dtype=complex))
-    return CRAutomorphism(U, _identity_q(n), 1.0 / eps)
+    return CRAutomorphism.chart(U, np.zeros(len(U) - 1), 0.0, 1.0 / eps)

@@ -38,8 +38,8 @@ import numpy as np
 from .conformal import pullback_factor
 from .errors import NoConvergence
 from .flow import center_of_mass, density
-from .geometry import (CRAutomorphism, HeisenbergPoint, cayley_forward_xy,
-                       cayley_inverse_xy, delta_xy, unitary_from_north)
+from .geometry import (CRAutomorphism, cayley_forward_xy, cayley_inverse_xy,
+                       delta_xy, unitary_from_north)
 from .hquad import heisenberg_integral
 from .spectral import sphere_volume_cached
 
@@ -159,8 +159,7 @@ def find_centering(u, max_iter=MAX_ITER):
             break               # no descent along the step
 
     r = float(np.exp(params[-1]))
-    phi = CRAutomorphism(
-        U, HeisenbergPoint(params[:n] + 1j * params[n:2 * n], params[2 * n]), r)
+    phi = CRAutomorphism.chart(U, params[:n] + 1j * params[n:2 * n], params[2 * n], r)
     return CenteringResult(
         u=u, phi=phi, residual=res, eps=1.0 / r, converged=res < CENTER_TOL,
         iterations=iterations, residual_history=tuple(history))

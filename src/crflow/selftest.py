@@ -10,8 +10,8 @@ import numpy as np
 from . import constants as const_mod
 from .errors import PositivityLoss, StepRejected
 from .flow import FlowState, alpha, energy_f, step, volume_renormalize
-from .geometry import (cayley_forward_xy, cayley_inverse_xy, delta_xy,
-                       dilate_xy, translate_xy)
+from .geometry import (CRAutomorphism, cayley_forward_xy, cayley_inverse_xy,
+                       delta_xy, dilate_xy, translate_xy, volume_density_xy)
 from .hquad import sphere_volume
 from .presets import f_dipole
 from .spectral import Field, build_basis
@@ -53,6 +53,25 @@ def check_group_laws(n=1, samples=1000, seed=12):
     zs, ts = translate_xy(z, tau, qz + pz, qt + pt + 2.0 * np.imag(np.vdot(pz, qz)))
     err = max(err, np.abs(zc - zs).max(), np.abs(tc - ts).max())
     return "group-laws", err < 1e-10, f"max error {err:.2e}"
+
+
+def check_automorphism(n=1, samples=1000, seed=14):
+    """The matrix form against U Psi delta_{q,r} pi U^{-1} and its Jacobian
+    r^{2n+2} K(delta) / K, and the chain rule through the inverse."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(n + 1, 2 * n + 2)).view(complex))[0]
+    (qz,), (qt,) = _random_heisenberg(rng, n, 1)
+    r = float(rng.uniform(0.3, 2.5))
+    phi = CRAutomorphism.chart(U, qz, qt, r)
+    z, tau = _random_heisenberg(rng, n, samples)     # chart points of U^{-1} x
+    x = cayley_inverse_xy(z, tau) @ U.T
+    zr, tr = delta_xy(z, tau, qz, qt, r)
+    jac = phi.jacobian_xy(x)
+    want = r ** (2 * n + 2) * volume_density_xy(zr, tr, n) / volume_density_xy(z, tau, n)
+    err = max(np.abs(phi.apply_xy(x) - cayley_inverse_xy(zr, tr) @ U.T).max(),
+              np.abs(jac / want - 1).max(),
+              np.abs(phi.inverse().jacobian_xy(phi.apply_xy(x)) * jac - 1).max())
+    return "automorphism", err < 1e-10, f"max error {err:.2e}"
 
 
 def check_eigen_anchor(n=1, J=3, eigenvalues=None):
@@ -120,6 +139,7 @@ def run_all(n=1):
     checks = [
         check_cayley_roundtrip(n=n),
         check_group_laws(n=n),
+        check_automorphism(n=n),
         check_eigen_anchor(n=n),
         check_volume_consistency(n=n),
         check_ef_monotonicity(n=n),

@@ -162,13 +162,13 @@ def test_criterion_04_energy_monotonicity(basis8):
 # ---------------------------------------------------------------------------
 
 def _gentle_automorphism(rng, n):
-    from crflow.geometry import CRAutomorphism, HeisenbergPoint
+    from crflow.geometry import CRAutomorphism
     a = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
     q, r = np.linalg.qr(a)
     U = q * (np.diag(r) / np.abs(np.diag(r)))
     qz = 0.25 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return CRAutomorphism(U, HeisenbergPoint(qz, 0.2 * float(rng.normal())),
-                          float(rng.uniform(0.8, 1.25)))
+    return CRAutomorphism.chart(U, qz, 0.2 * float(rng.normal()),
+                                float(rng.uniform(0.8, 1.25)))
 
 
 def test_criterion_05_conformal_invariance():

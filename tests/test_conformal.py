@@ -5,9 +5,10 @@ import pytest
 
 import crflow
 from crflow.conformal import bubble, compose_values, projection_residual, pullback_factor
-from crflow.errors import TruncationLoss
+from crflow.errors import ConfigError, TruncationLoss
 from crflow.flow import critical_exponent, volume_renormalize
-from crflow.geometry import CRAutomorphism, HeisenbergPoint
+from crflow.geometry import CRAutomorphism
+from crflow.presets import u0_from_spec
 from crflow.spectral import Field
 
 NORTH = np.array([0, 1.0 + 0j])
@@ -52,6 +53,15 @@ def test_bubble_truncation_loss_raised(basis):
         bubble(NORTH, 0.05, basis)
 
 
+def test_bubble_center_needs_n_plus_1_coordinates(basis):
+    p = np.array([0, 0, 1.0 + 0j])
+    with pytest.raises(ValueError, match=r"n\+1 = 2 coordinates, got 3"):
+        bubble(p, 0.5, basis)
+    spec = {"type": "bubble", "p": [[0, 0], [0, 0], [1, 0]], "eps": 0.5}
+    with pytest.raises(ConfigError, match=r"n\+1 = 2 coordinates, got 3"):
+        u0_from_spec(basis, spec)
+
+
 def test_bubble_positive_on_grid(basis):
     for eps in (1.0, 0.6, 0.3):
         u = bubble(NORTH, eps, basis, residual_tol=0.5)
@@ -62,7 +72,7 @@ def test_projection_residual_scaling(basis):
     # geometric growth of the truncation residual as eps shrinks
     res = []
     for eps in (0.5, 0.3, 0.2):
-        phi = crflow.geometry.concentrating_automorphism(NORTH, eps, 1)
+        phi = crflow.geometry.concentrating_automorphism(NORTH, eps)
         vals = phi.conformal_exponent_xy(basis.nodes)
         res.append(projection_residual(basis, vals))
     assert res[0] < 5e-3 < res[1] < 0.1 < res[2]
@@ -70,14 +80,14 @@ def test_projection_residual_scaling(basis):
 
 def test_pullback_by_identity(basis):
     u = volume_renormalize(bubble(NORTH, 0.5, basis))
-    v, exact = pullback_factor(u, CRAutomorphism.identity(1))
+    v, exact = pullback_factor(u, CRAutomorphism(np.eye(3)))
     assert np.abs(v.values - u.values).max() < 1e-10
 
 
 def test_pullback_inverts_bubble(basis):
     # pulling the bubble back by its own concentrating map gives 1
     eps = 0.5
-    phi = crflow.geometry.concentrating_automorphism(NORTH, eps, 1)
+    phi = crflow.geometry.concentrating_automorphism(NORTH, eps)
     u = bubble(NORTH, eps, basis)
     v, exact = pullback_factor(u, phi.inverse())
     assert np.abs(exact - 1.0).max() < 5e-3       # projected-bubble residual
@@ -90,8 +100,7 @@ def test_compose_values_matches_direct_evaluation(basis):
     rng = np.random.default_rng(5)
     u = Field.from_values(basis, 1.0 + 0.2 * np.real(basis.nodes[:, 0]))
     qz = 0.3 * (rng.normal(size=1) + 1j * rng.normal(size=1))
-    phi = CRAutomorphism(np.eye(2, dtype=complex),
-                         HeisenbergPoint(qz, 0.1), 1.4)
+    phi = CRAutomorphism.chart(np.eye(2), qz, 0.1, 1.4)
     got = compose_values(u, phi)
     mapped = phi.apply_xy(basis.nodes)
     want = 1.0 + 0.2 * np.real(mapped[:, 0])

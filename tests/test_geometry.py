@@ -5,11 +5,10 @@ import pytest
 
 import crflow
 from crflow.errors import NonPositiveScale, PoleSingularity
-from crflow.geometry import (CRAutomorphism, HeisenbergPoint,
-                             cayley_forward_xy, cayley_inverse_xy,
-                             concentrating_automorphism, delta_xy, dilate_xy,
-                             translate_xy, unitary_from_north,
-                             volume_density_xy)
+from crflow.geometry import (CRAutomorphism, cayley_forward_xy,
+                             cayley_inverse_xy, concentrating_automorphism,
+                             delta_xy, dilate_xy, translate_xy,
+                             unitary_from_north, volume_density_xy)
 
 
 def random_heisenberg(rng, n, size):
@@ -30,9 +29,9 @@ def random_unitary(rng, nc):
 
 def random_automorphism(rng, n, rmax=3.0, q_scale=1.0):
     qz = q_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return CRAutomorphism(random_unitary(rng, n + 1),
-                          HeisenbergPoint(qz, q_scale * float(rng.normal())),
-                          float(rng.uniform(1.0 / rmax, rmax)))
+    return CRAutomorphism.chart(random_unitary(rng, n + 1), qz,
+                                q_scale * float(rng.normal()),
+                                float(rng.uniform(1.0 / rmax, rmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +162,17 @@ def test_volume_density_decays_along_rays():
 def test_apply_identity_automorphism():
     rng = np.random.default_rng(9)
     x = random_sphere(rng, 2, 200)
-    ident = CRAutomorphism.identity(1)
+    ident = CRAutomorphism(np.eye(3))
     assert np.abs(ident.apply_xy(x) - x).max() < 1e-14
 
 
 def test_apply_at_pole_matches_direct_formula():
     # phi(north) = Psi(q) when U = I: the chart sends north to the origin
     rng = np.random.default_rng(10)
-    q = HeisenbergPoint(rng.normal(size=1) + 1j * rng.normal(size=1), 0.4)
-    phi = CRAutomorphism(np.eye(2, dtype=complex), q, 2.5)
+    qz = rng.normal(size=1) + 1j * rng.normal(size=1)
+    phi = CRAutomorphism.chart(np.eye(2), qz, 0.4, 2.5)
     got = phi.apply_xy(np.array([[0, 1.0]]))
-    want = cayley_inverse_xy(q.z[None, :], np.array([q.tau]))
+    want = cayley_inverse_xy(qz[None, :], np.array([0.4]))
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -197,14 +196,14 @@ def test_apply_inverse_roundtrip():
 def test_jacobian_identity_is_one():
     rng = np.random.default_rng(13)
     x = random_sphere(rng, 2, 100)
-    assert np.abs(CRAutomorphism.identity(1).jacobian_xy(x) - 1).max() < 1e-13
+    assert np.abs(CRAutomorphism(np.eye(3)).jacobian_xy(x) - 1).max() < 1e-13
 
 
 def test_jacobian_positive_and_multiplicative():
     # chain rule through the inverse: jac(phi^{-1})(phi(x)) jac(phi)(x) = 1
     rng = np.random.default_rng(14)
-    for phi in (CRAutomorphism(random_unitary(rng, 2), HeisenbergPoint(
-            rng.normal(size=1) + 1j * rng.normal(size=1), 0.3), 1.7),
+    for phi in (CRAutomorphism.chart(random_unitary(rng, 2), rng.normal(size=1)
+                                     + 1j * rng.normal(size=1), 0.3, 1.7),
                 random_automorphism(rng, 2)):
         x = random_sphere(rng, phi.n + 1, 200)
         j1 = phi.jacobian_xy(x)
@@ -218,14 +217,14 @@ def test_jacobian_r_dependence_at_centered_pole():
     rng = np.random.default_rng(15)
     n = 1
     U = random_unitary(rng, n + 1)
-    q = HeisenbergPoint(rng.normal(size=n) + 1j * rng.normal(size=n), 0.8)
+    qz = rng.normal(size=n) + 1j * rng.normal(size=n)
     for r in (0.5, 2.0, 7.0):
-        phi = CRAutomorphism(U, q, r)
+        phi = CRAutomorphism.chart(U, qz, 0.8, r)
         north = np.zeros(n + 1, dtype=complex)
         north[-1] = 1.0
         x = (U @ north)[None, :]
         want = (r ** (2 * n + 2)
-                * volume_density_xy(q.z[None, :], np.array([q.tau]), n)[0]
+                * volume_density_xy(qz[None, :], np.array([0.8]), n)[0]
                 / volume_density_xy(np.zeros((1, n)), np.zeros(1), n)[0])
         assert abs(phi.jacobian_xy(x)[0] - want) / want < 1e-12
 
@@ -256,10 +255,57 @@ def test_unitary_from_north():
 
 
 def test_concentrating_automorphism_scale():
-    phi = concentrating_automorphism(np.array([0, 1.0]), 0.25, 1)
-    assert abs(phi.r - 4.0) < 1e-14
+    # p and -p are fixed, with Jacobians eps^{-(2n+2)} and eps^{2n+2}
+    poles = np.array([[0, 1.0], [0, -1.0]])
+    phi = concentrating_automorphism(poles[0], 0.25)
+    assert np.abs(phi.apply_xy(poles) - poles).max() < 1e-15
+    assert np.abs(phi.jacobian_xy(poles) / [4.0 ** 4, 0.25 ** 4] - 1).max() < 1e-14
     with pytest.raises(ValueError):
-        concentrating_automorphism(np.array([0, 1.0]), 0.0, 1)
+        concentrating_automorphism(poles[0], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_automorphism_is_smooth_at_the_chart_pole(n):
+    # U . south is the chart's pole; the matrix form is finite there and the
+    # bubble automorphism sends it to -p with Jacobian eps^{2n+2}
+    rng = np.random.default_rng(30 + n)
+    p = random_sphere(rng, n + 1, 1)[0]
+    eps = 0.2
+    phi = concentrating_automorphism(p, eps)
+    assert np.abs(phi.apply_xy(-p[None]) + p).max() < 1e-13
+    assert abs(phi.jacobian_xy(-p[None])[0] / eps ** (2 * n + 2) - 1) < 1e-12
+    assert abs(phi.conformal_exponent_xy(-p[None])[0] / eps ** n - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matrix_form_matches_the_chart_composition(n):
+    # apply_xy = U Psi delta_{q,r} pi U^{-1} and jacobian_xy = r^{2n+2} K(delta) / K
+    rng = np.random.default_rng(20 + n)
+    x = random_sphere(rng, n + 1, 500)
+    for _ in range(5):
+        U = random_unitary(rng, n + 1)
+        qz = rng.normal(size=n) + 1j * rng.normal(size=n)
+        qtau, r = float(rng.normal()), float(rng.uniform(0.3, 3.0))
+        phi = CRAutomorphism.chart(U, qz, qtau, r)
+        z, tau = cayley_forward_xy(x @ np.conj(U))
+        z2, t2 = delta_xy(z, tau, qz, qtau, r)
+        want = cayley_inverse_xy(z2, t2) @ U.T
+        assert np.abs(phi.apply_xy(x) - want).max() < 1e-12
+        jac = (r ** (2 * n + 2) * volume_density_xy(z2, t2, n)
+               / volume_density_xy(z, tau, n))
+        assert np.abs(phi.jacobian_xy(x) / jac - 1).max() < 1e-12
+
+
+def test_automorphism_rejects_bad_input():
+    G = np.eye(3, dtype=complex)
+    G[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        CRAutomorphism(G)
+    with pytest.raises(ValueError, match="G\\^\\* J G = J"):
+        CRAutomorphism.chart(np.diag([1.0, 1.1]), np.zeros(1), 0.0, 2.0)
+    for r in (0.0, -1.5):
+        with pytest.raises(NonPositiveScale):
+            CRAutomorphism.chart(np.eye(2), np.zeros(1), 0.0, r)
 
 
 def test_measure_transport_chart_vs_sphere():
