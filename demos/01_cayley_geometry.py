@@ -6,8 +6,7 @@ import numpy as np
 
 import crflow
 from crflow.geometry import (CRAutomorphism, cayley_forward_xy,
-                             cayley_inverse_xy, translate_xy,
-                             unitary_from_north)
+                             cayley_inverse_xy, translate_xy)
 
 rng = np.random.default_rng(0)
 
@@ -25,7 +24,7 @@ print("T_(i,0) (1,0) =", (zt[0, 0], tt[0]), " (tau picks up 2 Im(i))")
 
 print("\n== automorphisms preserve the total measure ==")
 basis = crflow.build_basis(1, 8)
-phi = CRAutomorphism.chart(unitary_from_north(np.array([0.6, 0.8j])),
+phi = CRAutomorphism.chart(np.array([[0.8, 0.6j], [0.6j, 0.8]]),
                            np.array([0.2 + 0.1j]), 0.1, 1.4)
 jac = phi.jacobian_xy(basis.nodes)
 print("int |det dphi| dV =", basis.weights @ jac, " vs vol =", basis.vol)

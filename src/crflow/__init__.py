@@ -26,8 +26,7 @@ from .flow import (DiagnosticsRecord, FlowConfig, FlowState, RunResult,
                    center_of_mass, diagnostics, energy, energy_f,
                    mass_concentration, run, step, volume_renormalize)
 from .geometry import (CRAutomorphism, cayley_forward_xy, cayley_inverse_xy,
-                       delta_xy, dilate_xy, translate_xy, unitary_from_north,
-                       volume_density_xy)
+                       delta_xy, dilate_xy, translate_xy, volume_density_xy)
 from .hquad import heisenberg_integral, sphere_volume
 from .morse import (CriticalPoint, GateReport, MorseData, counts, degree_sum,
                     sbc_check, solve_k, theorem_gate)

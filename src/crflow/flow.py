@@ -43,8 +43,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (ConfigError, CRFlowError, DegenerateDenominator,
-                     NonPositiveFactor, PositivityLoss, StepRejected)
+from .errors import (ConfigError, DegenerateDenominator, NonPositiveFactor,
+                     PositivityLoss, StepRejected)
 from .morse import sbc_check
 from .polynomials import PolyCalculus, real_coords
 from .spectral import (Field, base_curvature, grad_inner_values,
@@ -569,12 +569,11 @@ def run(u0, f, config=None):
         """st with its diagnostics and shadow, appended to records."""
         st = replace(st, diagnostics=diagnostics(st.u, f, rho=config.concentration_rho))
         if config.compute_shadow:
-            try:
-                cres = find_centering(st.u)
+            cres = find_centering(st.u)
+            st = replace(st, shadow_converged=cres.converged)
+            if cres.converged:
                 theta, _, eps = shadow(st.u, result=cres)
-                st = replace(st, theta=theta, eps=eps, shadow_converged=cres.converged)
-            except CRFlowError:
-                st = replace(st, shadow_converged=False)
+                st = replace(st, theta=theta, eps=eps)
         records.append(st)
         return st
 

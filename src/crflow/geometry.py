@@ -15,8 +15,9 @@ H^n carries dilations D_r(z, tau) = (r z, r^2 tau) and twisted translations
 T_{(z', t')}(z, tau) = (z + z', tau + t' + 2 Im(z' . conj(z))).  A conformal
 automorphism of the sphere is a matrix G in U(n+1, 1) acting by a linear
 fractional map, with no pole; CRAutomorphism.chart builds the G of
-U o cayley_inverse o T_q o D_r o cayley_forward o U^{-1}.  All point-wise
-functions below are vectorized over a leading axis of points.
+U o cayley_inverse o T_q o D_r o cayley_forward o U^{-1}, and
+CRAutomorphism.boost the Hermitian G that moves the ball's origin.  All
+point-wise functions below are vectorized over a leading axis of points.
 """
 
 from dataclasses import dataclass
@@ -82,27 +83,6 @@ def volume_density_xy(z, tau, n):
 
 
 # ---------------------------------------------------------------------------
-# unitary helpers
-# ---------------------------------------------------------------------------
-
-def unitary_from_north(p):
-    """A unitary U with U . north = p (north = (0,...,0,1)), via a phased
-    Householder reflector.  Exact for p = +-north."""
-    p = np.asarray(p, dtype=complex)
-    nc = p.shape[0]
-    north = np.zeros(nc, dtype=complex)
-    north[-1] = 1.0
-    phase = 1.0 if abs(p[-1]) < POLE_TOL else p[-1] / abs(p[-1])
-    q = np.conj(phase) * p            # now <north, q> = |p_{n+1}| is real
-    w = north - q
-    nw = np.real(np.vdot(w, w))
-    if nw < POLE_TOL:
-        return phase * np.eye(nc, dtype=complex)
-    H = np.eye(nc, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / nw
-    return phase * H
-
-
-# ---------------------------------------------------------------------------
 # conformal automorphisms
 # ---------------------------------------------------------------------------
 
@@ -142,6 +122,21 @@ class CRAutomorphism:
         D_r = np.r_[np.full(n, r), 1.0, r * r]
         return cls(V @ np.linalg.solve(C, T * D_r) @ C @ V.conj().T / r)
 
+    @classmethod
+    def boost(cls, w):
+        """exp [[0, w], [w^*, 0]] for w in C^{n+1}: with rho = |w| and
+        e = w / rho, G = [[I + (cosh rho - 1) e e^*, sinh rho e],
+        [sinh rho e^*, cosh rho]], the ball automorphism sending 0 to
+        tanh(rho) e.  G is Hermitian with ||G||_2 = e^rho."""
+        w = np.asarray(w, dtype=complex)
+        rho = np.linalg.norm(w)
+        e = w / rho if rho > 0 else w
+        G = np.eye(len(w) + 1, dtype=complex)
+        G[:-1, :-1] += (np.cosh(rho) - 1.0) * np.outer(e, e.conj())
+        G[:-1, -1], G[-1, :-1] = np.sinh(rho) * e, np.sinh(rho) * e.conj()
+        G[-1, -1] = np.cosh(rho)
+        return cls(G)
+
     def inverse(self):
         """J G^* J, the inverse matrix since G^* J G = J."""
         s = np.r_[np.ones(self.n + 1), -1.0]
@@ -167,9 +162,9 @@ class CRAutomorphism:
 
 
 def concentrating_automorphism(p, eps):
-    """The automorphism whose conformal factor is the bubble at p with scale eps:
-    chart centered at p (so -p sits at infinity), dilation by 1/eps."""
+    """The automorphism whose conformal factor is the bubble at p with scale
+    eps: the boost by log(eps) p fixes p and -p with Jacobians eps^{-(2n+2)}
+    and eps^{2n+2}."""
     if not (0 < eps <= 1):
         raise ValueError("bubble scale must lie in (0, 1]")
-    U = unitary_from_north(np.asarray(p, dtype=complex))
-    return CRAutomorphism.chart(U, np.zeros(len(U) - 1), 0.0, 1.0 / eps)
+    return CRAutomorphism.boost(np.log(eps) * np.asarray(p, dtype=complex))

@@ -5,47 +5,45 @@ For a volume-normalized factor u the task is to find phi with
     int x dV_h = 0,         h = phi^*(u^{2/n} theta_0) = v^{2+2/n} theta_0,
     v = (u o phi) |det d phi|^{n/(2n+2)},
 
-which by change of variables is int phi^{-1}(y) u^{2+2/n}(y) dV(y) = 0: the
-residual is evaluated against the fixed measure u^{2+2/n} dV without any
-reprojection.  The pole of the chart is fixed at the mass direction P_hat
-(the chart's point at infinity) by a unitary U, and a damped Gauss-Newton
-iteration runs over the translation q and log of the scale r; for a factor
-concentrating with scale eps the recovered r is 1/eps.
+which by change of variables is int psi(y) u^{2+2/n}(y) dV(y) = 0 for
+psi = phi^{-1}: the residual is evaluated against the fixed measure
+u^{2+2/n} dV without any reprojection.  Its zero is the conformal barycenter
+of that measure (Douady & Earle, Acta Math. 157 (1986)), unique up to a
+unitary rotation.
 
-The grid's chart coordinates (z, tau) = cayley_forward(U^{-1} x) are
-computed once.  For params (Re q_z, Im q_z, q_tau, log r) and s = 1/r, phi^{-1}
-sends them to
+psi is kept as one U(n+1, 1) matrix H, and a damped Gauss-Newton iteration
+moves it by boosts, H <- boost(delta) @ H for delta in C^{n+1}; no chart and
+no pole enter.  The residual F = sum dens psi(x) is 2n+2 reals (real parts,
+then imaginary parts).  To first order boost(delta) sends y to
+y + delta - y (conj(delta) . y), so with y = psi(x), W = sum dens and the
+complex symmetric M = sum dens y y^T (no conjugate) the Jacobian at
+delta = 0 is exact:
 
-    (Z, T) = D_s T_{-q}(z, tau)
-           = (s (z - q_z), s^2 (tau - q_tau - 2 Im q_z . conj z)),
+    dF/d Re delta_i = W e_i - M[:, i],    dF/d Im delta_i = i (W e_i + M[:, i]).
 
-and the residual F = sum dens Psi(Z, T), Psi = (Psi', 2/d - 1), Psi' = 2Z/d,
-d = 1 + |Z|^2 - i T, is the zero-mass vector rotated by U^{-1} (same norm).
-Its Jacobian is exact: delta d = 2 Re(conj Z . delta Z) - i delta T and
-delta Psi = ((2 delta Z - Psi' delta d) / d, -2 delta d / d^2), where
-(delta Z, delta T) is (-s e_i, 2 s^2 Im z_i) along Re q_i, (-i s e_i,
--2 s^2 Re z_i) along Im q_i, (0, -s^2) along q_tau and (-Z, -2T) along log r.
 Each step solves J step = -F by least squares, which needs no second path
-for a rank-deficient J, and backtracks.  The automorphism is built once, at
-the end; v is pulled back when CenteringResult.v is first read.
+for a rank-deficient J, and backtracks.  The scale eps = 1/||H||_2 does not
+change under unitary rotations on either side; for a factor concentrating
+with scale eps it is that eps.  v is pulled back when CenteringResult.v is
+first read.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .conformal import pullback_factor
 from .errors import NoConvergence
 from .flow import center_of_mass, density
-from .geometry import (CRAutomorphism, cayley_forward_xy, cayley_inverse_xy,
-                       delta_xy, unitary_from_north)
+from .geometry import CRAutomorphism
 from .hquad import heisenberg_integral
 from .spectral import sphere_volume_cached
 
 CENTER_TOL = 1e-8
 MAX_ITER = 100
 VOL_TOL = 1e-6       # relative volume gap a normalized factor may have
+MAX_LOG_SCALE = 18.0  # longest boost |t delta| one Gauss-Newton trial takes
 SHADOW_TOL = 1e-9    # quadrature tolerance of the chart-side shadow integral
 
 
@@ -54,7 +52,7 @@ class CenteringResult:
     u: object                 # the centered Field
     phi: CRAutomorphism
     residual: float
-    eps: float
+    eps: float                # 1/||G||_2 of phi: the rotation-invariant scale
     converged: bool
     iterations: int = 0
     residual_history: tuple = ()
@@ -65,48 +63,22 @@ class CenteringResult:
         return pullback_factor(self.u, self.phi)[0]
 
 
-def _chart(z, tau, params):
-    """s = 1/r and (Z, T) = D_s T_{-q}(z, tau) = delta_{D_s(-q), s}(z, tau)
-    for params (q, log r)."""
-    n = z.shape[1]
-    qz = params[:n] + 1j * params[n:2 * n]
-    s = float(np.exp(-params[-1]))
-    Z, T = delta_xy(z, tau, -s * qz, -s * s * params[2 * n], s)
-    return s, Z, T
-
-
-def _mass_residual(z, tau, dens, params):
-    """sum dens Psi(Z, T) as 2n+2 reals (real parts, then imaginary parts)."""
-    _, Z, T = _chart(z, tau, params)
-    vec = dens @ cayley_inverse_xy(Z, T)
-    return np.concatenate([vec.real, vec.imag])
-
-
-def _mass_jacobian(z, tau, dens, params):
-    """The exact derivative of _mass_residual in params, (2n+2) x (2n+2)."""
-    s, Z, T = _chart(z, tau, params)
-    N, n = Z.shape
-    d = 1.0 + np.sum(np.abs(Z) ** 2, axis=1) - 1j * T
-    eye = np.eye(n)[:, None, :]
-    # (delta Z, delta T) along Re q_i, Im q_i, q_tau and log r
-    dZ = np.concatenate([np.broadcast_to(-s * eye, (n, N, n)),
-                         np.broadcast_to(-1j * s * eye, (n, N, n)),
-                         np.zeros((1, N, n)), -Z[None]])
-    dT = np.concatenate([2.0 * s * s * z.imag.T, -2.0 * s * s * z.real.T,
-                         np.full((1, N), -s * s), -2.0 * T[None]])
-    dd = 2.0 * np.real(np.sum(np.conj(Z) * dZ, axis=2)) - 1j * dT
-    dpsi = np.concatenate(
-        [(2.0 * dZ - (2.0 * Z / d[:, None]) * dd[..., None]) / d[:, None],
-         (-2.0 * dd / d ** 2)[..., None]], axis=2)
-    cols = dens @ dpsi
-    return np.concatenate([cols.real, cols.imag], axis=1).T
+def _zero_mass_system(psi, nodes, dens):
+    """F = sum dens psi(x) as 2n+2 reals, and its exact Jacobian in
+    (Re delta, Im delta) at delta = 0 for psi <- boost(delta) o psi."""
+    y = psi.apply_xy(nodes)
+    F = dens @ y
+    M = y.T @ (dens[:, None] * y)
+    W = dens.sum() * np.eye(len(F))
+    cols = np.concatenate([W - M, 1j * (W + M)], axis=1)
+    return np.concatenate([F.real, F.imag]), np.concatenate([cols.real, cols.imag])
 
 
 def find_centering(u, max_iter=MAX_ITER):
-    """Solve the zero-mass condition by damped Gauss-Newton over (q, log r).
+    """Solve the zero-mass condition by damped Gauss-Newton over boosts.
 
     Returns the best iterate with converged = False after max_iter instead of
-    raising.  The pole rotation sends the chart infinity to P_hat.
+    raising.
     """
     basis = u.basis
     n = basis.n
@@ -117,52 +89,41 @@ def find_centering(u, max_iter=MAX_ITER):
         raise ValueError(f"find_centering: relative volume gap {gap:.3e} "
                          f"exceeds VOL_TOL = {VOL_TOL:g}; volume-normalize u")
 
-    P, P_hat = center_of_mass(u, dens=dens)
-    if np.linalg.norm(P) > 1e-12:
-        U = unitary_from_north(-P_hat)      # chart infinity lands on P_hat
-    else:
-        U = np.eye(n + 1, dtype=complex)
-    z, tau = cayley_forward_xy(basis.nodes @ np.conj(U))
-    fvec = partial(_mass_residual, z, tau, dens)
-    dim = 2 * n + 2
-
-    # seed: q = 0 and the better of r = 1 / r = max_u^{1/n}
-    seeds = [np.zeros(dim)]
+    # seed: the better of psi = I and the boost that spreads a bubble of
+    # scale max_u^{-1/n} at the mass direction P_hat
+    _, P_hat = center_of_mass(u, dens=dens)
     r_guess = max(1.0, float(uv.max()) ** (1.0 / n))
-    if r_guess > 1.5:
-        s = np.zeros(dim)
-        s[-1] = np.log(r_guess)
-        seeds.append(s)
-    params = min(seeds, key=lambda s: np.linalg.norm(fvec(s)))
+    seeds = [CRAutomorphism(np.eye(n + 2)),
+             CRAutomorphism.boost(-np.log(r_guess) * P_hat)]
+    candidates = [(s, *_zero_mass_system(s, basis.nodes, dens)) for s in seeds]
+    psi, fv, jac = min(candidates, key=lambda c: np.linalg.norm(c[1]))
 
-    fv = fvec(params)
     res = float(np.linalg.norm(fv))
     history = [res]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if res < CENTER_TOL:
             break
-        J = _mass_jacobian(z, tau, dens, params)
-        direction = np.linalg.lstsq(J, -fv, rcond=None)[0]
-        t = 1.0
+        step = np.linalg.lstsq(jac, -fv, rcond=None)[0]
+        size = np.linalg.norm(step)
+        t = 1.0 if size <= MAX_LOG_SCALE else MAX_LOG_SCALE / size
         for _ in range(40):
-            trial = params + t * direction
-            trial[-1] = np.clip(trial[-1], -18.0, 18.0)
-            fv_t = fvec(trial)
+            boost = CRAutomorphism.boost(t * (step[:n + 1] + 1j * step[n + 1:]))
+            trial = CRAutomorphism(boost.G @ psi.G)
+            fv_t, jac_t = _zero_mass_system(trial, basis.nodes, dens)
             res_t = float(np.linalg.norm(fv_t))
             if res_t < res * (1.0 - 1e-4 * t):
-                params, fv, res = trial, fv_t, res_t
+                psi, fv, jac, res = trial, fv_t, jac_t, res_t
                 history.append(res)
                 break
             t /= 2.0
         else:
             break               # no descent along the step
 
-    r = float(np.exp(params[-1]))
-    phi = CRAutomorphism.chart(U, params[:n] + 1j * params[n:2 * n], params[2 * n], r)
     return CenteringResult(
-        u=u, phi=phi, residual=res, eps=1.0 / r, converged=res < CENTER_TOL,
-        iterations=iterations, residual_history=tuple(history))
+        u=u, phi=psi.inverse(), residual=res, eps=1.0 / np.linalg.norm(psi.G, 2),
+        converged=res < CENTER_TOL, iterations=iterations,
+        residual_history=tuple(history))
 
 
 def shadow(u, result=None):

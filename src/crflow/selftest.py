@@ -11,7 +11,8 @@ from . import constants as const_mod
 from .errors import PositivityLoss, StepRejected
 from .flow import FlowState, alpha, energy_f, step, volume_renormalize
 from .geometry import (CRAutomorphism, cayley_forward_xy, cayley_inverse_xy,
-                       delta_xy, dilate_xy, translate_xy, volume_density_xy)
+                       concentrating_automorphism, delta_xy, dilate_xy,
+                       translate_xy, volume_density_xy)
 from .hquad import sphere_volume
 from .presets import f_dipole
 from .spectral import Field, build_basis
@@ -57,7 +58,9 @@ def check_group_laws(n=1, samples=1000, seed=12):
 
 def check_automorphism(n=1, samples=1000, seed=14):
     """The matrix form against U Psi delta_{q,r} pi U^{-1} and its Jacobian
-    r^{2n+2} K(delta) / K, and the chain rule through the inverse."""
+    r^{2n+2} K(delta) / K, the chain rule through the inverse, and the boost
+    concentrating_automorphism(p, eps) against the chart's dilation by 1/eps
+    centered at p = U . north, in log Jacobian."""
     rng = np.random.default_rng(seed)
     U = np.linalg.qr(rng.normal(size=(n + 1, 2 * n + 2)).view(complex))[0]
     (qz,), (qt,) = _random_heisenberg(rng, n, 1)
@@ -68,9 +71,13 @@ def check_automorphism(n=1, samples=1000, seed=14):
     zr, tr = delta_xy(z, tau, qz, qt, r)
     jac = phi.jacobian_xy(x)
     want = r ** (2 * n + 2) * volume_density_xy(zr, tr, n) / volume_density_xy(z, tau, n)
+    eps = 1.0 / (1.0 + r)
+    bubble = concentrating_automorphism(U[:, -1], eps)
+    dilation = CRAutomorphism.chart(U, np.zeros(n), 0.0, 1.0 / eps)
     err = max(np.abs(phi.apply_xy(x) - cayley_inverse_xy(zr, tr) @ U.T).max(),
               np.abs(jac / want - 1).max(),
-              np.abs(phi.inverse().jacobian_xy(phi.apply_xy(x)) * jac - 1).max())
+              np.abs(phi.inverse().jacobian_xy(phi.apply_xy(x)) * jac - 1).max(),
+              np.abs(np.log(bubble.jacobian_xy(x) / dilation.jacobian_xy(x))).max())
     return "automorphism", err < 1e-10, f"max error {err:.2e}"
 
 

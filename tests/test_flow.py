@@ -649,11 +649,12 @@ def test_run_scans_mass_only_past_blowup_bound(basis, monkeypatch):
 
 def test_run_records_centering_failure(basis, monkeypatch):
     from crflow import normalization
-    from crflow.errors import NoConvergence
     from crflow.flow import FlowConfig, run
 
+    find_centering = normalization.find_centering
+
     def no_convergence(u, **kwargs):
-        raise NoConvergence("centering iteration stalled")
+        return find_centering(u, max_iter=0)
 
     monkeypatch.setattr(normalization, "find_centering", no_convergence)
     res = run(perturbed_factor(basis, 22, amp=0.03), f_dipole(basis, amplitude=0.2),

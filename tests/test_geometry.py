@@ -8,7 +8,7 @@ from crflow.errors import NonPositiveScale, PoleSingularity
 from crflow.geometry import (CRAutomorphism, cayley_forward_xy,
                              cayley_inverse_xy, concentrating_automorphism,
                              delta_xy, dilate_xy, translate_xy,
-                             unitary_from_north, volume_density_xy)
+                             volume_density_xy)
 
 
 def random_heisenberg(rng, n, size):
@@ -241,17 +241,26 @@ def test_jacobian_change_of_variables_total_mass():
         assert abs(total - basis.vol) / basis.vol < 2e-3
 
 
-def test_unitary_from_north():
-    rng = np.random.default_rng(17)
-    for nc in (2, 3):
-        for _ in range(20):
-            p = rng.normal(size=nc) + 1j * rng.normal(size=nc)
-            p /= np.linalg.norm(p)
-            U = unitary_from_north(p)
-            assert np.abs(U.conj().T @ U - np.eye(nc)).max() < 1e-12
-            north = np.zeros(nc)
-            north[-1] = 1.0
-            assert np.abs(U @ north - p).max() < 1e-12
+@pytest.mark.parametrize("n", [1, 2])
+def test_boost_identities(n):
+    # exp [[0, w], [w^*, 0]] is Hermitian, boost(-w) is its inverse, its
+    # singular values are e^{-|w|}, 1, ..., e^{|w|}, and it sends 0 to
+    # tanh|w| e for w = |w| e
+    rng = np.random.default_rng(18 + n)
+    for scale in (0.0, 1e-9, 0.7, 4.0):
+        e = random_sphere(rng, n + 1, 1)[0]
+        w = scale * e
+        boost = CRAutomorphism.boost(w)
+        G = boost.G
+        tol = 1e-14 * np.cosh(scale) ** 2
+        assert np.abs(G - G.conj().T).max() < tol
+        assert np.abs(G @ CRAutomorphism.boost(-w).G - np.eye(n + 2)).max() < tol
+        sv = np.linalg.svd(G, compute_uv=False)
+        assert abs(1.0 / sv[0] - np.exp(-scale)) < 1e-14
+        want = np.r_[np.exp(scale), np.ones(n), np.exp(-scale)]
+        assert np.abs(sv - want).max() < tol
+        origin = boost.apply_xy(np.zeros((1, n + 1)))[0]
+        assert np.abs(origin - np.tanh(scale) * e).max() < 1e-15
 
 
 def test_concentrating_automorphism_scale():
@@ -262,6 +271,20 @@ def test_concentrating_automorphism_scale():
     assert np.abs(phi.jacobian_xy(poles) / [4.0 ** 4, 0.25 ** 4] - 1).max() < 1e-14
     with pytest.raises(ValueError):
         concentrating_automorphism(poles[0], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_concentrating_automorphism_matches_the_chart_dilation(n):
+    # the boost by log(eps) p is the chart's dilation by 1/eps with the chart
+    # centered at p = U . north
+    rng = np.random.default_rng(26 + n)
+    x = random_sphere(rng, n + 1, 500)
+    for eps in (0.5, 0.1, 0.01):
+        U = random_unitary(rng, n + 1)
+        boost = concentrating_automorphism(U[:, -1], eps)
+        chart = CRAutomorphism.chart(U, np.zeros(n), 0.0, 1.0 / eps)
+        gap = np.log(boost.jacobian_xy(x)) - np.log(chart.jacobian_xy(x))
+        assert np.abs(gap).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
