@@ -25,15 +25,21 @@ The two-level adaptive chart quadrature (`quadrature_constant`) and a
 seeded importance-sampling Monte Carlo estimate (`monte_carlo_constant`)
 evaluate the defining integrals independently of these formulas; the tests,
 criterion 7 and `crflow selftest` compare them against the closed forms.
+Both read the one integrand per constant (`_integrand`), whose integer
+powers are products (`hquad.ipow`), not pow() calls.  The Monte Carlo draws
+block by block from one seeded stream, phi from its first n_samples doubles
+and theta from the next n_samples, so its estimate does not depend on
+MC_BLOCK.
 """
 
+import operator
 from dataclasses import dataclass
-from math import factorial, fsum, pi
+from math import factorial, fsum, pi, sqrt
 
 import numpy as np
 
 from .errors import NonConvergentQuadrature
-from .hquad import heisenberg_integral, surface_area_odd_sphere
+from .hquad import heisenberg_integral, ipow, surface_area_odd_sphere
 
 NAMES = ("A1", "A2", "A3", "A4", "A5", "A6")
 MC_BLOCK = 8192    # Monte Carlo samples per integrand evaluation
@@ -48,49 +54,71 @@ class ConstantEstimate:
     method: str
 
 
+def _integer(value, label):
+    """value as an int; a bool or a non-integer is a ValueError naming label."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
 def _check(name, n):
+    """The dimension n as an int, after checking name and n."""
     if name not in NAMES:
         raise ValueError(f"unknown constant {name!r}")
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return n
 
 
 def _integrand(name, n):
-    """(g(r, tau), uses_sigma_substitution) for the named constant."""
+    """(g(r, tau), uses_sigma_substitution) for the named constant.
+
+    Each g forms r^2 and 1 + r^2 once and takes its integer powers as
+    products (`ipow`), not through pow()."""
     if name == "A1":
         def g(r, t):
-            s = 1.0 + r * r
-            return 4.0 ** (n + 1) / n * r * r * s / (t * t + s * s) ** (n + 2)
+            r2 = r * r
+            s = 1.0 + r2
+            return 4.0 ** (n + 1) / n * r2 * s / ipow(t * t + s * s, n + 2)
         return g, False
     if name == "A2":
         def g(r, t):
-            s = 1.0 + r * r
-            return (4.0 ** n / (2.0 * n) * (r ** 4 + t * t - 1.0) * r * r
-                    / (t * t + s * s) ** (n + 2))
+            r2, t2 = r * r, t * t
+            s = 1.0 + r2
+            return (4.0 ** n / (2.0 * n) * (r2 * r2 + t2 - 1.0) * r2
+                    / ipow(t2 + s * s, n + 2))
         return g, False
     if name == "A3":
         def g(r, t):
-            s = 1.0 + r * r
-            return r * r / (t * t + s * s) ** (n + 1)
+            r2 = r * r
+            s = 1.0 + r2
+            return r2 / ipow(t * t + s * s, n + 1)
         return g, False
     if name == "A6":
         def g(r, t):
-            s = 1.0 + r * r
-            return 4.0 ** (n + 1) / (2.0 * n) * r * r / (t * t + s * s) ** (n + 1)
+            r2 = r * r
+            s = 1.0 + r2
+            return 4.0 ** (n + 1) / (2.0 * n) * r2 / ipow(t * t + s * s, n + 1)
         return g, False
     if name == "A4":
         # 2 * 4^{n+1} int r^2/(r^4 + t^2) * K-factor; after t = r^2 s the
         # radial weight is unchanged and the integrand is bounded
         def g(r, s):
-            d = 1.0 + r * r
+            r2, s2 = r * r, s * s
+            d = 1.0 + r2
             return (2.0 * 4.0 ** (n + 1)
-                    / ((1.0 + s * s) * (r ** 4 * s * s + d * d) ** (n + 1)))
+                    / ((1.0 + s2) * ipow(r2 * r2 * s2 + d * d, n + 1)))
         return g, True
     if name == "A5":
         def g(r, s):
-            d = 1.0 + r * r
-            return (4.0 * 4.0 ** (n + 1) * (1.0 - s * s)
-                    / ((1.0 + s * s) ** 2 * (r ** 4 * s * s + d * d) ** (n + 1)))
+            r2, s2 = r * r, s * s
+            d, w = 1.0 + r2, 1.0 + s2
+            return (4.0 * 4.0 ** (n + 1) * (1.0 - s2)
+                    / (w * w * ipow(r2 * r2 * s2 + d * d, n + 1)))
         return g, True
     raise ValueError(f"unknown constant {name!r}")
 
@@ -122,7 +150,7 @@ def constant(name, n):
     covers pi^{n+1}, the few products, and the 1 - 2^{n+1}(n+1)(tail) of A5,
     whose relative rounding grows like (n+1)/2 units; against 40-digit
     arithmetic the largest error for n <= 40 is 0.39 of this bound."""
-    _check(name, n)
+    n = _check(name, n)
     value = _CLOSED_FORMS[name](n, pi ** (n + 1) / factorial(n))
     return ConstantEstimate(name=name, n=n, value=value,
                             abs_error_estimate=(n + 8) * 2.0 ** -52 * value,
@@ -140,7 +168,7 @@ def quadrature_constant(name, n, refinement=1):
     Runs the adaptive quadrature at the requested refinement level and one
     level deeper; the reported value is the deeper one and the error estimate
     combines the level difference with the internal panel estimates."""
-    _check(name, n)
+    n = _check(name, n)
     g, _ = _integrand(name, n)
     coarse, err_c = heisenberg_integral(g, n, tol=_tolerance(refinement))
     fine, err_f = heisenberg_integral(g, n, tol=_tolerance(refinement + 1))
@@ -164,26 +192,51 @@ def monte_carlo_constant(name, n, n_samples=200_000, seed=2024):
     A4/A5 substitution) as s_r * tan(theta) with uniform (phi, theta); the
     tangent reparametrization plays the role of a heavy-tailed proposal and
     leaves a bounded integrand on a bounded rectangle, so the standard error
-    is a faithful 1/sqrt(N) statistic.  The integrand is evaluated in blocks
-    of MC_BLOCK samples, which keeps its temporaries in cache."""
-    _check(name, n)
+    is a faithful 1/sqrt(N) statistic.
+
+    phi takes the first n_samples doubles of one seeded stream and theta the
+    next n_samples: two generators on that stream, the second advanced past
+    phi's doubles, fill reused MC_BLOCK buffers block by block.  The
+    integrand and its chart Jacobian, with integer powers as products, are
+    evaluated per block, which keeps their temporaries in cache."""
+    n = _check(name, n)
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 for a standard error")
     g, sigma_form = _integrand(name, n)
-    rng = np.random.default_rng(seed + 7 * n + NAMES.index(name))
-    scale = surface_area_odd_sphere(n) * (pi / 2.0) * pi
-    phi = rng.uniform(0.0, pi / 2.0, size=n_samples)
-    theta = rng.uniform(-pi / 2.0, pi / 2.0, size=n_samples)
+    seed = seed + 7 * n + NAMES.index(name)
+    phi_rng = np.random.default_rng(seed)
+    theta_rng = np.random.default_rng(seed)
+    theta_rng.bit_generator.advance(n_samples)
+    buffers = np.empty((4, MC_BLOCK))
     vals = np.empty(n_samples)
     for lo in range(0, n_samples, MC_BLOCK):
-        blk = slice(lo, lo + MC_BLOCK)
-        r = np.tan(phi[blk])
-        t = np.tan(theta[blk])
-        sec2_phi = 1.0 + r * r
-        t_scale = 1.0 if sigma_form else sec2_phi
-        vals[blk] = (g(r, t_scale * t) * r ** (2 * n - 1)
-                     * t_scale * (1.0 + t * t) * sec2_phi)
-    vals *= scale
+        v = vals[lo:lo + MC_BLOCK]
+        r, t, jac, sec2_phi = buffers[:, :len(v)]
+        phi_rng.random(out=r)
+        r *= pi / 2.0
+        np.tan(r, out=r)
+        theta_rng.random(out=t)
+        t *= pi
+        t += -pi / 2.0
+        np.tan(t, out=t)
+        # jac = r^{2n-1} (1 + r^2)^k (1 + t^2), k = 1 (sigma) or 2; v holds
+        # 1 + t^2 until it takes the block's values
+        np.multiply(r, r, out=sec2_phi)
+        sec2_phi += 1.0
+        np.multiply(t, t, out=v)
+        v += 1.0
+        ipow(r, 2 * n - 1, out=jac)
+        jac *= sec2_phi
+        jac *= v
+        if not sigma_form:
+            jac *= sec2_phi
+            t *= sec2_phi
+        np.multiply(g(r, t), jac, out=v)
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return mean, stderr
+    vals -= mean
+    np.square(vals, out=vals)
+    stderr = sqrt(float(vals.sum()) / (n_samples - 1) / n_samples)
+    # the constant factor of the estimator scales its mean and error alike
+    scale = surface_area_odd_sphere(n) * (pi / 2.0) * pi
+    return scale * mean, scale * stderr

@@ -30,6 +30,7 @@ first read.
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .conformal import pullback_factor
 from .errors import NoConvergence
 from .flow import center_of_mass, density
 from .geometry import CRAutomorphism
-from .hquad import heisenberg_integral
+from .hquad import heisenberg_integral, ipow
 from .spectral import sphere_volume_cached
 
 CENTER_TOL = 1e-8
@@ -155,14 +156,17 @@ def ideal_bubble_shadow_gap(eps, n):
 
     The density here omits its 4^{n+1} weight, as does the companion constant
     A3, which is the consistent pairing for the deficit law
-    (vol^2 - Theta^2)/eps^2 -> 4 vol A3."""
+    (vol^2 - Theta^2)/eps^2 -> 4 vol A3.  eps must be finite and > 0."""
+    if not (isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     e2 = eps * eps
 
     def g(r, tau):
-        num = e2 * (r ** 4 + tau ** 2) + r ** 2
-        den = (1.0 + e2 * r * r) ** 2 + e2 * e2 * tau ** 2
-        s = 1.0 + r * r
-        return num / den / (tau ** 2 + s * s) ** (n + 1)
+        r2, t2 = r * r, tau * tau
+        a, s = 1.0 + e2 * r2, 1.0 + r2
+        num = e2 * (r2 * r2 + t2) + r2
+        den = a * a + e2 * e2 * t2
+        return num / den / ipow(t2 + s * s, n + 1)
 
     value, _ = heisenberg_integral(g, n, tol=SHADOW_TOL)
     return value

@@ -1,17 +1,18 @@
 """Chart-side quadrature engine and the six bubble-expansion constants: the
 closed forms, and the quadrature and Monte Carlo cross-checks against them."""
 
-from math import factorial, gamma, pi
+from math import factorial, gamma, pi, sqrt
 
 import numpy as np
 import pytest
 
 import crflow
 from crflow import hquad
-from crflow.constants import (NAMES, _integrand, all_constants, constant,
+from crflow.constants import (MC_BLOCK, NAMES, _integrand, all_constants, constant,
                               monte_carlo_constant, quadrature_constant)
 from crflow.errors import NonConvergentQuadrature
-from crflow.hquad import heisenberg_integral, sphere_volume, surface_area_odd_sphere
+from crflow.hquad import (heisenberg_integral, ipow, sphere_volume,
+                          surface_area_odd_sphere)
 
 # closed forms derived by elementary Beta-integral reduction of the defining
 # 2D integrals, written out here independently of crflow.constants
@@ -90,6 +91,15 @@ def test_integrand_calls_stay_within_the_block_cap():
     assert abs(value - constant("A5", 1).value) < 1e-9
     assert max(sizes) <= hquad.BLOCK_PANELS * hquad.M_HI ** 2
     assert max(sizes) > hquad.M_HI ** 2     # the panels of a round share calls
+
+
+def test_ipow_matches_power():
+    x = np.random.default_rng(3).uniform(0.1, 50.0, size=1000)
+    for k in range(1, 12):
+        assert np.allclose(ipow(x, k), x ** k, rtol=8 * k * 2.0 ** -52, atol=0)
+    out = np.empty_like(x)
+    assert ipow(x, 3, out=out) is out
+    assert ipow(x, 1) is not x
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +190,49 @@ def test_monte_carlo_keeps_its_seeded_samples(name, n, mean, se):
     assert got_se == pytest.approx(se, rel=1e-13, abs=0)
 
 
+# every (mean, se) of the n = 1, 2 cross-check, from the unblocked draws
+MC_PINS = [
+    ("A1", 1, 9.916920353843478, 0.03405903270788862),
+    ("A2", 1, 2.4665404083826084, 0.008509703199679046),
+    ("A3", 1, 2.475708680533553, 0.006332236962610601),
+    ("A4", 1, 79.2202686475114, 0.19811508089638435),
+    ("A5", 1, 35.792782546062995, 0.34711339130790403),
+    ("A6", 1, 19.86044245926615, 0.050749641841504156),
+    ("A1", 2, 10.329465197387313, 0.0458144869215168),
+    ("A2", 2, 1.2842734292123905, 0.006471791382668545),
+    ("A3", 2, 0.9666485863622274, 0.0036119315490423017),
+    ("A4", 2, 124.10616128734875, 0.3846157145801752),
+    ("A5", 2, 90.2993974313854, 0.6247559339248674),
+    ("A6", 2, 15.559773208047757, 0.058161701487387196),
+]
+
+
+@pytest.mark.parametrize("name, n, mean, se", MC_PINS)
+def test_monte_carlo_pins_every_estimate(name, n, mean, se):
+    got_mean, got_se = monte_carlo_constant(name, n)
+    assert got_mean == pytest.approx(mean, rel=1e-13, abs=0)
+    assert got_se == pytest.approx(se, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("name, n", [("A1", 2), ("A5", 1)])
+def test_monte_carlo_blocks_match_unblocked_draws(name, n):
+    # one full block and a 3-sample tail: phi takes the stream's first
+    # n_samples doubles and theta the next n_samples, as two uniform() calls
+    n_samples, seed = MC_BLOCK + 3, 11
+    rng = np.random.default_rng(seed + 7 * n + NAMES.index(name))
+    phi = rng.uniform(0.0, pi / 2.0, size=n_samples)
+    theta = rng.uniform(-pi / 2.0, pi / 2.0, size=n_samples)
+    g, sigma_form = _integrand(name, n)
+    r, t = np.tan(phi), np.tan(theta)
+    sec2_phi = 1.0 + r * r
+    t_scale = 1.0 if sigma_form else sec2_phi
+    vals = (g(r, t_scale * t) * r ** (2 * n - 1) * t_scale * (1.0 + t * t)
+            * sec2_phi * surface_area_odd_sphere(n) * (pi / 2.0) * pi)
+    mean, se = monte_carlo_constant(name, n, n_samples=n_samples, seed=seed)
+    assert mean == pytest.approx(vals.mean(), rel=1e-13, abs=0)
+    assert se == pytest.approx(vals.std(ddof=1) / sqrt(n_samples), rel=1e-13, abs=0)
+
+
 def test_unknown_constant_rejected():
     with pytest.raises(ValueError):
         constant("A7", 1)
@@ -192,6 +245,20 @@ def test_unknown_constant_rejected():
 def test_monte_carlo_rejects_bad_input():
     with pytest.raises(ValueError, match="n must be"):
         monte_carlo_constant("A1", 0)
-    for n_samples in (0, 1):
+    for n_samples in (0, 1, 2.0, 1e3, True, "100"):
         with pytest.raises(ValueError, match="n_samples"):
             monte_carlo_constant("A1", 1, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None])
+def test_non_integer_dimension_rejected(n):
+    for call in (lambda: constant("A1", n), lambda: quadrature_constant("A1", n),
+                 lambda: monte_carlo_constant("A1", n)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call()
+
+
+def test_integer_like_dimension_accepted():
+    est = constant("A3", np.int64(2))
+    assert est.n == 2 and type(est.n) is int
+    assert est.value == constant("A3", 2).value

@@ -7,7 +7,8 @@ import crflow
 from crflow.errors import NoConvergence
 from crflow.flow import critical_exponent, volume_renormalize
 from crflow.normalization import (find_centering, ideal_bubble_shadow,
-                                  shadow, shadow_deficit_ratio)
+                                  ideal_bubble_shadow_gap, shadow,
+                                  shadow_deficit_ratio)
 from crflow.spectral import Field, sphere_volume_cached
 
 NORTH = np.array([0, 1.0 + 0j])
@@ -169,6 +170,13 @@ def test_deficit_ratio_converges_to_constant_pairing():
     assert errs[2] < 0.05
     diffs = [target - r for r in ratios]
     assert all(d > 0 for d in diffs)       # one-sided (monotone) approach
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_bubble_shadow_rejects_bad_eps(eps):
+    for f in (ideal_bubble_shadow_gap, ideal_bubble_shadow, shadow_deficit_ratio):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            f(eps, 2)
 
 
 # ---------------------------------------------------------------------------
