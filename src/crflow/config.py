@@ -28,11 +28,16 @@ class Scenario:
 # the flow's scenario keys are FlowConfig's fields: name -> annotated type
 _FLOW_TYPES = {fld.name: fld.type for fld in fields(FlowConfig)}
 _TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed"} | _FLOW_TYPES.keys()
+# Infinity reads as "never" for t_max, blowup_factor, mass_threshold and
+# wall_time_cap; it is no step size, an F2 bound every state meets, and a
+# ball radius whose cosine is NaN
+_FINITE_KEYS = {"dt_init", "tol_converge", "concentration_rho"}
 
 
 def _is_number(value, kind=(int, float)):
-    """JSON numbers only: bool is an int subclass, but true is not 1."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """JSON numbers only: bool is an int subclass, but true is not 1, and
+    json.loads reads the NaN literal as a float that is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool) and value == value
 
 
 def _line_of_key(text, key):
@@ -90,6 +95,8 @@ def load_scenario(path):
         elif kind is float:
             if not _is_number(value) or value <= 0:
                 fail(key, "must be a positive number")
+            if key in _FINITE_KEYS and value == float("inf"):
+                fail(key, "must be a finite positive number")
         elif value is not None and (not _is_number(value) or value <= 0):
             fail(key, "must be a positive number or null")
         setattr(flow, key, value)

@@ -8,9 +8,11 @@ the Webster curvature of u^{2/n} theta_0,
 and alpha is the unique constant making the total curvature match the
 f-average: alpha int f dV_theta = int R dV_theta.  Time stepping is the
 explicit damped second-order Runge-Kutta-Chebyshev method (RKC2) on basis
-coefficients, with as many stages as the stiffness of the state asks for,
-followed by a multiplicative volume renormalization; steps that would raise the
-scale-invariant energy E_f beyond a small slack are retried with half the step.
+coefficients, followed by a multiplicative volume renormalization.  The stage
+count covers dt times the spectral radius of the flow's Jacobian, estimated by
+nonlinear power iteration and capped by the bound `_stiff_radius`; steps that
+would raise the scale-invariant energy E_f beyond a small slack, or lose
+positivity, are retried with half the step.
 
 Fields are real (real coefficients, real grid values); complex numbers are
 points of C^{n+1} only, so the moment b and the Kazdan-Warner vector are
@@ -27,13 +29,13 @@ right-hand side and `_curvature_density` R and the density, which
 and `energy_consistency`; `_density`, `_alpha_energy_f`, `_deviation`
 (alpha f - R and F2) and `_volume_factor` complete it.  The kernel reads and
 writes one workspace (`_Workspace`): f in fiber order, (n/2) w, (n/2) w f,
-the buffers and the transform plans between them.  `step` builds one per
-call; every RKC2 stage, the end-of-step positivity test, the
-renormalization, the E_f gate and F2 use it, and a stage allocates no
-grid-sized array.  The stages run in the transforms' native layout: padded
+the buffers and the transform plans between them.  A run builds one, in its
+first step; every RKC2 stage, the radius estimate, the end-of-step positivity
+test, the renormalization, the E_f gate and F2 use it, and a stage allocates
+no grid-sized array.  The stages run in the transforms' native layout: padded
 slot coefficients and fiber-ordered values, with no permutation inside a
-step, and an accepted state carries its E_f and right-hand side into the
-next step.
+step, and an accepted state carries its E_f, right-hand side, workspace and
+radius estimate into the next step.
 """
 
 import functools
@@ -53,6 +55,9 @@ from .spectral import (Field, base_curvature, grad_inner_values,
 
 MAX_CENTERS = 512    # ball centers scanned by mass_concentration
 RKC_DAMPING = 2.0 / 13.0    # epsilon of the damped RKC2 step
+RADIUS_SAFETY = 1.1         # c of the stage count's radius min(c r, 1) bound
+RADIUS_REFRESH = 25         # accepted steps between two radius estimates
+RADIUS_ITERATIONS = 20      # power iterations of one estimate, at most
 
 
 def critical_exponent(n):
@@ -82,8 +87,8 @@ class _Workspace:
     kernel evaluation fills (the curvature rows (x, A x), the values
     (u, u R q), q = u^{2/n}, (n/2) w f u, two scratch rows and the projected
     coefficients) and the transform plans between them.  Each evaluation
-    overwrites the last one's buffers; `step` builds one workspace per
-    call."""
+    overwrites the last one's buffers; the accepted states of a run carry
+    one workspace from step to step."""
 
     def __init__(self, basis, fvals=None):
         self.basis = basis
@@ -345,10 +350,14 @@ def diagnostics(u, f, rho=0.5):
 @dataclass(frozen=True)
 class FlowState:
     """One state of a run.  `step` sets F2, the run loop's stop test, and
-    E_f and rhs, the right-hand side (n/2)(alpha f - R) u as padded slot
-    coefficients; the next step reuses them only while rhs_key is
-    (u.coeffs, f.values) of its own u and f.  `run` sets the diagnostics and
-    the shadow (theta, eps, shadow_converged) of the states it records."""
+    the carry of the next step: E_f, rhs, the right-hand side (n/2)(alpha f
+    - R) u as padded slot coefficients, the kernel workspace of f, and radius
+    = (r, v, age), the last spectral radius estimate as a ratio r to the
+    bound `_stiff_radius`, its power-iteration vector v and the accepted
+    steps since (None before the first estimate).  The next step reuses the
+    carry only while rhs_key is (u.coeffs, f.values) of its own u and f.
+    `run` sets the diagnostics and the shadow (theta, eps, shadow_converged)
+    of the states it records, and drops their workspace when it returns."""
     t: float
     u: Field
     alpha: float
@@ -360,6 +369,8 @@ class FlowState:
     E_f: float | None = None
     rhs: np.ndarray | None = None
     rhs_key: tuple | None = field(default=None, repr=False)
+    workspace: _Workspace | None = field(default=None, repr=False)
+    radius: tuple | None = field(default=None, repr=False)
 
 
 @functools.cache
@@ -411,6 +422,42 @@ def _stiff_radius(basis, uv):
     return (n + 1) * float(basis.eigenvalues.max()) * float(uv.min()) ** (-2.0 / n)
 
 
+def _radius_ratio(ws, x0, F0, v, bound):
+    """(r, v): r = rho / bound for the spectral radius rho of the flow's
+    Jacobian at the padded slot coefficients x0 with right-hand side F0, and
+    the vector v of its last power iteration.  Nonlinear power iteration, as
+    in the RKC code of Sommeijer, Shampine & Verwer: each iteration is one
+    finite difference (F(x0 + h v / |v|) - F0) / h through the workspace ws,
+    h = sqrt(eps) |x0|, and the iteration stops once two estimates agree to
+    1 %.  It starts from v, the last estimate's vector, or else from (A /
+    A_max)^8 F0, F0 weighted to the top band where the stiff modes live.
+    Gives (1, None), the bound, when F0 vanishes to round-off (a stationary
+    state), a perturbed factor is not positive, or the estimate does not
+    converge to a positive number within RADIUS_ITERATIONS iterations."""
+    A = ws.basis.yamabe_slots
+    root_eps = np.sqrt(np.finfo(float).eps)
+    if v is None:
+        if not np.linalg.norm(F0) > root_eps * np.linalg.norm(A * x0):
+            return 1.0, None
+        v = (A / A.max()) ** 8 * F0
+    h = root_eps * np.linalg.norm(x0)
+    last = 0.0
+    for _ in range(RADIUS_ITERATIONS):
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:
+            break
+        try:
+            v = _rhs_coeffs(ws, x0 + (h / norm) * v) - F0
+        except NonPositiveFactor:
+            break
+        rho = np.linalg.norm(v) / h
+        if abs(rho - last) <= 0.01 * rho:
+            r = rho / bound
+            return (r, v) if 0.0 < r < np.inf else (1.0, None)
+        last = rho
+    return 1.0, None
+
+
 def _rkc(c0, F0, dt, s, rhs):
     """Y_s of the s-stage damped RKC2 method for c' = rhs(c) from c0, with
     F0 = rhs(c0): s - 1 further rhs evaluations.  Each stage is one product
@@ -430,30 +477,45 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     """One monotonicity-gated damped RKC2 step with volume renormalization.
 
     The stage count is the smallest whose stability interval covers dt times
-    the state's stiff radius, so the step is stable at any dt.  Halves dt on
-    positivity loss or an E_f increase beyond slack, reusing the first
-    stage's right-hand side; raises PositivityLoss / StepRejected when dt_min
-    is reached.  Returns the new FlowState, with its alpha, F2, E_f and
-    right-hand side, and the dt actually used.
+    the spectral radius of the flow's Jacobian.  That radius is estimated by
+    `_radius_ratio` as a ratio r to the bound `_stiff_radius` of the state,
+    refreshed every RADIUS_REFRESH accepted steps from the last estimate's
+    vector, and taken as min(RADIUS_SAFETY r, 1) times the bound, so no step
+    has more stages than the bound asks for.  A step the bound already gives
+    at most 3 stages takes them without an estimate.  Halves dt on
+    positivity loss or an E_f increase beyond slack, the backstops of a
+    radius read too low, reusing the first stage's right-hand side; raises
+    PositivityLoss / StepRejected when dt_min is reached.  Returns the new
+    FlowState, with its alpha, F2 and the next step's carry, and the dt
+    actually used.
 
     The stages run in the transforms' native layout: padded slot
     coefficients and fiber-ordered grid values, converted once per step,
-    through one workspace that every kernel evaluation of the step reuses.
+    through the one workspace that every kernel evaluation of the run
+    reuses.
     """
     basis = state.u.basis
     n = basis.n
-    ws = _Workspace(basis, f.values)
     x0 = basis.to_slots(state.u.coeffs)
     key = state.rhs_key
     if key is not None and key[0] is state.u.coeffs and key[1] is f.values:
-        ef0, F0 = state.E_f, state.rhs
+        ef0, F0, radius = state.E_f, state.rhs, state.radius
+        ws = state.workspace or _Workspace(basis, f.values)
     else:
+        ws, radius = _Workspace(basis, f.values), None
         ef0 = energy_f(state.u, f)
         try:
             F0 = _rhs_coeffs(ws, x0)      # independent of dt
         except NonPositiveFactor as exc:
             raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
     rho = _stiff_radius(basis, state.u.values)
+    if dt * rho > _rkc_scheme(3)[0]:      # the bound asks for more than 3 stages
+        if radius is None or radius[2] >= RADIUS_REFRESH:
+            v = None if radius is None else radius[1]
+            radius = (*_radius_ratio(ws, x0, F0, v, rho), 0)
+        rho *= min(RADIUS_SAFETY * radius[0], 1.0)
+    if radius is not None:
+        radius = (radius[0], radius[1], radius[2] + 1)   # the age at the new state
     while True:
         try:
             x1 = _rkc(x0, F0, dt, _stage_count(dt * rho),
@@ -486,7 +548,8 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
                    sigma * basis.from_fibers(ws.u))
         return FlowState(state.t + dt, u1, a1, F2=sigma ** (2.0 - 2.0 / n) * F2,
                          E_f=ef1, rhs=sigma ** (1.0 - 2.0 / n) * _project_rhs(ws, a),
-                         rhs_key=(u1.coeffs, f.values)), dt
+                         rhs_key=(u1.coeffs, f.values), workspace=ws,
+                         radius=radius), dt
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +613,8 @@ def run(u0, f, config=None):
     from .normalization import find_centering, shadow
 
     config = config or FlowConfig()
+    if not 0.0 < config.dt_init < np.inf:
+        raise ConfigError(f"dt_init must be a finite positive number, not {config.dt_init}")
     if not f.values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
     if not (np.isfinite(u0.coeffs).all() and np.isfinite(u0.values).all()):
@@ -633,6 +698,8 @@ def run(u0, f, config=None):
 
     if records[-1] is not state:
         state = record(state)
+    # the result holds no kernel buffers: a step from a record builds its own
+    records[:] = [replace(st, workspace=None) for st in records]
     result = RunResult(status=status, records=records, message=message)
     if status in (Termination.CONVERGED, Termination.CONCENTRATED):
         point = None

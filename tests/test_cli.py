@@ -97,6 +97,11 @@ MALFORMED = {
                               "random u0_spec"),
     "perturbation-amplitude-text": ({"u0_spec": {"type": "perturbation", "terms": [
         {"coordinate": 0, "amplitude": "big"}]}}, "perturbation term 0"),
+    # json.dumps writes the NaN and Infinity literals, which json.loads reads;
+    # a NaN dt_init reached the stage count, a NaN tol_converge switched
+    # convergence off
+    "dt_init-NaN": ({"dt_init": float("nan")}, "key 'dt_init'"),
+    "tol_converge-NaN": ({"tol_converge": float("nan")}, "key 'tol_converge'"),
 }
 
 
@@ -124,6 +129,48 @@ def test_scenario_rejects_removed_flow_keys(tmp_path, key, old_default):
     with pytest.raises(ConfigError,
                        match=rf"old\.json:{line}: key '{key}': unknown key$"):
         load_scenario(str(cfgp))
+
+
+NUMERIC_KEYS = ["n", "J", "seed", "dt_init", "t_max", "tol_converge", "blowup_factor",
+                "mass_threshold", "concentration_rho", "record_every", "max_steps",
+                "wall_time_cap"]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_scenario_rejects_nan_for_every_numeric_key(tmp_path, key):
+    cfgp = tmp_path / "nan.json"
+    write_config(cfgp, **{key: float("nan")})
+    with pytest.raises(ConfigError, match=rf"key '{key}': must be"):
+        load_scenario(str(cfgp))
+
+
+@pytest.mark.parametrize("key", ["dt_init", "tol_converge", "concentration_rho"])
+def test_scenario_rejects_infinity_where_it_is_not_never(tmp_path, key):
+    # tol_converge Infinity reported Converged after one step at F2 0.15,
+    # concentration_rho Infinity made the mass scan take cos(inf)
+    cfgp = tmp_path / "inf.json"
+    write_config(cfgp, **{key: float("inf")})
+    with pytest.raises(ConfigError, match=rf"key '{key}': must be a finite positive"):
+        load_scenario(str(cfgp))
+
+
+def test_scenario_keeps_infinity_as_never(tmp_path):
+    # criterion 9 sets blowup_factor to inf: no mass scan, ever
+    cfgp = tmp_path / "inf.json"
+    never = ("t_max", "blowup_factor", "mass_threshold", "wall_time_cap")
+    write_config(cfgp, **dict.fromkeys(never, float("inf")))
+    flow = load_scenario(str(cfgp)).flow
+    assert all(getattr(flow, key) == float("inf") for key in never)
+
+
+@pytest.mark.parametrize("dt_init", [float("nan"), float("inf"), 0.0, -0.1])
+def test_flow_run_rejects_a_bad_dt_init(dt_init):
+    from crflow.flow import FlowConfig, run
+    from crflow.presets import f_constant
+    basis = crflow.build_basis(1, 3)
+    u0 = crflow.Field.constant(basis, 1.0)
+    with pytest.raises(ConfigError, match="dt_init"):
+        run(u0, f_constant(basis), FlowConfig(dt_init=dt_init, compute_shadow=False))
 
 
 def test_run_invalid_json_reports_line(tmp_path):

@@ -336,26 +336,116 @@ def test_stage_count_is_the_smallest_stable_one():
         assert s == 2 or _rkc_scheme(s - 1)[0] < z
 
 
+def _reference_radius(basis, c, fvals, iterations=60):
+    """The flow Jacobian's spectral radius at coefficients c: power
+    iteration on central differences, from the top-band start."""
+    A = basis.from_slots(basis.yamabe_slots)
+    v = (A / A.max()) ** 8 * rhs_coeffs(basis, c, fvals)
+    h = 1e-6 * np.linalg.norm(c)
+    for _ in range(iterations):
+        v /= np.linalg.norm(v)
+        v = (rhs_coeffs(basis, c + h * v, fvals)
+             - rhs_coeffs(basis, c - h * v, fvals)) / (2 * h)
+    return np.linalg.norm(v)
+
+
 def test_stiff_radius_bounds_the_jacobian(basis):
-    # power iteration on finite-difference Jacobian products of the RHS;
-    # measured rho / estimate: 1.3 to 1.6
-    from crflow.flow import _stiff_radius
+    # the Jacobian's spectral radius by a long power iteration: measured
+    # bound / radius 1.57 on the bubble and 1.27 on the random factor.  The
+    # step's estimate reads 1.001 and 0.985 of the radius after 5 and 7
+    # power iterations, and a warm restart from its vector agrees at once
+    from crflow import flow
     from crflow.presets import f_two_peak, u0_from_spec
     f = f_two_peak(basis)
-    rng = np.random.default_rng(7)
     for u in (_criterion9_bubble(basis),
               u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=3)):
-        c = u.coeffs
-        h = 1e-6 * np.linalg.norm(c)
-        v = rng.normal(size=c.shape)
-        v /= np.linalg.norm(v)
-        for _ in range(60):
-            jv = (rhs_coeffs(basis, c + h * v, f.values)
-                  - rhs_coeffs(basis, c - h * v, f.values)) / (2 * h)
-            estimate = np.linalg.norm(jv)
-            v = jv / estimate
-        rho = _stiff_radius(basis, u.values)
-        assert 0.5 * rho <= estimate <= rho
+        reference = _reference_radius(basis, u.coeffs, f.values)
+        bound = flow._stiff_radius(basis, u.values)
+        assert 0.5 * bound <= reference <= bound
+        ws = _Workspace(basis, f.values)
+        x0 = basis.to_slots(u.coeffs)
+        F0 = _rhs_coeffs(ws, x0)
+        r, v = flow._radius_ratio(ws, x0, F0, None, bound)
+        assert 0.95 * reference <= r * bound <= 1.01 * reference, r * bound / reference
+        assert r < 1 / flow.RADIUS_SAFETY
+        r2, _ = flow._radius_ratio(ws, x0, F0, v, bound)
+        assert abs(r2 - r) <= 0.02 * r
+
+
+def _raise_non_positive(ws, x):
+    raise NonPositiveFactor("conformal factor must be positive on the grid")
+
+
+def test_radius_estimate_falls_back_to_the_bound(basis, monkeypatch):
+    # a zero right-hand side (u = 1 under constant f: F0 is round-off) has
+    # no direction to start from; a non-finite or vanishing difference, or a
+    # perturbed factor that is not positive, gives no radius.  Each falls
+    # back to r = 1, the bound, without a RuntimeWarning (an error under
+    # this suite's filter)
+    from crflow import flow
+    one = Field.constant(basis, 1.0)
+    ws = _Workspace(basis, f_constant(basis).values)
+    x0 = basis.to_slots(one.coeffs)
+    F0 = _rhs_coeffs(ws, x0)
+    bound = flow._stiff_radius(basis, one.values)
+    assert 0 < np.abs(F0).max() < 1e-12
+    assert flow._radius_ratio(ws, x0, F0, None, bound) == (1.0, None)
+    state, dt = step(FlowState(0.0, one, alpha(one, f_constant(basis))),
+                     f_constant(basis), 0.5)
+    assert dt == 0.5 and state.radius == (1.0, None, 1)
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 25)
+    ws = _Workspace(basis, f.values)
+    x0 = basis.to_slots(u.coeffs)
+    F0 = _rhs_coeffs(ws, x0)
+    bound = flow._stiff_radius(basis, u.values)
+    assert flow._radius_ratio(ws, x0, F0, None, bound)[1] is not None
+    # min(nan, 1.0) is nan: the guard sits in the estimate, not at its use
+    assert flow._radius_ratio(ws, x0, F0, None, np.nan) == (1.0, None)
+    for name, rhs in (("nan", lambda ws, x: np.full_like(x, np.nan)),
+                      ("inf", lambda ws, x: np.full_like(x, np.inf)),
+                      ("zero difference", lambda ws, x: F0.copy()),
+                      ("not positive", _raise_non_positive)):
+        monkeypatch.setattr(flow, "_rhs_coeffs", rhs)
+        assert flow._radius_ratio(ws, x0, F0, None, bound) == (1.0, None), name
+
+
+def test_estimated_stage_count_stays_within_the_bound(basis, monkeypatch, tmp_path):
+    # criterion 9's phase 1 on its bubble and its seed-3 random factor: no
+    # attempt takes more stages than the bound gives for its state and dt,
+    # the estimate saves stages on the bubble, and two runs write the same
+    # trajectory.csv byte for byte
+    from crflow import flow
+    from crflow.cli import write_trajectory_csv
+    from crflow.flow import FlowConfig, run
+    from crflow.presets import f_two_peak, u0_from_spec
+    f = f_two_peak(basis)
+    stiff_radius, rkc = flow._stiff_radius, flow._rkc
+    bounds, attempts = [], []
+
+    def recorded_bound(*args):
+        bounds.append(stiff_radius(*args))
+        return bounds[-1]
+
+    def recorded_rkc(c0, F0, dt, s, rhs):
+        attempts.append(flow._stage_count(dt * bounds[-1]) - s)
+        return rkc(c0, F0, dt, s, rhs)
+
+    monkeypatch.setattr(flow, "_stiff_radius", recorded_bound)
+    monkeypatch.setattr(flow, "_rkc", recorded_rkc)
+    config = FlowConfig(**dict(PHASE1, t_max=3.0, record_every=5))
+    seed3 = u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=3)
+    for name, u0 in (("bubble", _criterion9_bubble(basis)), ("seed3", seed3)):
+        paths = [tmp_path / f"{name}{k}.csv" for k in range(2)]
+        for path in paths:
+            del attempts[:]
+            res = run(u0, f, config)
+            assert res.final_state.t == 3.0, res.message
+            write_trajectory_csv(path, res.records, basis.n)
+        assert min(attempts) >= 0
+        if name == "bubble":
+            assert sum(attempts) > 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_phase1_matches_the_fine_dt_reference(basis):
@@ -564,26 +654,64 @@ def test_step_recomputes_a_carry_that_is_not_its_own(basis):
         assert got.E_f == want.E_f
 
 
-def test_run_evaluates_the_rhs_once_plus_the_stages(basis, monkeypatch):
-    # F0 of the first state, then s_i - 1 stages per step: every later F0 is
-    # carried over from the accepted state, across the records' replace too
+def _assert_rhs_counts(monkeypatch, u0, f, config):
+    """Run the flow and check its right-hand-side evaluations: F0 of the
+    first state, then s_i - 1 stages per step, with no halving; every later
+    F0 is carried over from the accepted state, across the records' replace
+    too.  The radius estimate's power iterations count on their own, 2 to
+    RADIUS_ITERATIONS per estimate.  Returns the estimates' results."""
     from crflow import flow
-    from crflow.flow import FlowConfig, run
-    f = f_dipole(basis, amplitude=0.2)
-    rhs_calls = _count_calls(monkeypatch, flow, "_rhs_coeffs")
-    stage_count = flow._stage_count
-    stages = []
+    from crflow.flow import run
+    rhs, ratio, stage_count = flow._rhs_coeffs, flow._radius_ratio, flow._stage_count
+    calls, estimates, inside, stages = {"estimate": 0, "other": 0}, [], [], []
 
-    def counted(z):
+    def counted_rhs(*args):
+        calls["estimate" if inside else "other"] += 1
+        return rhs(*args)
+
+    def counted_ratio(*args):
+        inside.append(None)
+        try:
+            estimates.append(ratio(*args))
+        finally:
+            inside.pop()
+        return estimates[-1]
+
+    def counted_stages(z):
         stages.append(stage_count(z))
         return stages[-1]
 
-    monkeypatch.setattr(flow, "_stage_count", counted)
-    res = run(perturbed_factor(basis, 23, amp=0.03), f,
-              FlowConfig(dt_init=0.05, t_max=0.5, record_every=3,
-                         compute_shadow=False))
-    assert res.final_state.t == 0.5 and len(stages) == 10    # no halving
-    assert len(rhs_calls) == 1 + sum(s - 1 for s in stages)
+    monkeypatch.setattr(flow, "_rhs_coeffs", counted_rhs)
+    monkeypatch.setattr(flow, "_radius_ratio", counted_ratio)
+    monkeypatch.setattr(flow, "_stage_count", counted_stages)
+    res = run(u0, f, config)
+    assert res.final_state.t == config.t_max
+    assert len(stages) == round(config.t_max / config.dt_init)    # no halving
+    assert calls["other"] == 1 + sum(s - 1 for s in stages)
+    assert 2 * len(estimates) <= calls["estimate"] <= flow.RADIUS_ITERATIONS * len(estimates)
+    # the result keeps no kernel buffers
+    assert all(st.workspace is None for st in res.records)
+    return estimates
+
+
+def test_run_evaluates_the_rhs_once_plus_the_stages(basis, monkeypatch):
+    # the bound gives at most 3 stages per step here: no estimate
+    from crflow.flow import FlowConfig
+    estimates = _assert_rhs_counts(
+        monkeypatch, perturbed_factor(basis, 23, amp=0.03), f_dipole(basis, amplitude=0.2),
+        FlowConfig(dt_init=0.05, t_max=0.5, record_every=3, compute_shadow=False))
+    assert estimates == []
+
+
+def test_run_counts_the_radius_estimates_on_their_own(basis, monkeypatch):
+    # criterion 9's phase 1 for 30 steps: one estimate at the first step and
+    # one refresh after RADIUS_REFRESH accepted steps, neither a fallback
+    from crflow.flow import FlowConfig
+    from crflow.presets import f_two_peak
+    estimates = _assert_rhs_counts(
+        monkeypatch, _criterion9_bubble(basis), f_two_peak(basis),
+        FlowConfig(**dict(PHASE1, t_max=3.0, record_every=7)))
+    assert len(estimates) == 2 and all(v is not None for _, v in estimates)
 
 
 def test_step_from_nonpositive_factor_is_positivity_loss(basis):
