@@ -8,7 +8,7 @@ Subcommands:
   constants --n N [--json PATH]
   morse <data.json>          hypothesis gate (exit 0 satisfied / 1 not / 64)
   bubble --p COORDS --eps E [--n N] [--J J] [--out PATH]
-  selftest                   named invariant suite
+  selftest [--n N]           named invariant suite, N = 1 or 2
 """
 
 import argparse
@@ -62,16 +62,25 @@ def write_trajectory_csv(path, records, n):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _json_int(entry, key):
+    """entry[key] if it is a JSON integer; int() would take 2.9 as 2 and
+    true as 1."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _load_morse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     pts = tuple(
-        CriticalPoint(index=int(p["index"]),
-                      laplacian_sign=int(p["laplacian_sign"]),
+        CriticalPoint(index=_json_int(p, "index"),
+                      laplacian_sign=_json_int(p, "laplacian_sign"),
                       f_value=float(p["f_value"]),
                       location=tuple(p["location"]) if p.get("location") else None)
         for p in raw["critical_points"])
-    return MorseData(n=int(raw["n"]), critical_points=pts,
+    return MorseData(n=_json_int(raw, "n"), critical_points=pts,
                      f_max=float(raw["f_max"]), f_min=float(raw["f_min"]))
 
 
@@ -200,6 +209,10 @@ def cmd_bubble(args):
 
 def cmd_selftest(args):
     from .selftest import run_all
+
+    if args.n not in (1, 2):
+        print("usage error: --n must be 1 or 2", file=sys.stderr)
+        return 64
     checks = run_all(n=args.n)
     worst = 0
     for name, ok, detail in checks:

@@ -11,6 +11,7 @@ Everything here is integer arithmetic except the ratio test.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import IndexOutOfRange, NonPositiveMin
 
@@ -31,6 +32,10 @@ class MorseData:
     f_min: float
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not (isfinite(self.f_max) and isfinite(self.f_min)):
+            raise ValueError("f_max and f_min must be finite")
         if self.f_min <= 0:
             raise NonPositiveMin("f_min must be positive")
         if self.f_min > self.f_max:

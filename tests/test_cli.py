@@ -216,11 +216,29 @@ def test_morse_single_maximum_exit_one(tmp_path):
     assert "not satisfied" in proc.stdout
 
 
-def test_morse_out_of_range_index_exit_64(tmp_path):
+_MAXIMUM = {"index": 5, "laplacian_sign": -1, "f_value": 1.3}
+
+
+@pytest.mark.parametrize("points, header", [
+    ([dict(_MAXIMUM, index=6)], {}),
+    # int() would read each of these as data and print a verdict
+    ([dict(_MAXIMUM, index=1.7)], {}),
+    ([dict(_MAXIMUM, laplacian_sign=-1.0)], {}),
+    ([_MAXIMUM], {"n": 2.9}),
+    ([dict(_MAXIMUM, index=3)], {"n": True}),     # index 3 is the top at n = 1
+    # the ratio test's 2^{1/n} and the count system need n >= 1
+    ([], {"n": 0}),
+    # a non-finite bound would make the ratio test read nan or inf
+    ([], {"f_max": float("nan")}),
+    ([_MAXIMUM], {"f_max": float("inf")}),
+], ids=["index-6", "index-float", "laplacian_sign-float", "n-float", "n-bool",
+        "n-0", "f_max-NaN", "f_max-Infinity"])
+def test_morse_out_of_range_index_exit_64(tmp_path, points, header):
     p = tmp_path / "m.json"
-    _morse_file(p, [{"index": 6, "laplacian_sign": -1, "f_value": 1.3}])
+    _morse_file(p, points, **header)
     proc = invoke(["morse", str(p)], cwd=tmp_path)
-    assert proc.returncode == 64
+    assert proc.returncode == 64, proc.stdout
+    assert "parse error:" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +261,15 @@ def test_constants_table(tmp_path):
 def test_constants_usage_error(tmp_path):
     proc = invoke(["constants", "--n", "0"], cwd=tmp_path)
     assert proc.returncode == 64
+
+
+# the suite has no n = 0, and at n = 3 its basis needs a 68M-entry fiber table
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_selftest_usage_error(tmp_path, n):
+    proc = invoke(["selftest", "--n", n], cwd=tmp_path)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("usage error:")
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

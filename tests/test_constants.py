@@ -68,7 +68,7 @@ def test_lorentzian_closed_form():
 
 
 def test_divergent_integrand_raises():
-    with pytest.raises(NonConvergentQuadrature):
+    with pytest.raises(NonConvergentQuadrature, match="above tolerance"):
         heisenberg_integral(lambda r, t: 1.0 / (1.0 + 0 * r + 0 * t), 1)
 
 
@@ -91,6 +91,17 @@ def test_integrand_calls_stay_within_the_block_cap():
     assert abs(value - constant("A5", 1).value) < 1e-9
     assert max(sizes) <= hquad.BLOCK_PANELS * hquad.M_HI ** 2
     assert max(sizes) > hquad.M_HI ** 2     # the panels of a round share calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", NAMES)
+def test_quadrature_matches_each_closed_form(name, n):
+    g, _ = _integrand(name, n)
+    value, err = heisenberg_integral(g, n, tol=1e-9)
+    exact = constant(name, n).value
+    assert abs(value - exact) <= err
+    if name not in ("A4", "A5"):    # no sigma substitution: rounding level
+        assert abs(value - exact) <= 1e-13 * exact
 
 
 def test_ipow_matches_power():
