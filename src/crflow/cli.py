@@ -71,17 +71,27 @@ def _json_int(entry, key):
     return value
 
 
+def _json_number(entry, key):
+    """entry[key] as a float if it is a JSON number; float() would take true
+    as 1.0 and "1.2" as 1.2."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_morse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     pts = tuple(
         CriticalPoint(index=_json_int(p, "index"),
                       laplacian_sign=_json_int(p, "laplacian_sign"),
-                      f_value=float(p["f_value"]),
+                      f_value=_json_number(p, "f_value"),
                       location=tuple(p["location"]) if p.get("location") else None)
         for p in raw["critical_points"])
     return MorseData(n=_json_int(raw, "n"), critical_points=pts,
-                     f_max=float(raw["f_max"]), f_min=float(raw["f_min"]))
+                     f_max=_json_number(raw, "f_max"),
+                     f_min=_json_number(raw, "f_min"))
 
 
 def cmd_run(args):

@@ -64,14 +64,19 @@ def _integer(value, label):
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
-def _check(name, n):
-    """The dimension n as an int, after checking name and n."""
-    if name not in NAMES:
-        raise ValueError(f"unknown constant {name!r}")
+def check_dimension(n):
+    """The dimension n as an int >= 1; anything else is a ValueError naming n."""
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return n
+
+
+def _check(name, n):
+    """The dimension n as an int, after checking name and n."""
+    if name not in NAMES:
+        raise ValueError(f"unknown constant {name!r}")
+    return check_dimension(n)
 
 
 def _integrand(name, n):

@@ -35,6 +35,7 @@ from math import isfinite
 import numpy as np
 
 from .conformal import pullback_factor
+from .constants import check_dimension
 from .errors import NoConvergence
 from .flow import center_of_mass, density
 from .geometry import CRAutomorphism
@@ -156,9 +157,11 @@ def ideal_bubble_shadow_gap(eps, n):
 
     The density here omits its 4^{n+1} weight, as does the companion constant
     A3, which is the consistent pairing for the deficit law
-    (vol^2 - Theta^2)/eps^2 -> 4 vol A3.  eps must be finite and > 0."""
+    (vol^2 - Theta^2)/eps^2 -> 4 vol A3.  eps must be finite and > 0, and n
+    an integer >= 1."""
     if not (isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    n = check_dimension(n)
     e2 = eps * eps
 
     def g(r, tau):
@@ -175,13 +178,14 @@ def ideal_bubble_shadow_gap(eps, n):
 def ideal_bubble_shadow(eps, n):
     """Theta_{n+1}(eps) = vol - 2 eps^2 4^{n+1} I(eps) for an exact bubble,
     the shadow() measured on bubble states."""
-    vol = sphere_volume_cached(n)
-    return vol - 2.0 * eps * eps * 4.0 ** (n + 1) * ideal_bubble_shadow_gap(eps, n)
+    gap = ideal_bubble_shadow_gap(eps, n)       # checks eps and n
+    return sphere_volume_cached(n) - 2.0 * eps * eps * 4.0 ** (n + 1) * gap
 
 
 def shadow_deficit_ratio(eps, n):
     """(vol^2 - Theta(eps)^2) / eps^2 in the bare-density pairing; converges
     monotonically to 4 vol A3 as eps -> 0."""
+    gap = ideal_bubble_shadow_gap(eps, n)       # checks eps and n
     vol = sphere_volume_cached(n)
-    theta = vol - 2.0 * eps * eps * ideal_bubble_shadow_gap(eps, n)
+    theta = vol - 2.0 * eps * eps * gap
     return (vol * vol - theta * theta) / (eps * eps)

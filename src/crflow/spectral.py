@@ -12,10 +12,13 @@ and the monomials evaluated at them); a complex input to a transform
 raises TypeError.
 
 The grid is a product rule in Hopf coordinates
-x_k = sqrt(t_k) e^{i th_k}: uniform phases (exact for charges |a_k - b_k| <=
-deg) times a simplex rule in t (exact to the matching algebraic degree), so
-all monomials of ambient degree <= 2J + 4 integrate exactly.  Weights are
-scaled so the total measure equals the closed form 4 pi^{n+1} / n!.
+x_k = sqrt(t_k) e^{i th_k}: M = deg + 1 uniform phases per coordinate (exact
+for charges |a_k - b_k| <= deg) times a simplex rule in t, so all monomials
+of ambient degree <= deg = 2J + 4 integrate exactly.  The simplex rule is one
+collapsed-coordinate (Duffy) recursion from the 0-simplex, exact for degree
+tdeg = J + 3 in t: level l = 1..n takes (tdeg + l - 1) // 2 + 1 Gauss-Legendre
+nodes in its coordinate.  Weights are scaled so the total measure equals the
+closed form 4 pi^{n+1} / n!.
 
 The grid is also S M^n Hopf fibers of M points each: shifting every phase by
 one step, x -> w x with w = e^{2 pi i / M}, multiplies H_{j,k} by w^{j-k}
@@ -50,7 +53,6 @@ H_{j,k}.  The pairing is Gamma_b(u, w) = H u . H w / 4.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
 from math import factorial, pi
 from numbers import Real
 
@@ -84,57 +86,37 @@ def _gl01(m):
 
 def _simplex_rule(n, tdeg):
     """Nodes (m, n+1) on the simplex sum t = 1 and weights for the uniform
-    probability measure, exact for monomials of degree <= tdeg."""
-    if n == 1:
-        x, w = _gl01((tdeg + 2) // 2 + 1)
-        T = np.stack([x, 1.0 - x], axis=1)
-        return T, w / w.sum()
-    if n == 2:
-        mx = (tdeg + 1) // 2 + 1          # xi carries an extra (1 - xi) factor
-        me = tdeg // 2 + 1
-        x1, w1 = _gl01(mx)
-        x2, w2 = _gl01(me)
-        T, W = [], []
-        for i in range(mx):
-            for j in range(me):
-                t1 = x1[i]
-                t2 = (1.0 - x1[i]) * x2[j]
-                T.append((t1, t2, 1.0 - t1 - t2))
-                W.append(w1[i] * w2[j] * (1.0 - x1[i]))
-        W = np.array(W)
-        return np.array(T), W / W.sum()
-    # recursive Duffy-type factorization t_1 = xi, rest = (1 - xi) * simplex(n-1)
-    mx = (tdeg + n - 1) // 2 + 1
-    x1, w1 = _gl01(mx)
+    probability measure, exact for monomials of degree <= tdeg.
+
+    Stroud's conical product rule, one collapsed-coordinate (Duffy) recursion
+    from the 0-simplex (one point, weight 1): t_1 = xi and the rest is
+    (1 - xi) times the rule on the (n-1)-simplex.  Level n carries the factor
+    (1 - xi)^{n-1}, so (tdeg + n - 1) // 2 + 1 Gauss-Legendre nodes in xi, the
+    fewest that are exact, suffice.  Nodes run xi outer, sub-simplex inner."""
+    if n == 0:
+        return np.ones((1, 1)), np.ones(1)
+    xi, w = _gl01((tdeg + n - 1) // 2 + 1)
     Tsub, Wsub = _simplex_rule(n - 1, tdeg)
-    T, W = [], []
-    for i in range(mx):
-        for Ts, Ws in zip(Tsub, Wsub):
-            T.append((x1[i],) + tuple((1.0 - x1[i]) * np.asarray(Ts)))
-            W.append(w1[i] * Ws * (1.0 - x1[i]) ** (n - 1))
-    W = np.array(W)
-    return np.array(T), W / W.sum()
+    rest = ((1.0 - xi)[:, None, None] * Tsub).reshape(-1, n)
+    T = np.column_stack([np.repeat(xi, len(Tsub)), rest])
+    W = np.outer(w * (1.0 - xi) ** (n - 1), Wsub).ravel()
+    return T, W / W.sum()
 
 
 def sphere_quadrature(n, deg):
     """Grid exact for monomials x^a conj(x)^b of total degree <= deg.
 
-    Returns (nodes (N, n+1) complex, weights (N,) summing to the volume)."""
+    Returns (nodes (N, n+1) complex, weights (N,) summing to the volume),
+    simplex point outer and the phase tuples inner, each in
+    itertools.product order (last coordinate fastest)."""
     nc = n + 1
     M = deg + 1
     phases = np.exp(2j * pi * np.arange(M) / M)
     T, WT = _simplex_rule(n, deg // 2 + 1)
-    s = np.sqrt(T)                                   # (m, nc)
-    m_simplex = len(T)
-    N = m_simplex * M ** nc
-    nodes = np.empty((N, nc), dtype=complex)
-    weights = np.empty(N)
-    row = 0
-    phase_tuples = np.array(list(iter_product(phases, repeat=nc)))   # (M^nc, nc)
-    for it in range(m_simplex):
-        nodes[row:row + len(phase_tuples)] = s[it] * phase_tuples
-        weights[row:row + len(phase_tuples)] = WT[it]
-        row += len(phase_tuples)
+    phase_tuples = np.stack(np.meshgrid(*[phases] * nc, indexing="ij"),
+                            axis=-1).reshape(-1, nc)          # (M^nc, nc)
+    nodes = (np.sqrt(T)[:, None, :] * phase_tuples).reshape(-1, nc)
+    weights = np.repeat(WT, len(phase_tuples))
     weights *= sphere_volume_cached(n) / weights.sum()
     return nodes, weights
 
@@ -343,19 +325,6 @@ class Basis:
             return out
         return run
 
-    def synthesize_native(self, x):
-        """Fiber-ordered grid values (r, N) of padded slot-ordered real
-        coefficient rows x (r, Q L)."""
-        out = np.empty((len(x), len(self.weights)))
-        return self.synthesis_plan(np.ascontiguousarray(x), out)()
-
-    def project_native(self, v):
-        """Padded slot-ordered coefficients (r, Q L), exactly zero on the
-        pads, of real weighted fiber-ordered grid rows v (r, N): the adjoint
-        of synthesize_native."""
-        out = np.empty((len(v), self._table.shape[0] * self._table.shape[1]))
-        return self.projection_plan(np.ascontiguousarray(v), out)()
-
     def to_slots(self, c):
         """Padded slot vectors (..., Q L) of coefficient rows (..., nb)."""
         x = np.zeros(c.shape[:-1] + (self._table.shape[0] * self._table.shape[1],))
@@ -392,13 +361,16 @@ class Basis:
         """Grid values of real coefficient rows, shape (..., nb) -> (..., N)."""
         c = _real(coeffs)
         x = self.to_slots(c.reshape(-1, self.nb))
-        return self.from_fibers(self.synthesize_native(x)).reshape(c.shape[:-1] + (-1,))
+        values = self.synthesis_plan(x, np.empty((len(x), len(self.weights))))()
+        return self.from_fibers(values).reshape(c.shape[:-1] + (-1,))
 
     def project(self, values):
         """Basis coefficients of real grid values, shape (..., N) -> (..., nb):
         funcs @ (weights * values) row by row, without funcs."""
         v = self.weights * _real(values)
-        x = self.project_native(self.to_fibers(v.reshape(-1, v.shape[-1])))
+        w = self.to_fibers(v.reshape(-1, v.shape[-1]))
+        out = np.empty((len(w), self._table.shape[0] * self._table.shape[1]))
+        x = self.projection_plan(w, out)()
         return self.from_slots(x).reshape(v.shape[:-1] + (-1,))
 
     @cached_property

@@ -231,8 +231,15 @@ _MAXIMUM = {"index": 5, "laplacian_sign": -1, "f_value": 1.3}
     # a non-finite bound would make the ratio test read nan or inf
     ([], {"f_max": float("nan")}),
     ([_MAXIMUM], {"f_max": float("inf")}),
+    # float() would read each of these as data and print a verdict
+    ([], {"n": 1, "f_max": True}),
+    ([dict(_MAXIMUM, index=3, f_value=True)], {"n": 1}),
+    ([], {"f_max": "1.2"}),
+    ([], {"f_min": "1.0"}),
+    ([dict(_MAXIMUM, f_value="1.1")], {}),
 ], ids=["index-6", "index-float", "laplacian_sign-float", "n-float", "n-bool",
-        "n-0", "f_max-NaN", "f_max-Infinity"])
+        "n-0", "f_max-NaN", "f_max-Infinity", "f_max-bool", "f_value-bool",
+        "f_max-string", "f_min-string", "f_value-string"])
 def test_morse_out_of_range_index_exit_64(tmp_path, points, header):
     p = tmp_path / "m.json"
     _morse_file(p, points, **header)

@@ -179,6 +179,15 @@ def test_bubble_shadow_rejects_bad_eps(eps):
             f(eps, 2)
 
 
+@pytest.mark.parametrize("n", [True, 0, -1, 1.5, "2"])
+def test_bubble_shadow_rejects_bad_n(n):
+    # a bool is not read as 1, and factorial() or the integrand never sees
+    # the others
+    for f in (ideal_bubble_shadow_gap, ideal_bubble_shadow, shadow_deficit_ratio):
+        with pytest.raises(ValueError, match="^n must be"):
+            f(0.1, n)
+
+
 # ---------------------------------------------------------------------------
 # drift of the normalized factor along concentrating flows
 # ---------------------------------------------------------------------------

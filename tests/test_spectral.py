@@ -63,6 +63,68 @@ def test_weights_positive_and_sum_to_volume(basis8):
     assert abs(basis8.weights.sum() - sphere_volume_cached(1)) < 1e-9
 
 
+@pytest.mark.parametrize("n, deg", [(1, 20), (2, 8)])
+def test_grid_runs_simplex_point_outer_and_phase_tuple_inner(n, deg):
+    # Basis._fiber_to_grid and perfbench's phase_rotation index the grid so
+    from itertools import product
+
+    from crflow.spectral import _simplex_rule, sphere_quadrature
+
+    nodes, weights = sphere_quadrature(n, deg)
+    T, W = _simplex_rule(n, deg // 2 + 1)
+    phases = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
+    tuples = list(product(phases, repeat=n + 1))
+    assert np.array_equal(nodes, [np.sqrt(t) * p for t in T for p in tuples])
+    vol = sphere_volume_cached(n)
+    assert np.allclose(weights, vol * np.repeat(W, len(tuples)) / len(tuples),
+                       rtol=1e-14, atol=0.0)
+
+
+def grid_moments(nodes, weights, exps, degree):
+    """Quadrature integrals of x^a conj(x)^b for the exponent rows a, b of
+    exps (sorted by degree) with |a| + |b| <= degree, as a matrix [a, b]
+    (zero where |a| + |b| > degree); the nodes go in blocks of 4096."""
+    deg = exps.sum(axis=1)
+    cut = np.searchsorted(deg, np.arange(degree + 2))     # |a| = p on cut[p]:cut[p+1]
+    moments = np.zeros((len(exps), len(exps)), dtype=complex)
+    for lo in range(0, len(nodes), 4096):
+        x = nodes[lo:lo + 4096]
+        powers = np.cumprod(np.repeat(x[..., None], degree, axis=-1), axis=-1)
+        powers = np.concatenate([np.ones(x.shape + (1,)), powers], axis=-1)
+        X = np.prod(powers[:, np.arange(x.shape[1]), exps], axis=-1)    # (c, K)
+        Xw = X * weights[lo:lo + 4096, None]
+        for p in range(degree + 1):
+            rows, stop = slice(cut[p], cut[p + 1]), cut[degree - p + 1]
+            moments[rows, :stop] += Xw[:, rows].T @ X[:, :stop].conj()
+    return moments
+
+
+@pytest.mark.parametrize("n, J", [(1, 8), (1, 12), (2, 4)])
+def test_grid_integrates_every_monomial_through_degree_2J_plus_4(n, J):
+    # over S^{2n+1} the mean of |x_1|^{2a_1} .. |x_{n+1}|^{2a_{n+1}} is
+    # n! a_1! .. a_{n+1}! / (n + |a|)!, and x^a conj(x)^b, a != b, integrates
+    # to 0
+    from itertools import product
+    from math import comb, factorial, prod
+
+    degree = 2 * J + 4
+    nodes, weights = crflow.spectral.sphere_quadrature(n, degree)
+    exps = np.array(sorted((a for a in product(range(degree + 1), repeat=n + 1)
+                            if sum(a) <= degree), key=sum))
+    mean = grid_moments(nodes, weights, exps, degree) / sphere_volume_cached(n)
+    deg = exps.sum(axis=1)
+    inside = deg[:, None] + deg[None, :] <= degree
+    exact = np.zeros(mean.shape)
+    diagonal = np.flatnonzero(2 * deg <= degree)
+    exact[diagonal, diagonal] = [factorial(n) * prod(map(factorial, exps[i]))
+                                 / factorial(n + deg[i]) for i in diagonal]
+    assert inside.sum() == comb(degree + 2 * n + 2, 2 * n + 2)   # every monomial
+    off = inside & (exact == 0.0)
+    assert np.abs(mean[off]).max() < 1e-13
+    assert np.all(np.abs(mean[diagonal, diagonal] - exact[diagonal, diagonal])
+                  < 1e-13 * exact[diagonal, diagonal])
+
+
 def test_basis_j1_content():
     basis = crflow.build_basis(1, 1)
     # {1, x_1, x_2, conj x_1, conj x_2} with eigenvalues {0, 1/2 x4}: the
@@ -235,20 +297,17 @@ def test_native_core_with_its_boundaries_is_the_transforms(transform_basis):
     for shape in ((1,), (3,)):
         c = rng.normal(size=shape + (basis.nb,))
         v = rng.normal(size=shape + (len(basis.nodes),))
-        values = basis.from_fibers(basis.synthesize_native(basis.to_slots(c)))
-        assert np.array_equal(values, basis.synthesize(c))
-        coeffs = basis.from_slots(basis.project_native(basis.to_fibers(basis.weights * v)))
-        assert np.array_equal(coeffs, basis.project(v))
-        # plans on caller buffers read their input at each call and give
-        # the same values
+        # plans on caller buffers read their input at each call
         x, out = np.zeros(basis.to_slots(c).shape), np.full(v.shape, np.nan)
         synthesize = basis.synthesis_plan(x, out)
         x[...] = basis.to_slots(c)
-        assert synthesize() is out and np.array_equal(basis.from_fibers(out), values)
+        assert synthesize() is out
+        assert np.array_equal(basis.from_fibers(out), basis.synthesize(c))
         w, out = np.zeros(v.shape), np.full(x.shape, np.nan)
         project = basis.projection_plan(w, out)
         w[...] = basis.to_fibers(basis.weights * v)
-        assert project() is out and np.array_equal(basis.from_slots(out), coeffs)
+        assert project() is out
+        assert np.array_equal(basis.from_slots(out), basis.project(v))
         strided = np.empty(v.shape[:-1] + (2 * v.shape[-1],))[..., ::2]
         with pytest.raises(ValueError, match="contiguous"):
             basis.synthesis_plan(x, strided)
@@ -265,7 +324,8 @@ def test_projected_slot_vectors_are_zero_on_the_pads(transform_basis):
     pads[basis._slot] = False
     assert pads.any()
     v = np.random.default_rng(37).normal(size=(2, len(basis.nodes)))
-    x = basis.project_native(basis.to_fibers(basis.weights * v))
+    x = np.full(v.shape[:-1] + basis.yamabe_slots.shape, np.nan)
+    basis.projection_plan(basis.to_fibers(basis.weights * v), x)()
     assert np.all(x[:, pads] == 0.0) and np.all(basis.yamabe_slots[pads] == 0.0)
 
 
