@@ -14,10 +14,12 @@ raises TypeError.
 The grid is a product rule in Hopf coordinates
 x_k = sqrt(t_k) e^{i th_k}: M = deg + 1 uniform phases per coordinate (exact
 for charges |a_k - b_k| <= deg) times a simplex rule in t, so all monomials
-of ambient degree <= deg = 2J + 4 integrate exactly.  The simplex rule is one
-collapsed-coordinate (Duffy) recursion from the 0-simplex, exact for degree
-tdeg = J + 3 in t: level l = 1..n takes (tdeg + l - 1) // 2 + 1 Gauss-Legendre
-nodes in its coordinate.  Weights are scaled so the total measure equals the
+of ambient degree <= deg = 2J + 4 integrate exactly.  The phases integrate
+x^a conj(x)^b, a != b, to zero, and a = b leaves a monomial of degree
+|a| <= deg / 2 in t, so the simplex rule is exact for degree tdeg = J + 2 in
+t.  It is one collapsed-coordinate (Duffy) recursion from the 0-simplex:
+level l = 1..n takes (tdeg + l - 1) // 2 + 1 Gauss-Legendre nodes in its
+coordinate.  Weights are scaled so the total measure equals the
 closed form 4 pi^{n+1} / n!.
 
 The grid is also S M^n Hopf fibers of M points each: shifting every phase by
@@ -25,14 +27,20 @@ one step, x -> w x with w = e^{2 pi i / M}, multiplies H_{j,k} by w^{j-k}
 and keeps the weights.  Grid point s M^{n+1} + (p_0..p_n) sits at t = p_0 on
 the fiber over the base point (s, p_1 - p_0, .., p_n - p_0 mod M), and each
 basis row is Re(g(base) w^{q t}) with charge q = j - k.  The basis is built
-on the base points alone, and both transforms run through a table of g,
-grouped by |q| and padded to L rows per group, and the M x 2(J+1) matrix
-[cos | sin] of 2 pi |q| t / M, its columns in (charge, part) order.  The
+on the base points alone, and both transforms run through a table of g and
+an M x 4(J+1) Fourier matrix of 2 pi |q| t / M.  The table's rows are
+grouped by |q|, and each holds a pair (a, b) of consecutive basis rows of
+its group as [Re g_a | Re g_b]: for q != 0 the pair is g, -i g, so the sin
+halves are Im g_a = Re g_b and Im g_b = -Re g_a, and at q = 0 they are never
+read.  So the Fourier columns, in (part, charge, half) order, are
+[cos, sin] for part 0 (row a) and [-sin, cos] for part 1 (row b).  The
 transform core is two dense products each way between the native layouts:
-coefficients as padded slot vectors (zero on the pads) and grid values in
-fiber order.  The column order lets each product write straight into the
-layout the next one reads, so neither copies its intermediate, and a plan
-(synthesis_plan, projection_plan) binds both products to fixed buffers.
+coefficients as padded slot vectors in (part, charge, slot) order (zero on
+the pads) and grid values in fiber order.  The r rows and 2 parts of a
+plan's slot vectors fold into one stride, and the column order lets each
+product write straight into the layout the next one reads, so neither
+copies its intermediate; a plan (synthesis_plan, projection_plan) binds
+both products to fixed buffers.
 synthesize and project add a scatter or gather of the slots and a
 permutation of the grid at either end; the flow's stages skip them.  The
 dense (nb, N) funcs is built lazily, as the reference for tests; no
@@ -103,6 +111,13 @@ def _simplex_rule(n, tdeg):
     return T, W / W.sum()
 
 
+def _grid_simplex(n, deg):
+    """The simplex rule of the degree-deg sphere grid, exact for degree
+    deg // 2 in t: the phases integrate x^a conj(x)^b, a != b, to zero and
+    a = b leaves t^a."""
+    return _simplex_rule(n, deg // 2)
+
+
 def sphere_quadrature(n, deg):
     """Grid exact for monomials x^a conj(x)^b of total degree <= deg.
 
@@ -112,7 +127,7 @@ def sphere_quadrature(n, deg):
     nc = n + 1
     M = deg + 1
     phases = np.exp(2j * pi * np.arange(M) / M)
-    T, WT = _simplex_rule(n, deg // 2 + 1)
+    T, WT = _grid_simplex(n, deg)
     phase_tuples = np.stack(np.meshgrid(*[phases] * nc, indexing="ij"),
                             axis=-1).reshape(-1, nc)          # (M^nc, nc)
     nodes = (np.sqrt(T)[:, None, :] * phase_tuples).reshape(-1, nc)
@@ -156,7 +171,9 @@ def _check_contiguous(*buffers):
 
 class Basis:
     """Real orthonormal bigraded-harmonic basis with quadrature grid; the
-    pair sqrt2 Re h, sqrt2 Im h of each h in H_{j,k}, j < k, is adjacent.
+    pair sqrt2 Re h, sqrt2 Im h of each h in H_{j,k}, j < k, is adjacent,
+    and the transforms store it as one row of the fiber table (0.44 MB at
+    (1,8), 2.3 MB at (1,12), 6.5 MB at (2,4)).
 
     Attributes:
       n, J             : sphere index and truncation degree
@@ -184,14 +201,15 @@ class Basis:
         blocks = [(j, m - j, _harmonic_nullspace(space, j, m - j))
                   for m in range(J + 1) for j in range(m // 2 + 1)]
         # predict the fiber table's size before allocating: J + 1 charge
-        # groups of L rows, L the largest group, each row 2 S M^n long
+        # groups of L rows, each row a pair of basis rows, so L is half the
+        # largest group rounded up, and each row 2 S M^n long
         M = deg + 1
-        T, _ = _simplex_rule(n, deg // 2 + 1)
+        T, _ = _grid_simplex(n, deg)
         n_nodes = len(T) * M ** nc
         group_rows = np.zeros(J + 1, dtype=np.int64)
         for j, k, null in blocks:
             group_rows[k - j] += null.shape[1] * (1 if j == k else 2)
-        L, width = int(group_rows.max()), 2 * (n_nodes // M)
+        L, width = (int(group_rows.max()) + 1) // 2, 2 * (n_nodes // M)
         if (J + 1) * L * width > BUDGET:
             raise BudgetExceeded(
                 f"fiber table needs {J + 1} x {L} x {width} = {(J + 1) * L * width} "
@@ -260,24 +278,32 @@ class Basis:
         self.nb = len(tags)
 
         # the fiber table: row r is Re(g_r w^{q t}), q = j - k <= 0, so it is
-        # Re g_r cos(2 pi |q| t / M) + Im g_r sin(2 pi |q| t / M); rows are
-        # grouped by |q| and padded to L rows per group
-        g = np.concatenate(gs)
+        # Re g_r cos(2 pi |q| t / M) + Im g_r sin(2 pi |q| t / M).  Rows are
+        # grouped by |q| and paired in order within a group: a pair (a, b)
+        # takes one slot in part 0 and part 1 and one table row
+        # [Re g_a | Re g_b].  For q != 0 the pair is g, -i g, so Im g_a =
+        # Re g_b and Im g_b = -Re g_a; at q = 0 no sin half is read
+        g = np.concatenate(gs).real
         group = np.array([k - j for j, k in tags])          # |q|
-        slot = np.zeros(self.nb, dtype=np.int64)
+        rank = np.zeros(self.nb, dtype=np.int64)
         for q in range(J + 1):
-            slot[group == q] = np.arange(np.sum(group == q))
-        self._slot = group * L + slot           # flat (group, slot) of each row
-        table = np.zeros(((J + 1) * L, width))
-        table[self._slot] = np.concatenate([g.real, g.imag], axis=1)
-        self._table = table.reshape(J + 1, L, -1)
-        # [cos | sin] of 2 pi |q| t / M, its columns in (charge, part) order
+            rank[group == q] = np.arange(np.sum(group == q))
+        part, slot = rank % 2, rank // 2
+        self._slot = (part * (J + 1) + group) * L + slot    # flat (part, |q|, slot)
+        self._n_slots = 2 * (J + 1) * L
+        table = np.zeros((J + 1, L, 2, width // 2))
+        table[group, slot, part] = g
+        self._table = table.reshape(J + 1, L, width)
+        # the part 0 rows read [cos | sin] of 2 pi |q| t / M, the part 1 rows
+        # [-sin | cos]; columns in (part, |q|, half) order
         angle = 2.0 * pi * np.outer(np.arange(M), np.arange(J + 1)) / M
-        self._fourier = np.stack([np.cos(angle), np.sin(angle)], axis=2).reshape(M, -1)
+        cos, sin = np.cos(angle), np.sin(angle)
+        self._fourier = np.stack([np.stack([cos, sin], axis=2),
+                                  np.stack([-sin, cos], axis=2)], axis=1).reshape(M, -1)
 
     # -- transforms -----------------------------------------------------
 
-    # The native layouts: coefficients as padded slot vectors, (Q L) long
+    # The native layouts: coefficients as padded slot vectors, (2 Q L) long
     # with row i at _slot[i] and zero on the pads, and grid values in fiber
     # order, point _fiber_to_grid[k] at k.  The core runs between the two;
     # synthesize and project add the conversions at either end.  A plan
@@ -288,16 +314,17 @@ class Basis:
     def synthesis_plan(self, x, out):
         """A function of no arguments that writes the fiber-ordered grid
         values (r, N) of the padded slot-ordered real coefficient rows in x
-        (r, Q L) into out, and returns out."""
+        (r, 2 Q L) into out, and returns out."""
         _check_contiguous(x, out)
         r = len(x)
         Q, L, P2 = self._table.shape
         M = len(self._fourier)
-        # per group: (Q, r, L) @ (Q, L, 2P) into ab (r, Q, 2P), which is
-        # (r, 2Q, P) in the (charge, part) order of the [cos | sin] columns
-        ab = np.empty((r, Q, P2))
-        groups, ab_groups = x.reshape(r, Q, L).transpose(1, 0, 2), ab.transpose(1, 0, 2)
-        ab_parts, fibers = ab.reshape(r, 2 * Q, -1), out.reshape(r, M, -1)
+        # the r rows and 2 parts of x fold into one stride: per group,
+        # (Q, 2r, L) @ (Q, L, 2P) into ab (2r, Q, 2P), which is (r, 4Q, P) in
+        # the (part, |q|, half) order of the Fourier columns
+        ab = np.empty((2 * r, Q, P2))
+        groups, ab_groups = x.reshape(2 * r, Q, L).transpose(1, 0, 2), ab.transpose(1, 0, 2)
+        ab_parts, fibers = ab.reshape(r, 4 * Q, -1), out.reshape(r, M, -1)
 
         def run():
             np.matmul(groups, self._table, out=ab_groups)
@@ -307,17 +334,17 @@ class Basis:
 
     def projection_plan(self, v, out):
         """A function of no arguments that writes the padded slot-ordered
-        coefficients (r, Q L), exactly zero on the pads, of the real weighted
-        fiber-ordered grid rows in v (r, N) into out, and returns out: the
-        adjoint of the synthesis."""
+        coefficients (r, 2 Q L), exactly zero on the pads, of the real
+        weighted fiber-ordered grid rows in v (r, N) into out, and returns
+        out: the adjoint of the synthesis."""
         _check_contiguous(v, out)
         r = len(v)
         Q, L, P2 = self._table.shape
         M = len(self._fourier)
-        ab = np.empty((r, Q, P2))
-        fibers, ab_parts = v.reshape(r, M, -1), ab.reshape(r, 2 * Q, -1)
+        ab = np.empty((2 * r, Q, P2))
+        fibers, ab_parts = v.reshape(r, M, -1), ab.reshape(r, 4 * Q, -1)
         ab_groups, table_t = ab.transpose(1, 0, 2), self._table.transpose(0, 2, 1)
-        groups = out.reshape(r, Q, L).transpose(1, 0, 2)
+        groups = out.reshape(2 * r, Q, L).transpose(1, 0, 2)
 
         def run():
             np.matmul(self._fourier.T, fibers, out=ab_parts)
@@ -326,13 +353,13 @@ class Basis:
         return run
 
     def to_slots(self, c):
-        """Padded slot vectors (..., Q L) of coefficient rows (..., nb)."""
-        x = np.zeros(c.shape[:-1] + (self._table.shape[0] * self._table.shape[1],))
+        """Padded slot vectors (..., 2 Q L) of coefficient rows (..., nb)."""
+        x = np.zeros(c.shape[:-1] + (self._n_slots,))
         x[..., self._slot] = c
         return x
 
     def from_slots(self, x):
-        """Coefficient rows (..., nb) of padded slot vectors (..., Q L)."""
+        """Coefficient rows (..., nb) of padded slot vectors (..., 2 Q L)."""
         return np.take(x, self._slot, axis=-1)
 
     def to_fibers(self, values):
@@ -369,7 +396,7 @@ class Basis:
         funcs @ (weights * values) row by row, without funcs."""
         v = self.weights * _real(values)
         w = self.to_fibers(v.reshape(-1, v.shape[-1]))
-        out = np.empty((len(w), self._table.shape[0] * self._table.shape[1]))
+        out = np.empty((len(w), self._n_slots))
         x = self.projection_plan(w, out)()
         return self.from_slots(x).reshape(v.shape[:-1] + (-1,))
 

@@ -68,10 +68,10 @@ def test_grid_runs_simplex_point_outer_and_phase_tuple_inner(n, deg):
     # Basis._fiber_to_grid and perfbench's phase_rotation index the grid so
     from itertools import product
 
-    from crflow.spectral import _simplex_rule, sphere_quadrature
+    from crflow.spectral import _grid_simplex, sphere_quadrature
 
     nodes, weights = sphere_quadrature(n, deg)
-    T, W = _simplex_rule(n, deg // 2 + 1)
+    T, W = _grid_simplex(n, deg)
     phases = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
     tuples = list(product(phases, repeat=n + 1))
     assert np.array_equal(nodes, [np.sqrt(t) * p for t in T for p in tuples])
@@ -174,15 +174,27 @@ def test_budget_exceeded():
         crflow.build_basis(2, 8)
 
 
-def test_budget_counts_the_fiber_table(monkeypatch):
+@pytest.mark.parametrize("n, J", [(1, 8), (1, 12), (2, 4)])
+def test_budget_counts_the_fiber_table(n, J, monkeypatch):
     import crflow.spectral as spectral
 
-    entries = crflow.build_basis(2, 4)._table.size
+    entries = crflow.build_basis(n, J)._table.size
     monkeypatch.setattr(spectral, "BUDGET", entries)
-    assert crflow.build_basis(2, 4)._table.size == entries
+    assert crflow.build_basis(n, J)._table.size == entries
     monkeypatch.setattr(spectral, "BUDGET", entries - 1)
     with pytest.raises(BudgetExceeded, match=f"= {entries} entries"):
-        crflow.build_basis(2, 4)
+        crflow.build_basis(n, J)
+
+
+@pytest.mark.parametrize("n, J", [(1, 8), (1, 12), (2, 4)])
+def test_table_stores_each_pair_once(n, J):
+    # a table row holds two basis rows of one charge group: the pair
+    # sqrt2 Re h, sqrt2 Im h for q != 0, two consecutive rows at q = 0
+    basis = crflow.build_basis(n, J)
+    largest = max(np.bincount([k - j for j, k in basis.bidegrees]))
+    assert basis._table.shape[1] == -(-largest // 2)
+    if (n, J) == (1, 8):
+        assert basis._table.nbytes == 435456
 
 
 def test_monomial_eigenvalue_oracle(basis8):
