@@ -7,6 +7,9 @@ b_n = pi^{n+1} / n! they are
     A3 = b_n / 4^n              A6 = 2 b_n / n
     A4 = 8 b_n                  A5 = 8n b_n (1 - 2^{n+1} (n+1) sum_{k>=n+2} 1/(k 2^k))
 
+A3 = b_n/4^n = vol/4^{n+1}, with vol = 4 b_n the volume of S^{2n+1}, is the
+limit constant of the shadow deficit law (normalization.shadow_deficit_ratio).
+
 For A1, A2, A3 and A6 the tau-integral of (tau^2 + s^2)^{-m} is
 sqrt(pi) Gamma(m - 1/2)/Gamma(m) s^{1-2m}, and the radial integral left over
 is a Beta integral (DLMF 5.12).  A4 and A5 have the |z|^4 + tau^2

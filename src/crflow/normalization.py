@@ -26,6 +26,15 @@ for a rank-deficient J, and backtracks.  The scale eps = 1/||H||_2 does not
 change under unitary rotations on either side; for a factor concentrating
 with scale eps it is that eps.  v is pulled back when CenteringResult.v is
 first read.
+
+An exact bubble of scale eps = e^{-rho} has the shadow |Theta| = vol tanh rho
+= vol (1 - eps^2)/(1 + eps^2): its centering phi is boost(rho e) up to a
+rotation; phi's e-component (z cosh rho + sinh rho)/(z sinh rho + cosh rho)
+is holomorphic in z = e* . x on the closed disk, so its sphere mean is its
+value tanh rho at z = 0, and the rest of phi averages to zero under
+x_perp -> e^{i alpha} x_perp (Rudin, Function Theory in the Unit Ball of C^n,
+1.4 and 2.2).  The chart integral I in Theta = vol - 2 eps^2 4^{n+1} I is
+then vol / (4^{n+1} (1 + eps^2)), which tends to A3 = vol / 4^{n+1}.
 """
 
 from dataclasses import dataclass
@@ -39,14 +48,13 @@ from .constants import check_dimension
 from .errors import NoConvergence
 from .flow import center_of_mass, density
 from .geometry import CRAutomorphism
-from .hquad import heisenberg_integral, ipow
+from .hquad import heisenberg_integral  # only reader: perfbench/tracing.py TARGETS
 from .spectral import sphere_volume_cached
 
 CENTER_TOL = 1e-8
 MAX_ITER = 100
 VOL_TOL = 1e-6       # relative volume gap a normalized factor may have
 MAX_LOG_SCALE = 18.0  # longest boost |t delta| one Gauss-Newton trial takes
-SHADOW_TOL = 1e-9    # quadrature tolerance of the chart-side shadow integral
 
 
 @dataclass
@@ -148,44 +156,28 @@ def shadow(u, result=None):
 
 
 # ---------------------------------------------------------------------------
-# continuum shadow of an exact bubble (chart-side quadrature)
+# continuum shadow of an exact bubble (closed form)
 # ---------------------------------------------------------------------------
 
-def ideal_bubble_shadow_gap(eps, n):
-    """The bare chart-side integral I(eps) in the shadow expansion of an exact
-    bubble, Theta_{n+1} = vol - 2 eps^2 4^{n+1} I(eps).
-
-    The density here omits its 4^{n+1} weight, as does the companion constant
-    A3, which is the consistent pairing for the deficit law
-    (vol^2 - Theta^2)/eps^2 -> 4 vol A3.  eps must be finite and > 0, and n
-    an integer >= 1."""
+def _checked(eps, n):
+    """eps^2 and n as an int, for a finite eps > 0 and an integer n >= 1."""
     if not (isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    n = check_dimension(n)
-    e2 = eps * eps
-
-    def g(r, tau):
-        r2, t2 = r * r, tau * tau
-        a, s = 1.0 + e2 * r2, 1.0 + r2
-        num = e2 * (r2 * r2 + t2) + r2
-        den = a * a + e2 * e2 * t2
-        return num / den / ipow(t2 + s * s, n + 1)
-
-    value, _ = heisenberg_integral(g, n, tol=SHADOW_TOL)
-    return value
+    return eps * eps, check_dimension(n)
 
 
 def ideal_bubble_shadow(eps, n):
-    """Theta_{n+1}(eps) = vol - 2 eps^2 4^{n+1} I(eps) for an exact bubble,
-    the shadow() measured on bubble states."""
-    gap = ideal_bubble_shadow_gap(eps, n)       # checks eps and n
-    return sphere_volume_cached(n) - 2.0 * eps * eps * 4.0 ** (n + 1) * gap
+    """|Theta|(eps) = vol (1 - eps^2)/(1 + eps^2) for an exact bubble of scale
+    eps, the shadow() measured on bubble states."""
+    e2, n = _checked(eps, n)
+    return sphere_volume_cached(n) * (1.0 - e2) / (1.0 + e2)
 
 
 def shadow_deficit_ratio(eps, n):
-    """(vol^2 - Theta(eps)^2) / eps^2 in the bare-density pairing; converges
-    monotonically to 4 vol A3 as eps -> 0."""
-    gap = ideal_bubble_shadow_gap(eps, n)       # checks eps and n
+    """(vol^2 - Theta^2)/eps^2 for Theta = vol - 2 eps^2 I, the expansion
+    without the density's 4^{n+1} weight, as in A3; it is 4 I (vol - eps^2 I)
+    and increases monotonically to 4 vol A3 as eps -> 0."""
+    e2, n = _checked(eps, n)
     vol = sphere_volume_cached(n)
-    theta = vol - 2.0 * eps * eps * gap
-    return (vol * vol - theta * theta) / (eps * eps)
+    gap = vol / (4.0 ** (n + 1) * (1.0 + e2))
+    return 4.0 * gap * (vol - e2 * gap)

@@ -21,7 +21,7 @@ from crflow.flow import (FlowConfig, FlowState, Termination, alpha,
 from crflow.geometry import cayley_forward_xy, cayley_inverse_xy, delta_xy, \
     dilate_xy, translate_xy
 from crflow.morse import degree_sum_from_counts, sbc_check, solve_k
-from crflow.normalization import shadow_deficit_ratio
+from crflow.normalization import ideal_bubble_shadow, shadow, shadow_deficit_ratio
 from crflow.presets import f_constant, f_dipole, f_two_peak, u0_from_spec
 from crflow.spectral import Field, sphere_volume_cached
 
@@ -252,7 +252,7 @@ def test_criterion_07_constants():
 
 
 # ---------------------------------------------------------------------------
-# 8. shadow deficit asymptotics
+# 8. shadow deficit asymptotics and the exact bubble shadow
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_shadow_deficit_law():
@@ -261,10 +261,37 @@ def test_criterion_08_shadow_deficit_law():
     ratios = {eps: shadow_deficit_ratio(eps, n) for eps in (0.2, 0.1, 0.05)}
     errs = [abs(ratios[e] - target) / target for e in (0.2, 0.1, 0.05)]
     monotone = errs[0] > errs[1] > errs[2]
-    ok = monotone and errs[2] < 0.05
+    # the shadow of grid bubbles against the exact law at the centering's own
+    # eps, relative to vol: each bound is two to three times the larger of
+    # the gaps measured at the north pole and at the seeded center, or 1e-13
+    # where that gap is rounding
+    bounds = {(1, 8): {0.8: 1e-13, 0.45: 3e-5, 0.35: 6e-4},
+              (1, 12): {0.8: 1e-13, 0.45: 1e-6, 0.35: 6e-5},
+              (2, 4): {0.8: 1e-9, 0.45: 3e-4, 0.35: 1e-3}}
+    worst, misses = (0.0, None), []
+    for (dim, J), by_eps in bounds.items():
+        basis = crflow.build_basis(dim, J)
+        north = np.zeros(dim + 1, dtype=complex)
+        north[-1] = 1.0
+        re, im = np.random.default_rng(3).normal(size=(2, dim + 1))
+        p = re + 1j * im
+        for center, (eps, bound) in product((north, p / np.linalg.norm(p)),
+                                            by_eps.items()):
+            u = volume_renormalize(crflow.bubble(center, eps, basis,
+                                                 residual_tol=0.5))
+            theta, _, eps_c = shadow(u)
+            gap = abs(np.linalg.norm(theta) - ideal_bubble_shadow(eps_c, dim))
+            gap /= basis.vol
+            if gap > bound:
+                misses.append(f"gap {gap:.1e} > {bound:.0e} at {(dim, J, eps)}")
+            worst = max(worst, (gap, (dim, J, eps)), key=lambda w: w[0])
+    ok = monotone and errs[2] < 0.05 and not misses
     report(8, ok, f"ratios {ratios[0.2]:.3f} -> {ratios[0.1]:.3f} -> "
                   f"{ratios[0.05]:.3f} vs 4*vol*A3 = {target:.3f} "
-                  f"(rel errs {errs[0]:.4f} > {errs[1]:.4f} > {errs[2]:.4f})")
+                  f"(rel errs {errs[0]:.4f} > {errs[1]:.4f} > {errs[2]:.4f}); "
+                  f"grid |Theta| vs vol(1-eps^2)/(1+eps^2): worst gap "
+                  f"{worst[0]:.1e} of vol at (n, J, eps) = {worst[1]}"
+                  + ("; " + "; ".join(misses) if misses else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 import crflow
 from crflow.errors import NoConvergence
 from crflow.flow import critical_exponent, volume_renormalize
-from crflow.normalization import (find_centering, ideal_bubble_shadow,
-                                  ideal_bubble_shadow_gap, shadow,
+from crflow.hquad import heisenberg_integral, ipow
+from crflow.normalization import (find_centering, ideal_bubble_shadow, shadow,
                                   shadow_deficit_ratio)
 from crflow.spectral import Field, sphere_volume_cached
 
@@ -147,16 +147,63 @@ def test_shadow_raises_without_convergence(basis):
         shadow(u, result=find_centering(u, max_iter=0))
 
 
-def test_shadow_matches_chart_integral(basis):
-    # full-density chart quadrature of the shadow expansion reproduces the
-    # measured shadow of a bubble state
-    for eps in (0.5, 0.4):
+def test_shadow_matches_closed_form(basis):
+    # the measured shadow of a grid bubble points along its center and has
+    # the exact length vol (1 - eps^2)/(1 + eps^2) at the centering's own eps,
+    # up to the grid's truncation gap: 2.0e-6 and 6.8e-5 of vol, measured
+    for eps, bound in ((0.5, 5e-6), (0.4, 2e-4)):
         u = volume_renormalize(crflow.bubble(NORTH, eps, basis, residual_tol=0.5))
         res = find_centering(u)
         theta, _, eps_rec = shadow(u, result=res)
         ideal = ideal_bubble_shadow(eps_rec, 1)
-        assert abs(theta[-1].real - ideal) / basis.vol < 2e-3
-        assert np.abs(theta[:-1]).max() < 1e-3 * basis.vol
+        assert abs(theta[-1] - ideal) / basis.vol < bound
+        assert np.abs(theta[:-1]).max() < 1e-12 * basis.vol
+
+
+def _chart_shadow_integral(eps, n):
+    """The chart integral I(eps) in Theta = vol - 2 eps^2 4^{n+1} I(eps), by
+    adaptive quadrature of the exact bubble's density without its 4^{n+1}
+    weight.  Returns (value, error_estimate)."""
+    e2 = eps * eps
+
+    def g(r, tau):
+        r2, t2 = r * r, tau * tau
+        a, s = 1.0 + e2 * r2, 1.0 + r2
+        num = e2 * (r2 * r2 + t2) + r2
+        den = a * a + e2 * e2 * t2
+        return num / den / ipow(t2 + s * s, n + 1)
+
+    return heisenberg_integral(g, n, tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_shadow_matches_chart_quadrature(n):
+    # the closed forms agree with the quadrature of the defining integral
+    # within the quadrature's own error estimate (plus rounding)
+    vol = sphere_volume_cached(n)
+    for eps in (0.5, 0.1, 0.01):
+        gap, err = _chart_shadow_integral(eps, n)
+        e2 = eps * eps
+        theta = vol - 2.0 * e2 * 4.0 ** (n + 1) * gap
+        assert abs(theta - ideal_bubble_shadow(eps, n)) <= (
+            2.0 * e2 * 4.0 ** (n + 1) * err + 1e-14 * vol)
+        bare = vol - 2.0 * e2 * gap
+        ratio = (vol * vol - bare * bare) / e2
+        # d ratio / d gap = 4 bare; vol^2 - bare^2 rounds at ulp(vol^2),
+        # which the division by e2 magnifies
+        assert abs(ratio - shadow_deficit_ratio(eps, n)) <= (
+            4.0 * bare * err + 1e-15 * vol * vol / e2)
+
+
+def test_bubble_shadow_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("heisenberg_integral called")
+
+    monkeypatch.setattr(crflow.hquad, "heisenberg_integral", refuse)
+    monkeypatch.setattr(crflow.normalization, "heisenberg_integral", refuse)
+    vol = sphere_volume_cached(2)
+    assert ideal_bubble_shadow(0.1, 2) == pytest.approx(vol * 0.99 / 1.01, rel=1e-15)
+    assert 0 < shadow_deficit_ratio(0.1, 2) < 4.0 * vol * vol / 4.0 ** 3
 
 
 def test_deficit_ratio_converges_to_constant_pairing():
@@ -174,16 +221,16 @@ def test_deficit_ratio_converges_to_constant_pairing():
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf, -np.inf])
 def test_bubble_shadow_rejects_bad_eps(eps):
-    for f in (ideal_bubble_shadow_gap, ideal_bubble_shadow, shadow_deficit_ratio):
+    for f in (ideal_bubble_shadow, shadow_deficit_ratio):
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
             f(eps, 2)
 
 
 @pytest.mark.parametrize("n", [True, 0, -1, 1.5, "2"])
 def test_bubble_shadow_rejects_bad_n(n):
-    # a bool is not read as 1, and factorial() or the integrand never sees
-    # the others
-    for f in (ideal_bubble_shadow_gap, ideal_bubble_shadow, shadow_deficit_ratio):
+    # a bool is not read as 1, and sphere_volume_cached's factorial() never
+    # sees the others
+    for f in (ideal_bubble_shadow, shadow_deficit_ratio):
         with pytest.raises(ValueError, match="^n must be"):
             f(0.1, n)
 
