@@ -51,6 +51,20 @@ def _newton_on_sphere(calc, seeds, max_iter=60, tol=1e-12):
     return X[:, 0::2] + 1j * X[:, 1::2], ok
 
 
+def _first_of_each(points):
+    """The points, in order, that lie at least DEDUP_TOL from every point
+    kept before them: each cluster of converged points is represented by
+    the first one in seed order.  The first point not yet within DEDUP_TOL
+    of a kept one is the next to keep, so one distance pass per kept point
+    finds them all."""
+    keep, free = [], np.ones(len(points), dtype=bool)
+    while free.any():
+        i = int(np.argmax(free))
+        keep.append(i)
+        free &= np.linalg.norm(points - points[i], axis=1) >= DEDUP_TOL
+    return points[keep]
+
+
 def find_critical_points(f, n_seeds=160):
     """MorseData for the band-limited field f, plus a list of warnings.
 
@@ -71,11 +85,7 @@ def find_critical_points(f, n_seeds=160):
         basis.nodes[order[:third]], basis.nodes[order[-third:]],
         basis.nodes[order[:: max(1, len(order) // third)]], random_pts])
     points, ok = _newton_on_sphere(calc, seeds)
-    unique = []
-    for x in points[ok]:
-        if all(np.linalg.norm(x - y) >= DEDUP_TOL for y in unique):
-            unique.append(x)
-    unique = np.array(unique).reshape(-1, basis.n + 1)
+    unique = _first_of_each(points[ok])
     jet = calc.jet(unique)
     found, warnings = [], []
     for x, eigs, lap, value in zip(unique, np.linalg.eigvalsh(jet.sphere_hessian),

@@ -27,15 +27,25 @@ fiber order, `_f_volume` gives int f dV_theta, `_project_rhs` the
 right-hand side and `_curvature_density` R and the density, which
 `_grid_terms` permutes to grid order for `diagnostics`, `curvature_values`
 and `energy_consistency`; `_density`, `_alpha_energy_f`, `_deviation`
-(alpha f - R and F2) and `_volume_factor` complete it.  The kernel reads and
-writes one workspace (`_Workspace`): f in fiber order, (n/2) w, (n/2) w f,
-the buffers and the transform plans between them.  A run builds one, in its
-first step; every RKC2 stage, the radius estimate, the end-of-step positivity
-test, the renormalization, the E_f gate and F2 use it, and a stage allocates
-no grid-sized array.  The stages run in the transforms' native layout: padded
-slot coefficients and fiber-ordered values, with no permutation inside a
-step, and an accepted state carries its E_f, right-hand side, workspace and
-radius estimate into the next step.
+(alpha f - R), `_f2` and `_volume_factor` complete it.  The kernel reads
+and writes one workspace (`_Workspace`): f in fiber order, (n/2) w, (n/2)
+w f, the buffers, the five rows of the RKC2 step and the transform plans
+between them.  A run builds one, in its first step; every RKC2 stage, the
+radius estimate, the end-of-step positivity test, the renormalization,
+the E_f gate and F2 use it.  A stage allocates no grid-sized array, and
+the end of a step only the new state's grid values.  The stages run in
+the transforms' native layout: padded slot coefficients and fiber-ordered
+values, with no permutation inside a step.  Each projection lands in the
+step's F row, and each stage writes its row with one product of its five
+coefficients and the rows.  An accepted state carries what the next step
+would otherwise recompute: its slot coefficients, min u, E_f and
+right-hand side, with the workspace and the radius estimate.
+
+The mass scan `mass_concentration` reads the grid as simplex points times
+the phase torus (Z_M)^{n+1}: whether grid point i lies in the ball about
+center c depends only on their two simplex points and the difference of
+their phase tuples, so the ball masses at all centers are cyclic
+convolutions over the torus, taken by FFT.
 """
 
 import functools
@@ -69,10 +79,14 @@ def critical_exponent(n):
 # the flow kernel and the pointwise building blocks on it
 # ---------------------------------------------------------------------------
 
-def _density(weights, u, q):
+def _density(weights, u, q, out=None):
     """Quadrature weights of dV_theta = u^{2+2/n} dV_theta0 at values u with
-    q = u^{2/n} and quadrature weights `weights`, as w u u q."""
-    return weights * u * u * q
+    q = u^{2/n} and quadrature weights `weights`, as w u u q, into out if
+    given."""
+    out = np.multiply(weights, u, out=out)
+    out *= u
+    out *= q
+    return out
 
 
 def density(basis, uv):
@@ -85,10 +99,11 @@ class _Workspace:
     """The flow kernel's data for one basis and one f: f in fiber order,
     (n/2) w and (n/2) w f with w the fiber-ordered weights, the buffers one
     kernel evaluation fills (the curvature rows (x, A x), the values
-    (u, u R q), q = u^{2/n}, (n/2) w f u, two scratch rows and the projected
-    coefficients) and the transform plans between them.  Each evaluation
-    overwrites the last one's buffers; the accepted states of a run carry
-    one workspace from step to step."""
+    (u, u R q), q = u^{2/n}, (n/2) w f u and three scratch rows), the five
+    rows Y of `_rkc`, whose last, F, receives every projection, and the
+    transform plans between them.  Each evaluation overwrites the last
+    one's buffers and F; the accepted states of a run carry one workspace
+    from step to step, and the data of their own that a step reads."""
 
     def __init__(self, basis, fvals=None):
         self.basis = basis
@@ -99,10 +114,11 @@ class _Workspace:
         self.rows = np.empty((2, basis.yamabe_slots.size))
         self.vals = np.empty((2, self.w.size))
         self.u, self.uRq = self.vals
-        self.q, self.wfu, self.g, self.h = np.empty((4, self.w.size))
-        self.coeffs = np.empty(self.rows.shape[1])
+        self.q, self.wfu, self.g, self.h, self.dens = np.empty((5, self.w.size))
+        self.Y = np.empty((5, self.rows.shape[1]))
+        self.F = self.Y[4]
         self.synthesize = basis.synthesis_plan(self.rows, self.vals)
-        self.project = basis.projection_plan(self.g[None], self.coeffs[None])
+        self.project = basis.projection_plan(self.g[None], self.Y[4:])
 
 
 def _curvature_rows(basis, x, out=None):
@@ -124,13 +140,17 @@ def _fiber_terms(ws, x):
     """Evaluate the factor with padded slot coefficients x into the
     workspace ws: one two-row synthesis of its curvature rows gives (u, u R q)
     in fiber order, then the positivity check, which a NaN fails too, and
-    q = u^{2/n}.  Returns the energy E."""
+    q = u^{2/n}.  Keeps min u in ws.u_min and returns the energy E."""
     basis = ws.basis
     rows = _curvature_rows(basis, x, out=ws.rows)
     ws.synthesize()
-    if not ws.u.min() > 0:
+    ws.u_min = ws.u.min()
+    if not ws.u_min > 0:
         raise NonPositiveFactor("conformal factor must be positive on the grid")
-    np.power(ws.u, 2.0 / basis.n, out=ws.q)
+    if basis.n == 1:
+        np.square(ws.u, out=ws.q)         # twice as fast as np.power
+    else:
+        np.power(ws.u, 2.0 / basis.n, out=ws.q)
     return _energy(rows)
 
 
@@ -142,10 +162,12 @@ def _f_volume(ws):
     return (2.0 / ws.basis.n) * float(ws.wfu @ ws.g)
 
 
-def _curvature_density(ws):
-    """New fiber-ordered arrays (R, dens) of the factor in ws: its Webster
-    curvature (u R q) / (u q) and its density."""
-    return ws.uRq / (ws.u * ws.q), _density(ws.basis.fiber_weights, ws.u, ws.q)
+def _curvature_density(ws, R=None, dens=None):
+    """Fiber-ordered (R, dens) of the factor in ws: its Webster curvature
+    (u R q) / (u q) and its density, into R and dens if given."""
+    R = np.multiply(ws.u, ws.q, out=R)
+    np.divide(ws.uRq, R, out=R)
+    return R, _density(ws.basis.fiber_weights, ws.u, ws.q, out=dens)
 
 
 def _alpha_energy_f(n, E, f_vol):
@@ -156,11 +178,18 @@ def _alpha_energy_f(n, E, f_vol):
     return E / f_vol, E / f_vol ** (n / (n + 1.0))
 
 
-def _deviation(a, R, dens, fvals):
-    """The deviation alpha f - R and F2 = int (alpha f - R)^2 dV_theta of the
-    factor with normalizing constant a, curvature R and density dens."""
-    dev = a * fvals - R
-    return dev, float(dens @ dev ** 2)
+def _deviation(a, R, fvals, out=None):
+    """The deviation alpha f - R of the factor with normalizing constant a
+    and curvature R, into out if given."""
+    dev = np.multiply(fvals, a, out=out)
+    dev -= R
+    return dev
+
+
+def _f2(dens, dev, out=None):
+    """F2 = int (alpha f - R)^2 dV_theta of the factor with density dens and
+    deviation dev; the squares go into out if given."""
+    return float(dens @ np.square(dev, out=out))
 
 
 def _volume_factor(basis, dens):
@@ -172,24 +201,30 @@ def _volume_factor(basis, dens):
 
 
 def _project_rhs(ws, a):
-    """Padded slot coefficients of (n/2)(a f - R) u for the factor in ws:
-    the projection of a (n/2) w f u - (n/2) w (u R q) / q, with (n/2) w f u
-    from _f_volume."""
+    """Padded slot coefficients of (n/2)(a f - R) u for the factor in ws,
+    projected into ws.F: the projection of a (n/2) w f u - (n/2) w (u R q)
+    / q, with (n/2) w f u from _f_volume.  Returns ws.F."""
     g, h = ws.g, ws.h
     np.divide(ws.uRq, ws.q, out=h)
     h *= ws.w
     np.multiply(ws.wfu, a, out=g)
     g -= h
     ws.project()
-    return ws.coeffs.copy()
+    return ws.F
 
 
-def _rhs_coeffs(ws, x):
+def _rhs_coeffs(ws, x, out=None):
     """The flow's right-hand side (n/2)(alpha f - R) u in the native layout:
     padded slot coefficients, for padded slot coefficients x, through the
-    workspace ws of f."""
+    workspace ws of f.  Written into out, or into a new array when out is
+    None; out = ws.F, where the projection lands, costs no copy."""
     E = _fiber_terms(ws, x)
-    return _project_rhs(ws, _alpha_energy_f(ws.basis.n, E, _f_volume(ws))[0])
+    F = _project_rhs(ws, _alpha_energy_f(ws.basis.n, E, _f_volume(ws))[0])
+    if out is None:
+        return F.copy()
+    if out is not F:
+        out[...] = F
+    return out
 
 
 def _grid_terms(basis, c):
@@ -291,21 +326,51 @@ def center_of_mass(u, dens=None):
 def mass_concentration(u, rho=0.5, dens=None):
     """Largest fraction of dV_theta mass inside a round geodesic ball of
     radius rho, maximized over a spread subsample of about MAX_CENTERS grid
-    centers; dens, if given, is u's density."""
+    centers X[::stride]; dens, if given, is u's density.
+
+    The grid is S simplex points times the phase torus (Z_M)^{n+1}, and for
+    grid points i = (s, p) and c = (s', p') the real inner product X_i . X_c
+    is sum_k sqrt(t_k t'_k) cos(2 pi (p_k - p'_k) / M).  So the ball's
+    indicator [X_i . X_c >= cos rho] depends on s, s' and p - p' alone, and
+    the masses of the balls at all centers on simplex point s' are a sum
+    over s of cyclic convolutions over the torus: the density on simplex
+    point s with the indicator of (s, s').  They are taken by FFT over the
+    torus, as Driscoll & Healy (Adv. Appl. Math. 15 (1994)) take an FFT
+    along the longitudes.  Each indicator is even in every phase
+    difference, so its DFT is its real cosine transform: one product with
+    the M x M cosine matrix per torus axis.  That is about S N M (n+1)
+    operations and arrays of S M^{n+1} entries per simplex point s',
+    against the direct scan's MAX_CENTERS N dot products in blocks of
+    128 x N; the value is the direct scan's up to round-off.
+    """
     basis = u.basis
     dens = density(basis, u.values) if dens is None else dens
-    total = dens.sum()
-    X = real_coords(basis.nodes)
-    stride = max(1, len(X) // MAX_CENTERS)
-    centers = X[::stride]
+    nc, M = basis.n + 1, basis.M
+    torus, axes = (M,) * nc, tuple(range(1, nc + 1))
+    cells = dens.reshape((-1,) + torus)           # (S, M, .., M)
+    S = len(cells)
+    root_t = basis.nodes[::M ** nc].real          # (S, nc): sqrt t at phase 0
+    d = np.arange(M)
+    # cos(2 pi d / M), even in d to the bit, so that each indicator is even
+    # in every d_k and its DFT is C applied along every torus axis
+    cos = np.cos(2.0 * np.pi * np.minimum(d, M - d) / M)
+    axis_cos = np.ix_(*[cos] * nc)
+    C = np.cos(2.0 * np.pi * (np.outer(d, d) % M) / M)
+    dens_hat = np.fft.rfftn(cells, axes=axes)
     cos_rho = np.cos(rho)
-    best = 0.0
-    buf = np.empty((128, len(X)))
-    for start in range(0, len(centers), 128):
-        block = centers[start:start + 128]
-        dots = np.matmul(block, X.T, out=buf[:len(block)])
-        best = max(best, float((np.greater_equal(dots, cos_rho, out=dots) @ dens).max()))
-    return best / total
+    masses_hat = np.empty_like(dens_hat)
+    for sc, center in enumerate(root_t):
+        # X_i . X_c for i on simplex point s and c = (sc, 0), by s and p
+        dots = sum(wk.reshape((-1,) + (1,) * nc) * ck
+                   for wk, ck in zip((root_t * center).T, axis_cos))
+        ball_hat = (dots >= cos_rho) @ C[:, :M // 2 + 1]
+        for k in range(nc - 1):          # torus axis k as a 3-D view's middle axis
+            shape = ball_hat.shape
+            ball_hat = (C @ ball_hat.reshape(S * M ** k, M, -1)).reshape(shape)
+        masses_hat[sc] = np.einsum("s...,s...->...", dens_hat, ball_hat)
+    masses = np.fft.irfftn(masses_hat, s=torus, axes=axes)
+    stride = max(1, dens.size // MAX_CENTERS)
+    return float(masses.reshape(-1)[::stride].max()) / dens.sum()
 
 
 def kazdan_warner_vector(R_field, dens):
@@ -326,7 +391,8 @@ def diagnostics(u, f, rho=0.5):
     uv, rv, dens = _grid_terms(basis, u.coeffs)
     E = energy(u)
     a, ef = _alpha_energy_f(basis.n, E, float(dens @ f.values))
-    dev, F2 = _deviation(a, rv, dens, f.values)
+    dev = _deviation(a, rv, f.values)
+    F2 = _f2(dens, dev)
     dev_field = Field.from_values(basis, dev)
     # called through this module's name, which perfbench/tracing.py wraps
     grad_sq = grad_inner_values(dev_field, dev_field)
@@ -351,8 +417,9 @@ def diagnostics(u, f, rho=0.5):
 class FlowState:
     """One state of a run.  `step` sets F2, the run loop's stop test, and
     the carry of the next step: E_f, rhs, the right-hand side (n/2)(alpha f
-    - R) u as padded slot coefficients, the kernel workspace of f, and radius
-    = (r, v, age), the last spectral radius estimate as a ratio r to the
+    - R) u, and slots, u's coefficients, both as padded slot vectors, u_min,
+    the smallest grid value of u, the kernel workspace of f, and radius =
+    (r, v, age), the last spectral radius estimate as a ratio r to the
     bound `_stiff_radius`, its power-iteration vector v and the accepted
     steps since (None before the first estimate).  The next step reuses the
     carry only while rhs_key is (u.coeffs, f.values) of its own u and f.
@@ -371,6 +438,8 @@ class FlowState:
     rhs_key: tuple | None = field(default=None, repr=False)
     workspace: _Workspace | None = field(default=None, repr=False)
     radius: tuple | None = field(default=None, repr=False)
+    slots: np.ndarray | None = field(default=None, repr=False)
+    u_min: float | None = field(default=None, repr=False)
 
 
 @functools.cache
@@ -407,7 +476,7 @@ def _rkc_scheme(s):
 def _stage_count(z):
     """The smallest s >= 2 whose stability interval [-beta(s), 0] holds -z;
     beta(s) is close to 0.653 s^2, which gives the first guess."""
-    s = max(2, int(round(np.sqrt(z / 0.653))))
+    s = max(2, round((z / 0.653) ** 0.5))
     while s > 2 and _rkc_scheme(s - 1)[0] >= z:
         s -= 1
     while _rkc_scheme(s)[0] < z:
@@ -415,11 +484,17 @@ def _stage_count(z):
     return s
 
 
-def _stiff_radius(basis, uv):
-    """(n+1) lambda_max (min u)^{-2/n}: a bound on the spectral radius of the
-    stiff part (n+1) u^{-2/n} Lap_b of the flow's Jacobian at grid values uv."""
-    n = basis.n
-    return (n + 1) * float(basis.eigenvalues.max()) * float(uv.min()) ** (-2.0 / n)
+def _stiff_radius(basis, u_min):
+    """(n+1) lambda_max u_min^{-2/n}: a bound on the spectral radius of the
+    stiff part (n+1) u^{-2/n} Lap_b of the flow's Jacobian at a factor whose
+    smallest grid value is the float u_min; an array of grid values stands
+    for its minimum.  lambda_max = j k + n J / 2, from the closed form
+    (4 j k + 2 n (j + k)) / 4 at j + k = J, j = J // 2."""
+    n, J = basis.n, basis.J
+    if not isinstance(u_min, float):
+        u_min = float(u_min.min())
+    lam = (J // 2) * (J - J // 2) + 0.5 * n * J
+    return (n + 1) * lam * u_min ** (-2.0 / n)
 
 
 def _radius_ratio(ws, x0, F0, v, bound):
@@ -458,18 +533,20 @@ def _radius_ratio(ws, x0, F0, v, bound):
     return 1.0, None
 
 
-def _rkc(c0, F0, dt, s, rhs):
-    """Y_s of the s-stage damped RKC2 method for c' = rhs(c) from c0, with
-    F0 = rhs(c0): s - 1 further rhs evaluations.  Each stage is one product
-    of its five coefficients with the stacked rows [c0, F0, a, b, F], where
-    Y_{j-1} and Y_{j-2} trade the rows a and b, so Y_j overwrites Y_{j-2}."""
+def _rkc(Y, dt, s, rhs):
+    """Y_s of the s-stage damped RKC2 method for c' = F(c) from c0 = Y[0],
+    with Y[1] = F(c0), in the five rows Y: s - 1 further evaluations rhs(x),
+    each of which writes F(x) into the row Y[4].  Each stage writes its row
+    with one product of its five coefficients and the rows [c0, F0, a, b,
+    F], where Y_{j-1} and Y_{j-2} trade the rows a and b, so Y_j overwrites
+    Y_{j-2}.  Returns the row that holds Y_s."""
     _, mu1, const, per_dt = _rkc_scheme(s)
-    Y = np.empty((5, len(c0)))
-    Y[0], Y[1], Y[3] = c0, F0, c0
-    Y[2] = c0 + mu1 * dt * F0
+    Y[3] = Y[0]
+    np.multiply(Y[1], mu1 * dt, out=Y[2])
+    Y[2] += Y[0]
     for j, coeffs in enumerate(const + dt * per_dt, start=2):
-        Y[4] = rhs(Y[2 + j % 2])
-        Y[3 - j % 2] = coeffs @ Y
+        rhs(Y[2 + j % 2])
+        np.dot(coeffs, Y, out=Y[3 - j % 2])
     return Y[3 - s % 2]
 
 
@@ -490,25 +567,30 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     actually used.
 
     The stages run in the transforms' native layout: padded slot
-    coefficients and fiber-ordered grid values, converted once per step,
-    through the one workspace that every kernel evaluation of the run
-    reuses.
+    coefficients and fiber-ordered grid values, through the one workspace
+    that every kernel evaluation of the run reuses: its rows Y hold the
+    stages, and each evaluation projects into the row F that the stage
+    reads.  A state carried from the last step gives the slot coefficients,
+    min u, E_f and right-hand side that the step starts from, so only the
+    new state is converted to grid order.
     """
     basis = state.u.basis
     n = basis.n
-    x0 = basis.to_slots(state.u.coeffs)
     key = state.rhs_key
     if key is not None and key[0] is state.u.coeffs and key[1] is f.values:
-        ef0, F0, radius = state.E_f, state.rhs, state.radius
+        ef0, radius, u_min = state.E_f, state.radius, state.u_min
         ws = state.workspace or _Workspace(basis, f.values)
+        ws.Y[0], ws.Y[1] = state.slots, state.rhs
     else:
         ws, radius = _Workspace(basis, f.values), None
-        ef0 = energy_f(state.u, f)
+        ef0, u_min = energy_f(state.u, f), float(state.u.values.min())
+        ws.Y[0] = basis.to_slots(state.u.coeffs)
         try:
-            F0 = _rhs_coeffs(ws, x0)      # independent of dt
+            _rhs_coeffs(ws, ws.Y[0], ws.Y[1])      # independent of dt
         except NonPositiveFactor as exc:
             raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
-    rho = _stiff_radius(basis, state.u.values)
+    x0, F0 = ws.Y[0], ws.Y[1]
+    rho = _stiff_radius(basis, u_min)
     if dt * rho > _rkc_scheme(3)[0]:      # the bound asks for more than 3 stages
         if radius is None or radius[2] >= RADIUS_REFRESH:
             v = None if radius is None else radius[1]
@@ -518,8 +600,8 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
         radius = (radius[0], radius[1], radius[2] + 1)   # the age at the new state
     while True:
         try:
-            x1 = _rkc(x0, F0, dt, _stage_count(dt * rho),
-                      lambda x: _rhs_coeffs(ws, x))
+            x1 = _rkc(ws.Y, dt, _stage_count(dt * rho),
+                      lambda x: _rhs_coeffs(ws, x, ws.F))
             E1 = _fiber_terms(ws, x1)
         except NonPositiveFactor:
             if dt / 2.0 < dt_min:
@@ -528,7 +610,7 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
             dt /= 2.0
             continue
         f_vol = _f_volume(ws)
-        R, dens = _curvature_density(ws)
+        R, dens = _curvature_density(ws, ws.g, ws.dens)
         # sigma u has energy sigma^2 E, density sigma^{2+2/n} dens and
         # curvature sigma^{-2/n} R, so its alpha, F2 and right-hand side are
         # those of u at sigma^{2/n} alpha times powers of sigma: the
@@ -543,13 +625,15 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
             dt /= 2.0
             continue
         a = sigma ** (2.0 / n) * a1
-        _, F2 = _deviation(a, R, dens, ws.f)
-        u1 = Field(basis, sigma * basis.from_slots(x1),
-                   sigma * basis.from_fibers(ws.u))
+        F2 = _f2(dens, _deviation(a, R, ws.f, out=ws.h), out=ws.h)
+        slots = sigma * x1
+        values = basis.from_fibers(ws.u)
+        values *= sigma
+        u1 = Field(basis, basis.from_slots(slots), values)
         return FlowState(state.t + dt, u1, a1, F2=sigma ** (2.0 - 2.0 / n) * F2,
                          E_f=ef1, rhs=sigma ** (1.0 - 2.0 / n) * _project_rhs(ws, a),
                          rhs_key=(u1.coeffs, f.values), workspace=ws,
-                         radius=radius), dt
+                         radius=radius, slots=slots, u_min=sigma * ws.u_min), dt
 
 
 # ---------------------------------------------------------------------------

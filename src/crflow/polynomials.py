@@ -160,20 +160,18 @@ class MonomialSpace:
     def wirtinger_maps(self):
         """For d/dx_i (entry i) and d/d conj(x_i) (entry nc + i): the
         monomials it does not kill, their images and the exponent factors.
-        Each map is injective, so images never collide."""
+        Each map is injective, so images never collide.  A monomial's
+        exponents (a, b), read as digits base maxdeg + 1, give its key, and
+        an image's key is its source's less one unit in the digit lowered."""
+        E = np.concatenate(self.exponents, axis=1)       # (dim, 2 nc): [a | b]
+        unit = (self.maxdeg + 1) ** np.arange(2 * self.nc, dtype=np.int64)
+        keys = E @ unit
+        order = np.argsort(keys)
         maps = []
-        for conj in (False, True):
-            for i in range(self.nc):
-                src, tgt, fac = [], [], []
-                for col, (a, b) in enumerate(self.mons):
-                    e = b if conj else a
-                    if e[i]:
-                        low = tuple(e[t] - (t == i) for t in range(self.nc))
-                        src.append(col)
-                        tgt.append(self.index[(a, low) if conj else (low, b)])
-                        fac.append(e[i])
-                maps.append((np.array(src, dtype=np.int64),
-                             np.array(tgt, dtype=np.int64), np.array(fac, dtype=float)))
+        for r in range(2 * self.nc):
+            src = np.flatnonzero(E[:, r])
+            tgt = order[np.searchsorted(keys, keys[src] - unit[r], sorter=order)]
+            maps.append((src, tgt, E[src, r].astype(float)))
         return maps
 
     def degree_range(self, m):

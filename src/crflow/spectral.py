@@ -178,6 +178,8 @@ class Basis:
     Attributes:
       n, J             : sphere index and truncation degree
       nodes, weights   : quadrature grid, weights sum to vol
+      M                : phases per coordinate: the grid is its simplex
+                         points times the phase torus (Z_M)^{n+1}
       funcs            : (nb, N) real synthesis matrix (rows orthonormal),
                          built lazily as a reference; synthesize and project
                          use the fiber table
@@ -215,7 +217,7 @@ class Basis:
                 f"fiber table needs {J + 1} x {L} x {width} = {(J + 1) * L * width} "
                 f"entries, over budget {BUDGET:.0f}")
 
-        self.n, self.J = n, J
+        self.n, self.J, self.M = n, J, M
         self.nodes, self.weights = sphere_quadrature(n, deg)
         self.vol = float(self.weights.sum())
         # grid point s M^nc + (p_0..p_n) sits at t = p_0 on the fiber over

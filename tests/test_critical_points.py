@@ -111,3 +111,27 @@ def test_one_monomial_table_per_newton_iteration_and_one_to_classify(basis, monk
     assert classify == len(data.critical_points) == 8
     assert newton == sorted(newton, reverse=True)    # the active set only shrinks
     assert len(newton) <= 60                          # max_iter
+
+
+def test_vectorized_dedup_keeps_the_loop_morse_data(basis, monkeypatch):
+    # the one-pass-per-kept-point dedup against the old point-by-point loop
+    # (first point in seed order represents its cluster, DEDUP_TOL apart)
+    from crflow import critical_points
+    from crflow.critical_points import DEDUP_TOL
+
+    def loop_first_of_each(points):
+        unique = []
+        for x in points:
+            if all(np.linalg.norm(x - y) >= DEDUP_TOL for y in unique):
+                unique.append(x)
+        return np.array(unique).reshape(-1, points.shape[1])
+
+    # clusters closer than DEDUP_TOL and a chain whose middle point is dropped
+    pts = np.array([[1, 0], [1 + 4e-7, 0], [0, 1], [1 + 8e-7, 0],
+                    [1 + 1.2e-6, 0], [0, 1 - 3e-7]], dtype=complex)
+    assert np.array_equal(critical_points._first_of_each(pts), loop_first_of_each(pts))
+    assert len(critical_points._first_of_each(pts[:0])) == 0
+    f = f_two_peak(basis)
+    got = find_critical_points(f)
+    monkeypatch.setattr(critical_points, "_first_of_each", loop_first_of_each)
+    assert got == find_critical_points(f)

@@ -313,17 +313,24 @@ def _criterion9_bubble(basis):
                                             residual_tol=0.5))
 
 
+def _stability_polynomial(z, s):
+    """R_s(z) = Y_s of y' = z y, y(0) = 1, dt = 1, for each entry of z."""
+    from crflow.flow import _rkc
+    Y = np.empty((5, z.size))
+    Y[0], Y[1] = 1.0, z
+    return _rkc(Y, 1.0, s, lambda y: np.multiply(z, y, out=Y[4]))
+
+
 def test_rkc_scheme_is_stable_and_second_order():
-    from crflow.flow import _rkc, _rkc_scheme
+    from crflow.flow import _rkc_scheme
     for s in range(2, 41):
         beta = _rkc_scheme(s)[0]
         assert beta >= 0.49 * s ** 2
-        # the stability polynomial R_s(z) = Y_s of y' = z y, y(0) = 1, dt = 1
         z = np.linspace(-beta, 0.0, 4001)
-        R = _rkc(np.ones_like(z), z, 1.0, s, lambda y: z * y)
+        R = _stability_polynomial(z, s)
         assert np.abs(R).max() <= 1.0 + 1e-12, s
         z = np.array([-4e-3, -2e-3, -1e-3])
-        R = _rkc(np.ones_like(z), z, 1.0, s, lambda y: z * y)
+        R = _stability_polynomial(z, s)
         # R_s(z) = 1 + z + z^2/2 + O(z^3): measured |error| <= 0.17 |z|^3
         assert np.all(np.abs(R - np.exp(z)) <= 0.2 * np.abs(z) ** 3), s
 
@@ -427,9 +434,9 @@ def test_estimated_stage_count_stays_within_the_bound(basis, monkeypatch, tmp_pa
         bounds.append(stiff_radius(*args))
         return bounds[-1]
 
-    def recorded_rkc(c0, F0, dt, s, rhs):
+    def recorded_rkc(Y, dt, s, rhs):
         attempts.append(flow._stage_count(dt * bounds[-1]) - s)
-        return rkc(c0, F0, dt, s, rhs)
+        return rkc(Y, dt, s, rhs)
 
     monkeypatch.setattr(flow, "_stiff_radius", recorded_bound)
     monkeypatch.setattr(flow, "_rkc", recorded_rkc)
@@ -559,6 +566,20 @@ def test_stage_calls_through_one_workspace_keep_their_results(basis):
     second = _rhs_coeffs(ws, x2)
     assert np.array_equal(first, kept)
     assert np.array_equal(second, _rhs_coeffs(_Workspace(basis, f.values), x2))
+
+
+def test_rhs_into_a_buffer_matches_the_copy(basis):
+    # into a buffer of the caller's, into the workspace's own row F (no
+    # copy) and into a new array: the same bits
+    f = f_dipole(basis, amplitude=0.2)
+    ws = _Workspace(basis, f.values)
+    x = basis.to_slots(perturbed_factor(basis, 44).coeffs)
+    want = _rhs_coeffs(ws, x)
+    buf = np.full_like(want, np.nan)
+    assert _rhs_coeffs(ws, x, buf) is buf
+    assert np.array_equal(buf, want)
+    assert _rhs_coeffs(ws, x, ws.F) is ws.F
+    assert np.array_equal(ws.F, want) and not np.shares_memory(want, ws.F)
 
 
 def test_accepted_state_is_not_a_view_into_the_workspace(basis, monkeypatch):
@@ -775,6 +796,23 @@ def test_run_scans_mass_only_past_blowup_bound(basis, monkeypatch):
     assert len(scans) == len(diags) + len(steps)
 
 
+def test_phase1_work_is_pinned(basis, monkeypatch):
+    # criterion 9's seed-0 phase 1: the accepted steps and the kernel
+    # evaluations are exact counts, so that no change adds kernel work
+    # unseen.  Of the 1737 right-hand sides, 1 is the first F0 and the rest
+    # are RKC2 stages and radius estimates; each accepted step adds one
+    # evaluation of its result, and each of the two records one more
+    from crflow import flow
+    from crflow.flow import FlowConfig, run
+    from crflow.presets import f_two_peak
+    steps = _count_calls(monkeypatch, flow, "step")
+    rhs = _count_calls(monkeypatch, flow, "_rhs_coeffs")
+    fiber = _count_calls(monkeypatch, flow, "_fiber_terms")
+    res = run(_criterion9_bubble(basis), f_two_peak(basis), FlowConfig(**PHASE1))
+    assert res.final_state.t == 30.0 and len(res.records) == 2
+    assert (len(steps), len(rhs), len(fiber)) == (300, 1737, 2039)
+
+
 def test_run_records_centering_failure(basis, monkeypatch):
     from crflow import normalization
     from crflow.flow import FlowConfig, run
@@ -874,6 +912,61 @@ def test_diagnostics_b_vector_random(basis):
         assert np.abs(d.b - moment).max() <= 1e-10 * np.abs(moment).max()
         assert d.F2 >= 0 and d.G2 >= 0
         assert 0 <= d.mass_concentration <= 1
+
+
+def direct_mass_concentration(u, rho, dens):
+    """mass_concentration by the direct scan: the dot products of the centers
+    X[::stride] with every grid point, thresholded and summed against dens."""
+    from crflow.flow import MAX_CENTERS
+    X = real_coords(u.basis.nodes)
+    centers = X[::max(1, len(X) // MAX_CENTERS)]
+    return float(((centers @ X.T >= np.cos(rho)) @ dens).max()) / dens.sum()
+
+
+def _scan_states(basis):
+    """A bubble, a random factor and, for n = 1, criterion 9's phase-1 end
+    state, carried to the grid of basis by its monomial expansion."""
+    from crflow.presets import f_two_peak, u0_from_spec
+    p = np.zeros(basis.n + 1, dtype=complex)
+    p[0], p[-1] = 0.6, 0.8j
+    states = [volume_renormalize(crflow.bubble(p, 0.4, basis, residual_tol=0.5)),
+              u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=5)]
+    if basis.n == 1:
+        from crflow.flow import FlowConfig, run
+        b8 = crflow.build_basis(1, 8)
+        u = run(_criterion9_bubble(b8), f_two_peak(b8), FlowConfig(**PHASE1)).final_state.u
+        values = b8.space.evaluate(b8.monomial_coeffs(u.coeffs), basis.nodes).real
+        states.append(Field.from_values(basis, values))
+    return states
+
+
+def test_mass_scan_by_fft_matches_the_direct_scan(kernel_basis):
+    from crflow.flow import mass_concentration
+    for u in _scan_states(kernel_basis):
+        dens = density(kernel_basis, u.values)
+        for rho in (0.5, 1.1):
+            got = mass_concentration(u, rho=rho)
+            want = direct_mass_concentration(u, rho, dens)
+            assert abs(got - want) <= 1e-14, (rho, got, want)
+            assert got == mass_concentration(u, rho=rho, dens=dens)
+
+
+def test_mass_scan_needs_no_center_block():
+    # the direct scan held a 128 x N block of dot products (36 MB at (2,4));
+    # the torus convolutions hold a few arrays of N / S entries per center
+    # simplex point.  Measured peak: 1.6 MB of the 36 MB
+    import tracemalloc
+    from crflow.flow import mass_concentration
+    basis = crflow.build_basis(2, 4)
+    u = _scan_states(basis)[0]
+    dens = density(basis, u.values)
+    tracemalloc.start()
+    try:
+        mass_concentration(u, rho=1.1, dens=dens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * len(basis.nodes) * 8 / 10, peak
 
 
 def test_kazdan_warner_closed_form(basis, basis_n2):

@@ -70,6 +70,38 @@ def test_evaluate_blocks_match_unblocked(space):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def loop_wirtinger_maps(space):
+    """MonomialSpace.wirtinger_maps one monomial at a time: the exponent
+    lowered by one, looked up in the space's index."""
+    maps = []
+    for conj in (False, True):
+        for i in range(space.nc):
+            src, tgt, fac = [], [], []
+            for col, (a, b) in enumerate(space.mons):
+                e = b if conj else a
+                if e[i]:
+                    low = tuple(e[t] - (t == i) for t in range(space.nc))
+                    src.append(col)
+                    tgt.append(space.index[(a, low) if conj else (low, b)])
+                    fac.append(e[i])
+            maps.append((np.array(src, dtype=np.int64),
+                         np.array(tgt, dtype=np.int64), np.array(fac, dtype=float)))
+    return maps
+
+
+@pytest.mark.parametrize("nc, maxdeg", [(2, 0), (2, 1), (3, 10), (5, 3)])
+def test_wirtinger_maps_match_the_monomial_loop(space, nc, maxdeg):
+    # bit for bit, dtypes and shapes included, on the fixture's spaces and
+    # on the constant space, a linear one, a deep one and a wide one
+    for sp in (space, MonomialSpace(nc, maxdeg)):
+        got, want = sp.wirtinger_maps, loop_wirtinger_maps(sp)
+        assert len(got) == len(want) == 2 * sp.nc
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
 def test_jet_makes_one_evaluate_call(monkeypatch):
     space = MonomialSpace(3, 4)
     calc = PolyCalculus(space, random_coeffs(space, seed=11))
