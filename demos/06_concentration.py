@@ -2,40 +2,28 @@
 
 The two-peak landscape has a solvable count system, so the existence
 hypotheses fail; the flow escapes along the bubble family and the shadow
-point parks at a critical point with nonpositive sub-Laplacian.
+point parks at a critical point with nonpositive sub-Laplacian.  This is
+acceptance criterion 9's seed 0, run by `crflow.concentration`.
 
-Run:  python demos/06_concentration.py        (a few minutes)
+Run:  python demos/06_concentration.py        (a few seconds)
 """
 import numpy as np
 
 import crflow
-from crflow.flow import FlowConfig, run, volume_renormalize
+from crflow.concentration import initial_factor, run_two_phase
 from crflow.presets import f_two_peak
 
 basis = crflow.build_basis(1, 8)
 f = f_two_peak(basis)
 
-rng = np.random.default_rng(7)
-p = rng.normal(size=2) + 1j * rng.normal(size=2)
-p /= np.linalg.norm(p)
-u0 = volume_renormalize(crflow.bubble(p, 0.45, basis, residual_tol=0.5))
-
-# settle past the slow tangential drift, then arm the detector
-settle = FlowConfig(dt_init=0.1, t_max=30.0, record_every=200,
-                    blowup_factor=np.inf, mass_threshold=2.0,
-                    compute_shadow=True, max_steps=6000)
-detect = FlowConfig(dt_init=0.05, t_max=30.0, record_every=100,
-                    blowup_factor=2.45, mass_threshold=0.9,
-                    concentration_rho=1.1, compute_shadow=True)
-
-r1 = run(u0, f, settle)
+# the gate, then: settle past the slow tangential drift, then arm the detector
+gate, r1, r2 = run_two_phase(f, initial_factor(basis, 0))
+print(f"gate: k = {gate.k}, hypotheses met: {gate.satisfied}")
 print("settling phase:", r1.status.value)
 for rec in r1.records:
-    eps = f"{rec.eps:.3f}" if rec.eps is not None else "-"
     print(f"  t={rec.t:6.2f}  max_u={rec.diagnostics.max_u:6.3f}  "
-          f"mass={rec.diagnostics.mass_concentration:.3f}  eps={eps}")
+          f"mass={rec.diagnostics.mass_concentration:.3f}")
 
-r2 = run(r1.final_state.u, f, detect)
 print("detection phase:", r2.status.value, "-", r2.message)
 if r2.shadow_point is not None:
     print("shadow point (unit vector):",

@@ -83,7 +83,7 @@ def load_scenario(path):
             fail("seed", "must be an integer >= 0")
         sc.seed = raw["seed"]
 
-    flow = FlowConfig()
+    flow = {}
     for key in [k for k in raw if k in _FLOW_TYPES]:   # first bad key in file order
         value, kind = raw[key], _FLOW_TYPES[key]
         if kind is bool:
@@ -99,6 +99,6 @@ def load_scenario(path):
                 fail(key, "must be a finite positive number")
         elif value is not None and (not _is_number(value) or value <= 0):
             fail(key, "must be a positive number or null")
-        setattr(flow, key, value)
-    sc.flow = flow
+        flow[key] = value
+    sc.flow = FlowConfig(**flow)
     return sc

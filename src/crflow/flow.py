@@ -647,7 +647,7 @@ class Termination(Enum):
     STEP_FAILURE = "StepFailure"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     dt_init: float = 0.05
     t_max: float = 50.0
@@ -699,6 +699,11 @@ def run(u0, f, config=None):
     config = config or FlowConfig()
     if not 0.0 < config.dt_init < np.inf:
         raise ConfigError(f"dt_init must be a finite positive number, not {config.dt_init}")
+    if not config.t_max > 0.0:
+        raise ConfigError(f"t_max must be a positive number, not {config.t_max}")
+    every = config.record_every
+    if not (isinstance(every, (int, np.integer)) and every >= 1):
+        raise ConfigError(f"record_every must be a positive integer, not {every}")
     if not f.values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
     if not (np.isfinite(u0.coeffs).all() and np.isfinite(u0.values).all()):

@@ -299,38 +299,14 @@ def test_criterion_08_shadow_deficit_law():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_concentration_exploratory(basis8):
-    from crflow.critical_points import find_critical_points
-    from crflow.morse import theorem_gate
+    from crflow.concentration import initial_factor, run_two_phase
 
     f = f_two_peak(basis8)
-    data, _ = find_critical_points(f)
-    gate = theorem_gate(data)
-    assert gate.k is not None and not gate.satisfied, \
-        "scenario needs the solvable-direction verdict"
-
-    # two phases: settle past the slow drift with the detector disarmed, then
-    # continue with detection armed so the stop reads the settled shadow
-    phase1 = FlowConfig(dt_init=0.1, t_max=30.0, record_every=400,
-                        blowup_factor=np.inf, mass_threshold=2.0,
-                        compute_shadow=False, max_steps=6000,
-                        wall_time_cap=300.0)
-    phase2 = FlowConfig(dt_init=0.05, t_max=30.0, record_every=100,
-                        blowup_factor=2.45, mass_threshold=0.9,
-                        concentration_rho=1.1, compute_shadow=True,
-                        max_steps=4000, wall_time_cap=240.0)
-    rng = np.random.default_rng(42)
     hits, lines = 0, []
     for seed in range(5):
-        if seed % 2 == 0:
-            p = rng.normal(size=2) + 1j * rng.normal(size=2)
-            p /= np.linalg.norm(p)
-            u0 = volume_renormalize(crflow.bubble(p, 0.45, basis8,
-                                                  residual_tol=0.5))
-        else:
-            u0 = u0_from_spec(basis8, {"type": "random", "amplitude": 0.1},
-                              seed=seed)
-        r1 = run(u0, f, phase1)
-        r2 = run(r1.final_state.u, f, phase2)
+        gate, _, r2 = run_two_phase(f, initial_factor(basis8, seed))
+        assert gate.k is not None and not gate.satisfied, \
+            "scenario needs the solvable-direction verdict"
         entry = f"seed {seed}: {r2.status.value}"
         if r2.shadow_point is not None and r2.status is Termination.CONCENTRATED:
             entry += (f" lap f {r2.lap_f_at_shadow:+.3f}, "

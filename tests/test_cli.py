@@ -163,14 +163,18 @@ def test_scenario_keeps_infinity_as_never(tmp_path):
     assert all(getattr(flow, key) == float("inf") for key in never)
 
 
-@pytest.mark.parametrize("dt_init", [float("nan"), float("inf"), 0.0, -0.1])
-def test_flow_run_rejects_a_bad_dt_init(dt_init):
+# what the scenario loader rejects, `run` rejects too: a record_every of 0
+# raised ZeroDivisionError after the first step, and a NaN t_max is never met
+@pytest.mark.parametrize("key,value", [
+    ("dt_init", float("nan")), ("dt_init", float("inf")), ("dt_init", 0.0),
+    ("dt_init", -0.1), ("record_every", 0), ("t_max", float("nan"))])
+def test_flow_run_rejects_a_bad_setting(key, value):
     from crflow.flow import FlowConfig, run
     from crflow.presets import f_constant
     basis = crflow.build_basis(1, 3)
     u0 = crflow.Field.constant(basis, 1.0)
-    with pytest.raises(ConfigError, match="dt_init"):
-        run(u0, f_constant(basis), FlowConfig(dt_init=dt_init, compute_shadow=False))
+    with pytest.raises(ConfigError, match=key):
+        run(u0, f_constant(basis), FlowConfig(**{key: value}, compute_shadow=False))
 
 
 def test_run_invalid_json_reports_line(tmp_path):

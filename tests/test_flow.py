@@ -1,9 +1,12 @@
 """Curvature operator, energies, stepping, diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crflow
+from crflow.concentration import PHASE1, initial_factor
 from crflow.errors import DegenerateDenominator, NonPositiveFactor, PositivityLoss
 from crflow.flow import (FlowState, alpha, base_curvature, beta_threshold,
                          critical_exponent, curvature_values, diagnostics,
@@ -300,19 +303,6 @@ def test_step_does_not_creep_on_a_bubble(basis):
     assert res.final_state.t >= 0.25, res.message
 
 
-# criterion 9's phase-1 run (tests/test_acceptance.py) on its seed-0 bubble
-# and its seed-3 random factor
-PHASE1 = dict(dt_init=0.1, t_max=30.0, record_every=400, blowup_factor=np.inf,
-              mass_threshold=2.0, compute_shadow=False, max_steps=6000)
-
-
-def _criterion9_bubble(basis):
-    rng = np.random.default_rng(42)
-    p = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return volume_renormalize(crflow.bubble(p / np.linalg.norm(p), 0.45, basis,
-                                            residual_tol=0.5))
-
-
 def _stability_polynomial(z, s):
     """R_s(z) = Y_s of y' = z y, y(0) = 1, dt = 1, for each entry of z."""
     from crflow.flow import _rkc
@@ -362,10 +352,9 @@ def test_stiff_radius_bounds_the_jacobian(basis):
     # step's estimate reads 1.001 and 0.985 of the radius after 5 and 7
     # power iterations, and a warm restart from its vector agrees at once
     from crflow import flow
-    from crflow.presets import f_two_peak, u0_from_spec
+    from crflow.presets import f_two_peak
     f = f_two_peak(basis)
-    for u in (_criterion9_bubble(basis),
-              u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=3)):
+    for u in (initial_factor(basis, 0), initial_factor(basis, 3)):
         reference = _reference_radius(basis, u.coeffs, f.values)
         bound = flow._stiff_radius(basis, u.values)
         assert 0.5 * bound <= reference <= bound
@@ -424,8 +413,8 @@ def test_estimated_stage_count_stays_within_the_bound(basis, monkeypatch, tmp_pa
     # trajectory.csv byte for byte
     from crflow import flow
     from crflow.cli import write_trajectory_csv
-    from crflow.flow import FlowConfig, run
-    from crflow.presets import f_two_peak, u0_from_spec
+    from crflow.flow import run
+    from crflow.presets import f_two_peak
     f = f_two_peak(basis)
     stiff_radius, rkc = flow._stiff_radius, flow._rkc
     bounds, attempts = [], []
@@ -440,9 +429,9 @@ def test_estimated_stage_count_stays_within_the_bound(basis, monkeypatch, tmp_pa
 
     monkeypatch.setattr(flow, "_stiff_radius", recorded_bound)
     monkeypatch.setattr(flow, "_rkc", recorded_rkc)
-    config = FlowConfig(**dict(PHASE1, t_max=3.0, record_every=5))
-    seed3 = u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=3)
-    for name, u0 in (("bubble", _criterion9_bubble(basis)), ("seed3", seed3)):
+    config = replace(PHASE1, t_max=3.0, record_every=5)
+    for name, u0 in (("bubble", initial_factor(basis, 0)),
+                     ("seed3", initial_factor(basis, 3))):
         paths = [tmp_path / f"{name}{k}.csv" for k in range(2)]
         for path in paths:
             del attempts[:]
@@ -460,10 +449,10 @@ def test_phase1_matches_the_fine_dt_reference(basis):
     # every dt <= 0.003125 (E_f 5.8219113, min u 0.29375).  Per-step volume
     # renormalization makes the scheme first order in dt: dt = 0.1, 0.05 and
     # 0.025 read E_f 5.8219056, 5.8219085 and 5.8219100
-    from crflow.flow import FlowConfig, run
+    from crflow.flow import run
     from crflow.presets import f_two_peak
     f = f_two_peak(basis)
-    res = run(_criterion9_bubble(basis), f, FlowConfig(**dict(PHASE1, t_max=20.0)))
+    res = run(initial_factor(basis, 0), f, replace(PHASE1, t_max=20.0))
     assert res.final_state.t == 20.0, res.message
     ef = res.final_state.diagnostics.E_f
     min_u = float(res.final_state.u.values.min())
@@ -475,10 +464,10 @@ def test_phase1_seed3_reaches_t30_without_energy_rise(basis, monkeypatch):
     # ROADMAP P0: criterion 9's seed-3 random factor stalled at max_steps
     # (6000) near t = 20.19 with a cumulative E_f rise of 2.5e-7
     from crflow import flow
-    from crflow.flow import FlowConfig, run
-    from crflow.presets import f_two_peak, u0_from_spec
+    from crflow.flow import run
+    from crflow.presets import f_two_peak
     f = f_two_peak(basis)
-    u0 = u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=3)
+    u0 = initial_factor(basis, 3)
     efs = [energy_f(volume_renormalize(u0), f)]
     stepper = flow.step
 
@@ -488,7 +477,7 @@ def test_phase1_seed3_reaches_t30_without_energy_rise(basis, monkeypatch):
         return new_state, dt
 
     monkeypatch.setattr(flow, "step", recorded)
-    res = run(u0, f, FlowConfig(**PHASE1))
+    res = run(u0, f, PHASE1)
     assert res.final_state.t == 30.0 and len(efs) - 1 <= 6000, res.message
     efs = np.array(efs)
     rise = efs - np.minimum.accumulate(efs)
@@ -727,11 +716,10 @@ def test_run_evaluates_the_rhs_once_plus_the_stages(basis, monkeypatch):
 def test_run_counts_the_radius_estimates_on_their_own(basis, monkeypatch):
     # criterion 9's phase 1 for 30 steps: one estimate at the first step and
     # one refresh after RADIUS_REFRESH accepted steps, neither a fallback
-    from crflow.flow import FlowConfig
     from crflow.presets import f_two_peak
     estimates = _assert_rhs_counts(
-        monkeypatch, _criterion9_bubble(basis), f_two_peak(basis),
-        FlowConfig(**dict(PHASE1, t_max=3.0, record_every=7)))
+        monkeypatch, initial_factor(basis, 0), f_two_peak(basis),
+        replace(PHASE1, t_max=3.0, record_every=7))
     assert len(estimates) == 2 and all(v is not None for _, v in estimates)
 
 
@@ -803,12 +791,12 @@ def test_phase1_work_is_pinned(basis, monkeypatch):
     # are RKC2 stages and radius estimates; each accepted step adds one
     # evaluation of its result, and each of the two records one more
     from crflow import flow
-    from crflow.flow import FlowConfig, run
+    from crflow.flow import run
     from crflow.presets import f_two_peak
     steps = _count_calls(monkeypatch, flow, "step")
     rhs = _count_calls(monkeypatch, flow, "_rhs_coeffs")
     fiber = _count_calls(monkeypatch, flow, "_fiber_terms")
-    res = run(_criterion9_bubble(basis), f_two_peak(basis), FlowConfig(**PHASE1))
+    res = run(initial_factor(basis, 0), f_two_peak(basis), PHASE1)
     assert res.final_state.t == 30.0 and len(res.records) == 2
     assert (len(steps), len(rhs), len(fiber)) == (300, 1737, 2039)
 
@@ -932,9 +920,9 @@ def _scan_states(basis):
     states = [volume_renormalize(crflow.bubble(p, 0.4, basis, residual_tol=0.5)),
               u0_from_spec(basis, {"type": "random", "amplitude": 0.1}, seed=5)]
     if basis.n == 1:
-        from crflow.flow import FlowConfig, run
+        from crflow.flow import run
         b8 = crflow.build_basis(1, 8)
-        u = run(_criterion9_bubble(b8), f_two_peak(b8), FlowConfig(**PHASE1)).final_state.u
+        u = run(initial_factor(b8, 0), f_two_peak(b8), PHASE1).final_state.u
         values = b8.space.evaluate(b8.monomial_coeffs(u.coeffs), basis.nodes).real
         states.append(Field.from_values(basis, values))
     return states

@@ -6,7 +6,8 @@ one of these breaks every traced benchmark run.  `perfbench/workload.py`
 reads a run's result (`final_state.u`, `final_state.t`,
 `records[i].diagnostics.E_f`) and calls the constants table and its
 cross-checks, so a change to those breaks the end-to-end runs.  These tests
-fail first.
+fail first.  The `concentrate` workload also keeps its own copy of criterion
+9's experiment (`crflow.concentration`), pinned here to the package's.
 """
 
 from pathlib import Path
@@ -14,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crflow.concentration import PHASE1, PHASE2, initial_factor
 from crflow.flow import FlowConfig, run
-from crflow.spectral import Basis, Field
+from crflow.presets import f_two_peak
+from crflow.spectral import Basis, Field, build_basis
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +64,19 @@ def test_concentrate_reads_run_result(perfbench):
     ef = [rec.diagnostics.E_f for rec in res.records]
     assert len(ef) == 2 and np.all(np.isfinite(ef))
     assert workload._monotone_problem(ef, "E_f") == []
+
+
+def test_concentrate_runs_criterion_9(perfbench):
+    # the workload's configs and its seed-rotated f and u0 are criterion 9's,
+    # bit for bit, so the benchmark measures what the acceptance test verifies
+    _, workload = perfbench
+    assert FlowConfig(**workload.PHASE1) == PHASE1
+    assert FlowConfig(**workload.PHASE2) == PHASE2
+    basis = build_basis(1, 8)
+    u0, f = initial_factor(basis, 0), f_two_peak(basis)
+    for seed in (0, 1):
+        perm = workload.phase_rotation(basis, seed)
+        for got, want in zip(workload.Concentrate().setup(seed), (f, u0)):
+            want = Field.from_values(basis, want.values[perm])
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert np.array_equal(got.values, want.values)
