@@ -25,21 +25,21 @@ gives u and u R q with q = u^{2/n}, and the energy is E = x . A x
 (`_curvature_rows`, `_energy`).  `_fiber_terms` evaluates a factor in
 fiber order, `_f_volume` gives int f dV_theta, `_project_rhs` the
 right-hand side and `_curvature_density` R and the density, which
-`_grid_terms` permutes to grid order for `diagnostics`, `curvature_values`
-and `energy_consistency`; `_density`, `_alpha_energy_f`, `_deviation`
-(alpha f - R), `_f2` and `_volume_factor` complete it.  The kernel reads
-and writes one workspace (`_Workspace`): f in fiber order, (n/2) w, (n/2)
-w f, the buffers, the five rows of the RKC2 step and the transform plans
-between them.  A run builds one, in its first step; every RKC2 stage, the
-radius estimate, the end-of-step positivity test, the renormalization,
-the E_f gate and F2 use it.  A stage allocates no grid-sized array, and
-the end of a step only the new state's grid values.  The stages run in
-the transforms' native layout: padded slot coefficients and fiber-ordered
-values, with no permutation inside a step.  Each projection lands in the
-step's F row, and each stage writes its row with one product of its five
-coefficients and the rows.  An accepted state carries what the next step
-would otherwise recompute: its slot coefficients, min u, E_f and
-right-hand side, with the workspace and the radius estimate.
+`_grid_terms` permutes to grid order, beside E, for `diagnostics`,
+`curvature_values` and `energy_consistency`; `_density`, `_alpha_energy_f`,
+`_deviation` (alpha f - R), `_f2` and `_volume_factor` complete it.  The
+kernel reads and writes one workspace (`_Workspace`): f in fiber order,
+(n/2) w, (n/2) w f, the buffers, the five rows of the RKC2 step and the
+transform plans between them.  A run builds one, in its first step; every
+RKC2 stage, the radius estimate, the end-of-step positivity test, the
+renormalization, the E_f gate and F2 use it.  A stage allocates no
+grid-sized array, and the end of a step only the new state's grid values.
+The stages run in the transforms' native layout: padded slot coefficients
+and fiber-ordered values, with no permutation inside a step.  Each
+projection lands in the step's F row, and each stage writes its row with
+one product of its five coefficients and the rows.  A step starts from
+the slot coefficients, min u, E_f, right-hand side, workspace and radius
+estimate that its state carries, or else from one `_rhs_coeffs` call.
 
 The mass scan `mass_concentration` reads the grid as simplex points times
 the phase torus (Z_M)^{n+1}: whether grid point i lies in the ball about
@@ -59,8 +59,8 @@ from .errors import (ConfigError, DegenerateDenominator, NonPositiveFactor,
                      PositivityLoss, StepRejected)
 from .morse import sbc_check
 from .polynomials import PolyCalculus, real_coords
-from .spectral import (Field, base_curvature, grad_inner_values,
-                       horizontal_gradient_values)
+from .spectral import Field, base_curvature, horizontal_gradient_values
+from .spectral import grad_inner_values  # only reader: perfbench/tracing.py TARGETS
 
 
 MAX_CENTERS = 512    # ball centers scanned by mass_concentration
@@ -97,9 +97,9 @@ def density(basis, uv):
 
 class _Workspace:
     """The flow kernel's data for one basis and one f: f in fiber order,
-    (n/2) w and (n/2) w f with w the fiber-ordered weights, the buffers one
-    kernel evaluation fills (the curvature rows (x, A x), the values
-    (u, u R q), q = u^{2/n}, (n/2) w f u and three scratch rows), the five
+    (n/2) w and (n/2) w f with w the fiber-ordered weights, what one kernel
+    evaluation fills (the curvature rows (x, A x), the values (u, u R q),
+    q = u^{2/n}, (n/2) w f u, three scratch rows, min u and E_f), the five
     rows Y of `_rkc`, whose last, F, receives every projection, and the
     transform plans between them.  Each evaluation overwrites the last
     one's buffers and F; the accepted states of a run carry one workspace
@@ -216,10 +216,11 @@ def _project_rhs(ws, a):
 def _rhs_coeffs(ws, x, out=None):
     """The flow's right-hand side (n/2)(alpha f - R) u in the native layout:
     padded slot coefficients, for padded slot coefficients x, through the
-    workspace ws of f.  Written into out, or into a new array when out is
-    None; out = ws.F, where the projection lands, costs no copy."""
+    workspace ws of f, leaving E_f in ws.E_f.  Written into out, or into a
+    new array when out is None; out = ws.F, where it lands, costs no copy."""
     E = _fiber_terms(ws, x)
-    F = _project_rhs(ws, _alpha_energy_f(ws.basis.n, E, _f_volume(ws))[0])
+    a, ws.E_f = _alpha_energy_f(ws.basis.n, E, _f_volume(ws))
+    F = _project_rhs(ws, a)
     if out is None:
         return F.copy()
     if out is not F:
@@ -228,16 +229,16 @@ def _rhs_coeffs(ws, x, out=None):
 
 
 def _grid_terms(basis, c):
-    """Grid values (u, R, dens) of the factor with real coefficients c: the
-    flow kernel's values, permuted from fiber to grid order."""
+    """(E, (u, R, dens)) of the factor with real coefficients c: its energy
+    and the flow kernel's values, permuted from fiber to grid order."""
     ws = _Workspace(basis)
-    _fiber_terms(ws, basis.to_slots(c))
-    return basis.from_fibers(np.stack((ws.u,) + _curvature_density(ws)))
+    E = _fiber_terms(ws, basis.to_slots(c))
+    return E, basis.from_fibers(np.stack((ws.u,) + _curvature_density(ws)))
 
 
 def curvature_values(u):
     """Exact grid values of the Webster curvature of u^{2/n} theta_0."""
-    return _grid_terms(u.basis, u.coeffs)[1]
+    return _grid_terms(u.basis, u.coeffs)[1][1]
 
 
 def energy(u):
@@ -250,8 +251,8 @@ def energy(u):
 
 def energy_consistency(u):
     """(spectral E, curvature-side int R dV_theta, |difference|)."""
-    _, R, dens = _grid_terms(u.basis, u.coeffs)
-    e1, e2 = energy(u), float(dens @ R)
+    e1, (_, R, dens) = _grid_terms(u.basis, u.coeffs)
+    e2 = float(dens @ R)
     return e1, e2, abs(e1 - e2)
 
 
@@ -373,39 +374,37 @@ def mass_concentration(u, rho=0.5, dens=None):
     return float(masses.reshape(-1)[::stride].max()) / dens.sum()
 
 
-def kazdan_warner_vector(R_field, dens):
+def kazdan_warner_vector(grad_R, dens):
     """The 2(n+1) integrals int <grad_b X_r, grad_b R> dV_theta over the real
     coordinates X = real_coords(x), for a factor u with density dens and
-    Webster curvature field R_field; zero in the continuum for every
-    conformal factor.  The horizontal gradient of X_r is e_r less its parts
-    along X and JX, so the integrand is the r-th component of R's own
-    horizontal gradient, over 4."""
-    return horizontal_gradient_values(R_field) @ dens / 4.0
+    Webster curvature R with horizontal gradient values grad_R; zero in the
+    continuum for every conformal factor.  The horizontal gradient of X_r is
+    e_r less its parts along X and JX, so the integrand is the r-th
+    component of R's own horizontal gradient, over 4."""
+    return grad_R @ dens / 4.0
 
 
 def diagnostics(u, f, rho=0.5):
-    """All scalar monitors of a flow state, computed by quadrature.  One
-    synthesis of u gives the grid values and the density that E_f, alpha,
-    F2, P, b, the Kazdan-Warner vector and the mass scan all read."""
+    """All scalar monitors of a flow state, by quadrature, from one kernel
+    evaluation of u (E, the grid values and the density).  f's values are
+    the synthesis of its coefficients, as every Field's are, so P(alpha f -
+    R) = alpha f.coeffs - P R for the projection P, and G2 and the
+    Kazdan-Warner vector share one synthesis of the horizontal gradients of
+    (P R, f.coeffs): grad_b P(alpha f - R) = alpha grad_b f - grad_b P R."""
     basis = u.basis
-    uv, rv, dens = _grid_terms(basis, u.coeffs)
-    E = energy(u)
+    E, (uv, rv, dens) = _grid_terms(basis, u.coeffs)
     a, ef = _alpha_energy_f(basis.n, E, float(dens @ f.values))
     dev = _deviation(a, rv, f.values)
-    F2 = _f2(dens, dev)
-    dev_field = Field.from_values(basis, dev)
-    # called through this module's name, which perfbench/tracing.py wraps
-    grad_sq = grad_inner_values(dev_field, dev_field)
-    G2 = float(basis.weights @ (grad_sq * uv ** 2))
-    P, _ = center_of_mass(u, dens=dens)
-    b = (dens * dev) @ real_coords(basis.nodes)
-    kw = kazdan_warner_vector(Field.from_values(basis, rv), dens)
+    grad_R, grad_f = horizontal_gradient_values(
+        basis, np.stack((basis.project(rv), f.coeffs)))
+    grad_dev = _deviation(a, grad_R, grad_f)
+    G2 = float(basis.weights @ (np.sum(grad_dev * grad_dev, axis=0) / 4.0 * uv ** 2))
+    # the norm over the functions x_i and conj x_i is sqrt2 times this one
+    kw = np.sqrt(2.0) * np.linalg.norm(kazdan_warner_vector(grad_R, dens))
     return DiagnosticsRecord(
-        E=E, E_f=ef, alpha=a, F2=F2, G2=max(G2, 0.0),
-        P=P, b=b,
-        # the norm over the functions x_i and conj x_i is sqrt2 times this one
-        kw_residual=float(np.sqrt(2.0) * np.linalg.norm(kw)),
-        max_u=float(uv.max()),
+        E=E, E_f=ef, alpha=a, F2=_f2(dens, dev), G2=max(G2, 0.0),
+        P=center_of_mass(u, dens=dens)[0], b=(dens * dev) @ real_coords(basis.nodes),
+        kw_residual=float(kw), max_u=float(uv.max()),
         mass_concentration=mass_concentration(u, rho=rho, dens=dens))
 
 
@@ -570,9 +569,9 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
     coefficients and fiber-ordered grid values, through the one workspace
     that every kernel evaluation of the run reuses: its rows Y hold the
     stages, and each evaluation projects into the row F that the stage
-    reads.  A state carried from the last step gives the slot coefficients,
-    min u, E_f and right-hand side that the step starts from, so only the
-    new state is converted to grid order.
+    reads.  The state's carry, or else one kernel evaluation, gives the slot
+    coefficients, min u, E_f and right-hand side that the step starts from,
+    so only the new state is converted to grid order.
     """
     basis = state.u.basis
     n = basis.n
@@ -583,12 +582,12 @@ def step(state, f, dt, slack=1e-10, dt_min=1e-7):
         ws.Y[0], ws.Y[1] = state.slots, state.rhs
     else:
         ws, radius = _Workspace(basis, f.values), None
-        ef0, u_min = energy_f(state.u, f), float(state.u.values.min())
         ws.Y[0] = basis.to_slots(state.u.coeffs)
         try:
             _rhs_coeffs(ws, ws.Y[0], ws.Y[1])      # independent of dt
         except NonPositiveFactor as exc:
             raise PositivityLoss(f"factor is not positive at t = {state.t:.6g}") from exc
+        ef0, u_min = ws.E_f, ws.u_min
     x0, F0 = ws.Y[0], ws.Y[1]
     rho = _stiff_radius(basis, u_min)
     if dt * rho > _rkc_scheme(3)[0]:      # the bound asks for more than 3 stages
@@ -697,24 +696,23 @@ def run(u0, f, config=None):
     from .normalization import find_centering, shadow
 
     config = config or FlowConfig()
-    if not 0.0 < config.dt_init < np.inf:
-        raise ConfigError(f"dt_init must be a finite positive number, not {config.dt_init}")
-    if not config.t_max > 0.0:
-        raise ConfigError(f"t_max must be a positive number, not {config.t_max}")
-    every = config.record_every
-    if not (isinstance(every, (int, np.integer)) and every >= 1):
-        raise ConfigError(f"record_every must be a positive integer, not {every}")
+    finite = ("a finite positive number", lambda v: 0.0 < v < np.inf)
+    count = ("a positive integer", lambda v: isinstance(v, (int, np.integer)) and v >= 1)
+    for key, (kind, ok) in (("dt_init", finite), ("tol_converge", finite),
+                            ("t_max", ("a positive number", lambda v: v > 0.0)),
+                            ("record_every", count), ("max_steps", count)):
+        if not ok(getattr(config, key)):
+            raise ConfigError(f"{key} must be {kind}, not {getattr(config, key)}")
     if not f.values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
     if not (np.isfinite(u0.coeffs).all() and np.isfinite(u0.values).all()):
         raise ConfigError("initial factor u0 must be finite")
     u = volume_renormalize(u0)
     if config.enforce_beta:
-        gate = beta_threshold(f)
-        if energy_f(u, f) > gate:
-            raise ConfigError(
-                f"initial normalized energy {energy_f(u, f):.6f} above the "
-                f"admissibility gate {gate:.6f}")
+        gate, ef = beta_threshold(f), energy_f(u, f)
+        if ef > gate:
+            raise ConfigError(f"initial normalized energy {ef:.6f} above the "
+                              f"admissibility gate {gate:.6f}")
 
     records = []
     started = time.monotonic()

@@ -535,22 +535,24 @@ def integrate(u):
     return u.basis.quad(u.values)
 
 
-def horizontal_gradient_values(u):
-    """Grid values (2(n+1), N) of the horizontal gradient of u in the real
-    coordinates X = real_coords(x): the ambient gradient less its components
-    along X and JX = real_coords(i x), which are E u and T u."""
-    basis = u.basis
-    grad = basis.synthesize(u.coeffs @ basis.gradient)
-    X, JX = real_coords(basis.nodes).T, real_coords(1j * basis.nodes).T
-    return grad - X * np.sum(X * grad, axis=0) - JX * np.sum(JX * grad, axis=0)
+def horizontal_gradient_values(basis, coeffs):
+    """Grid values (..., 2(n+1), N) of the horizontal gradients of the real
+    coefficient rows (..., nb), in the real coordinates X = real_coords(x),
+    from one synthesis: the ambient gradient less its parts along the
+    orthonormal X and JX = real_coords(i x), which are E u and T u."""
+    dc = (np.asarray(coeffs)[..., None, None, :] @ basis.gradient)[..., 0, :]
+    grad = basis.synthesize(dc)
+    for V in (real_coords(basis.nodes).T, real_coords(1j * basis.nodes).T):
+        grad -= V * np.sum(V * grad, axis=-2, keepdims=True)
+    return grad
 
 
 def grad_inner_values(u, w):
     """Exact grid values of the horizontal-gradient pairing <grad_b u, grad_b w>,
     H u . H w / 4 with H the horizontal gradient, scaled as
     Lap_b = (Lap_S - T^2) / 4."""
-    U = horizontal_gradient_values(u)
-    W = U if w is u else horizontal_gradient_values(w)
+    U = horizontal_gradient_values(u.basis, u.coeffs)
+    W = U if w is u else horizontal_gradient_values(w.basis, w.coeffs)
     return np.sum(U * W, axis=0) / 4.0
 
 

@@ -164,10 +164,13 @@ def test_scenario_keeps_infinity_as_never(tmp_path):
 
 
 # what the scenario loader rejects, `run` rejects too: a record_every of 0
-# raised ZeroDivisionError after the first step, and a NaN t_max is never met
+# raised ZeroDivisionError after the first step, a NaN t_max is never met, a
+# NaN tol_converge turned convergence off and a max_steps of 0 ended the run
+# at t = 0
 @pytest.mark.parametrize("key,value", [
     ("dt_init", float("nan")), ("dt_init", float("inf")), ("dt_init", 0.0),
-    ("dt_init", -0.1), ("record_every", 0), ("t_max", float("nan"))])
+    ("dt_init", -0.1), ("record_every", 0), ("t_max", float("nan")),
+    ("tol_converge", float("nan")), ("tol_converge", 0.0), ("max_steps", 0)])
 def test_flow_run_rejects_a_bad_setting(key, value):
     from crflow.flow import FlowConfig, run
     from crflow.presets import f_constant

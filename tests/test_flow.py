@@ -250,7 +250,8 @@ def test_run_constant_f_converges(basis):
     assert res.final_state.diagnostics.kw_residual <= 1e-6 * fv.max() * basis.vol
 
 
-def test_run_rejects_beta_violation(basis):
+def test_run_rejects_beta_violation(basis, monkeypatch):
+    from crflow import flow
     from crflow.errors import ConfigError
     from crflow.flow import FlowConfig, run
     f = f_dipole(basis, amplitude=0.2)
@@ -263,8 +264,11 @@ def test_run_rejects_beta_violation(basis):
     vals = np.maximum(vals, 0.05)
     u0 = volume_renormalize(Field.from_values(basis, vals))
     assert energy_f(u0, f) > beta_threshold(f)
+    evaluations = _count_calls(monkeypatch, flow, "energy_f")
     with pytest.raises(ConfigError):
         run(u0, f, FlowConfig(enforce_beta=True, compute_shadow=False))
+    assert len(evaluations) == 1        # the gate and its message share one
+    monkeypatch.undo()
     # and an admissible start passes the gate
     ok = run(perturbed_factor(basis, 20, amp=0.03), f,
              FlowConfig(enforce_beta=True, t_max=0.2, record_every=100,
@@ -524,7 +528,7 @@ def kernel_basis(request):
 
 
 def test_kernel_matches_the_dense_formula(kernel_basis):
-    # (u, u R, dens) and the stage right-hand side against the formulas
+    # E, (u, u R, dens) and the stage right-hand side against the formulas
     # written out on the dense funcs: u = c funcs, u R = ((2+2/n) (lambda c)
     # funcs + R_0 u) / u^{2/n}, dens = w u^{2+2/n}, and
     # funcs (w (n/2)(alpha f - R) u) with alpha = E / int f dV_theta
@@ -540,8 +544,8 @@ def test_kernel_matches_the_dense_formula(kernel_basis):
     E = (2.0 + 2.0 / n) * ((lam * c) @ c) + base_curvature(n) * (c @ c)
     a = E / (dens @ f.values)
     rhs = basis.funcs @ (w * 0.5 * n * (a * f.values * u - uR))
-    gu, gR, gdens = _grid_terms(basis, c)
-    for got, want in ((gu, u), (gR * gu, uR), (gdens, dens),
+    gE, (gu, gR, gdens) = _grid_terms(basis, c)
+    for got, want in ((gE, E), (gu, u), (gR * gu, uR), (gdens, dens),
                       (rhs_coeffs(basis, c, f.values), rhs)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -864,6 +868,86 @@ def test_diagnostics_round_state(basis):
     assert d.kw_residual < 1e-12
 
 
+def reference_diagnostics(u, f, rho=0.5):
+    """The record by its defining formulas, one monitor at a time: E
+    spectrally, G2 from the deviation alpha f - R projected to a Field and
+    paired with itself by grad_inner_values, and the Kazdan-Warner vector
+    from R projected to a Field; the kernel's grid values, with the same
+    rounding as the flow's, for the rest."""
+    from crflow.flow import (DiagnosticsRecord, _grid_terms, center_of_mass,
+                             kazdan_warner_vector, mass_concentration)
+    from crflow.spectral import grad_inner_values, horizontal_gradient_values
+    basis = u.basis
+    _, (uv, rv, dens) = _grid_terms(basis, u.coeffs)
+    E = energy(u)
+    f_vol = float(dens @ f.values)
+    a, ef = E / f_vol, E / f_vol ** (basis.n / (basis.n + 1.0))
+    dev = f.values * a - rv
+    dev_field = Field.from_values(basis, dev)
+    G2 = float(basis.weights @ (grad_inner_values(dev_field, dev_field) * uv ** 2))
+    R = Field.from_values(basis, rv)
+    kw = kazdan_warner_vector(horizontal_gradient_values(basis, R.coeffs), dens)
+    return DiagnosticsRecord(
+        E=E, E_f=ef, alpha=a, F2=float(dens @ np.square(dev)), G2=max(G2, 0.0),
+        P=center_of_mass(u, dens=dens)[0], b=(dens * dev) @ real_coords(basis.nodes),
+        kw_residual=float(np.sqrt(2.0) * np.linalg.norm(kw)),
+        max_u=float(uv.max()),
+        mass_concentration=mass_concentration(u, rho=rho, dens=dens))
+
+
+def test_diagnostics_match_the_reference_formulas(kernel_basis):
+    # one projection of R and one gradient synthesis of (P R, f.coeffs)
+    # give G2 and the Kazdan-Warner residual up to round-off, within 1e-13
+    # relative (worst seen over ten seeds per case: 5.7e-15 for G2, and the
+    # residual to the bit); every other monitor is the same number
+    from dataclasses import fields
+    from crflow.presets import f_two_peak
+    basis = kernel_basis
+    cases = [f_dipole(basis, amplitude=0.2)]
+    if basis.n == 1:
+        cases.append(f_two_peak(basis))
+    for seed, f in enumerate(cases, start=44):
+        u = perturbed_factor(basis, seed, amp=0.1)
+        got, want = diagnostics(u, f), reference_diagnostics(u, f)
+        assert got.G2 > 0 and got.kw_residual > 0
+        for name in (fd.name for fd in fields(got)):
+            a, b = getattr(got, name), getattr(want, name)
+            if name in ("G2", "kw_residual"):
+                assert abs(a - b) <= 1e-13 * b, (name, a, b)
+            else:
+                assert np.array_equal(a, b), name
+
+
+def test_diagnostics_synthesize_and_project_once(basis, monkeypatch):
+    # one projection (P R) and one synthesis (the horizontal gradients of
+    # P R and f) per record; the kernel evaluation runs through its plans
+    from crflow.spectral import Basis
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 44)
+    diagnostics(u, f)           # builds the lazy Basis.gradient
+    calls = {name: _count_calls(monkeypatch, Basis, name)
+             for name in ("synthesize", "project")}
+    diagnostics(u, f)
+    assert {name: len(c) for name, c in calls.items()} == {"synthesize": 1, "project": 1}
+
+
+def test_step_from_a_carry_less_state_reads_the_kernel(basis, monkeypatch):
+    # E_f and min u of a state without carry come from the step's first
+    # kernel evaluation, not from a grid-order energy_f
+    from crflow import flow
+    f = f_dipole(basis, amplitude=0.2)
+    u = perturbed_factor(basis, 25)
+    state = FlowState(0.0, u, alpha(u, f))
+    want, _ = step(state, f, 0.05)
+
+    def no_energy_f(*args):
+        raise AssertionError("energy_f called")
+
+    monkeypatch.setattr(flow, "energy_f", no_energy_f)
+    got, _ = step(state, f, 0.05)
+    assert np.array_equal(got.u.coeffs, want.u.coeffs) and got.E_f == want.E_f
+
+
 def test_diagnostics_bubble_center_of_mass(basis):
     N = np.array([0, 1.0 + 0j])
     ub = volume_renormalize(crflow.bubble(N, 0.3, basis, residual_tol=0.5))
@@ -959,13 +1043,14 @@ def test_mass_scan_needs_no_center_block():
 
 def test_kazdan_warner_closed_form(basis, basis_n2):
     from crflow.flow import kazdan_warner_vector
-    from crflow.spectral import grad_inner_values
+    from crflow.spectral import grad_inner_values, horizontal_gradient_values
 
     for b, seed in ((basis, 16), (basis_n2, 17)):
         u = perturbed_factor(b, seed, amp=0.1)
         R = Field.from_values(b, curvature_values(u))
         dens = b.weights * u.values ** critical_exponent(b.n)
-        kw = kazdan_warner_vector(R, density(b, u.values))
+        kw = kazdan_warner_vector(horizontal_gradient_values(b, R.coeffs),
+                                  density(b, u.values))
         assert kw.shape == (2 * b.n + 2,)
         for j in range(2 * b.n + 2):
             ref = grad_inner_values(Field.coordinate(b, j), R)
