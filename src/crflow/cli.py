@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import load_scenario
 from .errors import ConfigError, CRFlowError, IndexOutOfRange, TruncationLoss
-from .flow import Termination, run as run_flow
+from .flow import Termination, is_json_number, run as run_flow
 from .morse import CriticalPoint, MorseData, sbc_check, theorem_gate
 
 EXIT_BY_STATUS = {
@@ -62,34 +62,27 @@ def write_trajectory_csv(path, records, n):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _json_int(entry, key):
-    """entry[key] if it is a JSON integer; int() would take 2.9 as 2 and
-    true as 1."""
+def _json_number(entry, key, kind=(int, float)):
+    """entry[key] if it is a JSON number, as an int for kind int and a float
+    otherwise: int() would take 2.9 as 2 and true as 1, float() true as 1.0
+    and "1.2" as 1.2."""
     value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(entry, key):
-    """entry[key] as a float if it is a JSON number; float() would take true
-    as 1.0 and "1.2" as 1.2."""
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    if not is_json_number(value, kind):
+        want = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {want}, got {value!r}")
+    return value if kind is int else float(value)
 
 
 def _load_morse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     pts = tuple(
-        CriticalPoint(index=_json_int(p, "index"),
-                      laplacian_sign=_json_int(p, "laplacian_sign"),
+        CriticalPoint(index=_json_number(p, "index", int),
+                      laplacian_sign=_json_number(p, "laplacian_sign", int),
                       f_value=_json_number(p, "f_value"),
                       location=tuple(p["location"]) if p.get("location") else None)
         for p in raw["critical_points"])
-    return MorseData(n=_json_int(raw, "n"), critical_points=pts,
+    return MorseData(n=_json_number(raw, "n", int), critical_points=pts,
                      f_max=_json_number(raw, "f_max"),
                      f_min=_json_number(raw, "f_min"))
 

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .flow import FlowConfig
+from .flow import FlowConfig, check_setting, is_json_number
 from .presets import f_from_spec, u0_from_spec
 from .spectral import build_basis
 
@@ -25,26 +25,9 @@ class Scenario:
         return basis, f, u0
 
 
-# the flow's scenario keys are FlowConfig's fields: name -> annotated type
-_FLOW_TYPES = {fld.name: fld.type for fld in fields(FlowConfig)}
-_TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed"} | _FLOW_TYPES.keys()
-# Infinity reads as "never" for t_max, blowup_factor, mass_threshold and
-# wall_time_cap; it is no step size, an F2 bound every state meets, and a
-# ball radius whose cosine is NaN
-_FINITE_KEYS = {"dt_init", "tol_converge", "concentration_rho"}
-
-
-def _is_number(value, kind=(int, float)):
-    """JSON numbers only: bool is an int subclass, but true is not 1, and
-    json.loads reads the NaN literal as a float that is no number."""
-    return isinstance(value, kind) and not isinstance(value, bool) and value == value
-
-
-def _line_of_key(text, key):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return lineno
-    return None
+# the flow's scenario keys are FlowConfig's fields
+_FLOW_KEYS = {fld.name for fld in fields(FlowConfig)}
+_TOP_KEYS = {"n", "J", "f_spec", "u0_spec", "seed"} | _FLOW_KEYS
 
 
 def load_scenario(path):
@@ -58,10 +41,14 @@ def load_scenario(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}:1: top level must be an object")
 
+    def at(key):
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if f'"{key}"' in line:
+                return f"{path}:{lineno}"
+        return path
+
     def fail(key, msg):
-        line = _line_of_key(text, key)
-        at = f"{path}:{line}" if line else path
-        raise ConfigError(f"{at}: key '{key}': {msg}")
+        raise ConfigError(f"{at(key)}: key '{key}': {msg}")
 
     for key in raw:
         if key not in _TOP_KEYS:
@@ -69,36 +56,25 @@ def load_scenario(path):
 
     sc = Scenario()
     if "n" in raw:
-        if not _is_number(raw["n"], int) or raw["n"] < 1:
+        if not is_json_number(raw["n"], int) or raw["n"] < 1:
             fail("n", "must be an integer >= 1")
         sc.n = raw["n"]
     if "J" in raw:
-        if not _is_number(raw["J"], int) or raw["J"] < 1:
+        if not is_json_number(raw["J"], int) or raw["J"] < 1:
             fail("J", "must be an integer >= 1")
         sc.J = raw["J"]
     sc.f_spec = raw.get("f_spec", "constant")
     sc.u0_spec = raw.get("u0_spec", "constant")
     if "seed" in raw:
-        if not _is_number(raw["seed"], int) or raw["seed"] < 0:
+        if not is_json_number(raw["seed"], int) or raw["seed"] < 0:
             fail("seed", "must be an integer >= 0")
         sc.seed = raw["seed"]
 
-    flow = {}
-    for key in [k for k in raw if k in _FLOW_TYPES]:   # first bad key in file order
-        value, kind = raw[key], _FLOW_TYPES[key]
-        if kind is bool:
-            if not isinstance(value, bool):
-                fail(key, "must be a boolean")
-        elif kind is int:
-            if not _is_number(value, int) or value < 1:
-                fail(key, "must be a positive integer")
-        elif kind is float:
-            if not _is_number(value) or value <= 0:
-                fail(key, "must be a positive number")
-            if key in _FINITE_KEYS and value == float("inf"):
-                fail(key, "must be a finite positive number")
-        elif value is not None and (not _is_number(value) or value <= 0):
-            fail(key, "must be a positive number or null")
-        flow[key] = value
+    flow = {key: raw[key] for key in raw if key in _FLOW_KEYS}
+    for key, value in flow.items():     # the first bad key in file order
+        try:
+            check_setting(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{at(key)}: {exc}") from None
     sc.flow = FlowConfig(**flow)
     return sc

@@ -50,7 +50,7 @@ convolutions over the torus, taken by FFT.
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -486,12 +486,9 @@ def _stage_count(z):
 def _stiff_radius(basis, u_min):
     """(n+1) lambda_max u_min^{-2/n}: a bound on the spectral radius of the
     stiff part (n+1) u^{-2/n} Lap_b of the flow's Jacobian at a factor whose
-    smallest grid value is the float u_min; an array of grid values stands
-    for its minimum.  lambda_max = j k + n J / 2, from the closed form
-    (4 j k + 2 n (j + k)) / 4 at j + k = J, j = J // 2."""
+    smallest grid value is the float u_min.  lambda_max = j k + n J / 2,
+    from the closed form (4 j k + 2 n (j + k)) / 4 at j + k = J, j = J // 2."""
     n, J = basis.n, basis.J
-    if not isinstance(u_min, float):
-        u_min = float(u_min.min())
     lam = (J // 2) * (J - J // 2) + 0.5 * n * J
     return (n + 1) * lam * u_min ** (-2.0 / n)
 
@@ -646,8 +643,16 @@ class Termination(Enum):
     STEP_FAILURE = "StepFailure"
 
 
+def is_json_number(value, kind=(int, float)):
+    """Numbers of `kind` only: bool is an int subclass, but true is not 1, and
+    json.loads reads the NaN literal as a float that is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool) and value == value
+
+
 @dataclass(frozen=True)
 class FlowConfig:
+    """The flow's settings.  Building one, in code, by `dataclasses.replace`
+    or from a scenario file, raises ConfigError naming a bad setting's key."""
     dt_init: float = 0.05
     t_max: float = 50.0
     tol_converge: float = 1e-8
@@ -659,6 +664,36 @@ class FlowConfig:
     max_steps: int = 200_000
     wall_time_cap: float | None = None
     compute_shadow: bool = True
+
+    def __post_init__(self):
+        for fld in fields(self):
+            check_setting(fld.name, getattr(self, fld.name))
+
+
+# Infinity reads as "never" for t_max, blowup_factor, mass_threshold and
+# wall_time_cap; it is no step size, an F2 bound every state meets, and a
+# ball radius whose cosine is NaN
+_FINITE_SETTINGS = {"dt_init", "tol_converge", "concentration_rho"}
+
+
+def check_setting(key, value):
+    """ConfigError("key '<key>': must be ...") unless value suits the type of
+    FlowConfig's field `key`: a bool, a positive integer, a positive number
+    (finite for _FINITE_SETTINGS), or a positive number or None."""
+    kind = FlowConfig.__dataclass_fields__[key].type
+    if kind is bool:
+        ok, want = isinstance(value, bool), "a boolean"
+    elif kind is int:
+        ok, want = is_json_number(value, int) and value >= 1, "a positive integer"
+    elif key in _FINITE_SETTINGS:
+        ok, want = is_json_number(value) and 0 < value < np.inf, "a finite positive number"
+    elif kind is float:
+        ok, want = is_json_number(value) and value > 0, "a positive number"
+    else:
+        ok = value is None or is_json_number(value) and value > 0
+        want = "a positive number or null"
+    if not ok:
+        raise ConfigError(f"key '{key}': must be {want}")
 
 
 @dataclass
@@ -696,13 +731,6 @@ def run(u0, f, config=None):
     from .normalization import find_centering, shadow
 
     config = config or FlowConfig()
-    finite = ("a finite positive number", lambda v: 0.0 < v < np.inf)
-    count = ("a positive integer", lambda v: isinstance(v, (int, np.integer)) and v >= 1)
-    for key, (kind, ok) in (("dt_init", finite), ("tol_converge", finite),
-                            ("t_max", ("a positive number", lambda v: v > 0.0)),
-                            ("record_every", count), ("max_steps", count)):
-        if not ok(getattr(config, key)):
-            raise ConfigError(f"{key} must be {kind}, not {getattr(config, key)}")
     if not f.values.min() > 0:
         raise ConfigError("prescribed curvature candidate f must be positive")
     if not (np.isfinite(u0.coeffs).all() and np.isfinite(u0.values).all()):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -163,14 +164,21 @@ def test_scenario_keeps_infinity_as_never(tmp_path):
     assert all(getattr(flow, key) == float("inf") for key in never)
 
 
-# what the scenario loader rejects, `run` rejects too: a record_every of 0
-# raised ZeroDivisionError after the first step, a NaN t_max is never met, a
-# NaN tol_converge turned convergence off and a max_steps of 0 ended the run
-# at t = 0
+# a FlowConfig is checked when built, in code as from a scenario file: a
+# record_every of 0 raised ZeroDivisionError after the first step, a NaN
+# t_max is never met, a NaN tol_converge turned convergence off, a max_steps
+# of 0 or a negative wall cap ended the run at t = 0, an infinite ball radius
+# made the mass scan take cos(inf), a NaN one read every mass as 0.0, a NaN
+# blow-up bound never armed the detector, and true and "no" passed as a
+# cadence and a switch
 @pytest.mark.parametrize("key,value", [
     ("dt_init", float("nan")), ("dt_init", float("inf")), ("dt_init", 0.0),
     ("dt_init", -0.1), ("record_every", 0), ("t_max", float("nan")),
-    ("tol_converge", float("nan")), ("tol_converge", 0.0), ("max_steps", 0)])
+    ("tol_converge", float("nan")), ("tol_converge", 0.0), ("max_steps", 0),
+    ("wall_time_cap", -1.0), ("concentration_rho", float("inf")),
+    ("concentration_rho", float("nan")), ("blowup_factor", float("nan")),
+    ("mass_threshold", float("nan")), ("record_every", True),
+    ("enforce_beta", "no")])
 def test_flow_run_rejects_a_bad_setting(key, value):
     from crflow.flow import FlowConfig, run
     from crflow.presets import f_constant
@@ -253,6 +261,21 @@ def test_morse_out_of_range_index_exit_64(tmp_path, points, header):
     proc = invoke(["morse", str(p)], cwd=tmp_path)
     assert proc.returncode == 64, proc.stdout
     assert "parse error:" in proc.stderr
+
+
+def test_readme_json_examples_are_valid_input(tmp_path):
+    # README's scenario file and morse file, so that a renamed or removed
+    # key cannot leave them stale
+    from crflow.cli import _load_morse_file
+    from crflow.morse import theorem_gate
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        scenario, morse = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
+    (tmp_path / "scenario.json").write_text(scenario)
+    (tmp_path / "morse.json").write_text(morse)
+    load_scenario(str(tmp_path / "scenario.json"))
+    theorem_gate(_load_morse_file(str(tmp_path / "morse.json")))
 
 
 # ---------------------------------------------------------------------------
