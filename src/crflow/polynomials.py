@@ -28,51 +28,94 @@ import numpy as np
 _BLOCK_ENTRIES = 2 ** 16
 
 
-def _multi_indices(nc, total):
-    """All nc-tuples of nonnegative ints summing to total."""
-    if nc == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        out.extend((first,) + rest for rest in _multi_indices(nc - 1, total - first))
-    return out
+def _multi_index_tables(nc, maxdeg):
+    """For d = 0..maxdeg, the (count, nc) int64 array of the nc-tuples of
+    nonnegative ints summing to d, in lexicographic order."""
+    # the tuples of sum <= maxdeg, one coordinate appended at a time: each
+    # tuple of sum s, in order, takes last entries 0..maxdeg - s
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(nc):
+        span = maxdeg + 1 - tuples.sum(axis=1)
+        last = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+        tuples = np.column_stack([np.repeat(tuples, span, axis=0), last])
+    total = tuples.sum(axis=1)
+    return [tuples[total == d] for d in range(maxdeg + 1)]
 
 
 class MonomialSpace:
     """Indexed monomial basis of polynomials of total degree <= maxdeg; the
-    x^a conj(x)^b with |a| = j, |b| = k fill the index range blocks[(j, k)]."""
+    x^a conj(x)^b with |a| = j, |b| = k fill the index range blocks[(j, k)],
+    blocks running by total degree, then j, each a lexicographic in a outer
+    and b inner.
+
+    The monomials are held as integer arrays: exponents (A, B), each
+    (dim, nc), and keys, the exponents [a | b] read as 2 nc digits base
+    maxdeg + 1, which lookup turns back into indices.  The tuple list mons
+    and its dict index are built on first access only."""
 
     def __init__(self, nc, maxdeg):
         self.nc = nc
         self.maxdeg = maxdeg
-        mons = []
-        self.blocks = {}
-        for total in range(maxdeg + 1):
-            for j in range(total + 1):
-                start = len(mons)
-                mons.extend((a, b) for a in _multi_indices(nc, j)
-                            for b in _multi_indices(nc, total - j))
-                self.blocks[(j, total - j)] = slice(start, len(mons))
-        self.mons = mons
-        self.index = {m: i for i, m in enumerate(mons)}
-        self.dim = len(mons)
-        self.degree = np.array([sum(a) + sum(b) for a, b in mons])
-        self.charge = np.array([sum(a) - sum(b) for a, b in mons])
+        if (maxdeg + 1) ** (2 * nc) > np.iinfo(np.int64).max:
+            raise ValueError(f"monomial keys of MonomialSpace({nc}, {maxdeg}) "
+                             "overflow int64")
+        multi = _multi_index_tables(nc, maxdeg)
+        count = np.array([len(m) for m in multi])
+        offset = np.cumsum(count) - count           # of degree d in the stack
+        stack = np.concatenate(multi)
+        # the p-th monomial of block (j, k) pairs the degree-j tuple
+        # p // count[k] with the degree-k tuple p % count[k]
+        j, k = np.array([(j, m - j) for m in range(maxdeg + 1) for j in range(m + 1)]).T
+        size = count[j] * count[k]
+        stop = np.cumsum(size)
+        self.dim = int(stop[-1])
+        self.blocks = {(a, b): slice(e - s, e) for a, b, s, e in
+                       zip(j.tolist(), k.tolist(), size.tolist(), stop.tolist())}
+        owner = np.repeat(np.arange(len(size)), size)
+        p, width = np.arange(self.dim) - (stop - size)[owner], count[k][owner]
+        self.exponents = A, B = (stack[offset[j][owner] + p // width],
+                                 stack[offset[k][owner] + p % width])
+        self.degree = A.sum(axis=1) + B.sum(axis=1)
+        self.charge = A.sum(axis=1) - B.sum(axis=1)
+        self._unit = (maxdeg + 1) ** np.arange(2 * nc, dtype=np.int64)
+        self.keys = A @ self._unit[:nc] + B @ self._unit[nc:]
+        self._order = np.argsort(self.keys)
+        self._sorted_keys = self.keys[self._order]
         self._build_ambient_lap()
 
+    def lookup(self, keys):
+        """Indices of the monomials with these keys; KeyError if one has none."""
+        pos = np.searchsorted(self._sorted_keys, keys)
+        found = self._sorted_keys[np.minimum(pos, self.dim - 1)] == keys
+        if not np.all(found):
+            raise KeyError(f"no monomial with key {np.asarray(keys)[~found].ravel()[0]}")
+        return self._order[pos]
+
     def _build_ambient_lap(self):
-        rows, cols, vals = [], [], []
-        for col, (a, b) in enumerate(self.mons):
-            for i in range(self.nc):
-                if a[i] and b[i]:
-                    a2 = tuple(a[j] - (j == i) for j in range(self.nc))
-                    b2 = tuple(b[j] - (j == i) for j in range(self.nc))
-                    rows.append(self.index[(a2, b2)])
-                    cols.append(col)
-                    vals.append(4.0 * a[i] * b[i])
-        self._lap_rows = np.array(rows, dtype=np.int64)
-        self._lap_cols = np.array(cols, dtype=np.int64)
-        self._lap_vals = np.array(vals)
+        # Lap(x^a conj x^b) has the term 4 a_i b_i x^{a-e_i} conj x^{b-e_i}
+        # for each i with a_i b_i > 0; entries run by column, then i
+        A, B = self.exponents
+        cols, i = np.nonzero((A > 0) & (B > 0))
+        self._lap_rows = self.lookup(self.keys[cols] - self._unit[i] - self._unit[self.nc + i])
+        self._lap_cols = cols
+        self._lap_vals = 4.0 * A[cols, i] * B[cols, i]
+
+    @cached_property
+    def mons(self):
+        """The monomials as a list of exponent tuple pairs (a, b)."""
+        A, B = self.exponents
+        return [(tuple(a), tuple(b)) for a, b in zip(A.tolist(), B.tolist())]
+
+    @cached_property
+    def index(self):
+        """The dict from (a, b) to its index in mons."""
+        return {m: i for i, m in enumerate(self.mons)}
+
+    @cached_property
+    def conjugate(self):
+        """Index of the conjugate x^b conj(x)^a of each monomial x^a conj(x)^b."""
+        A, B = self.exponents
+        return self.lookup(B @ self._unit[:self.nc] + A @ self._unit[self.nc:])
 
     # ------------------------------------------------------------------
     # linear operators on coefficient vectors
@@ -120,22 +163,22 @@ class MonomialSpace:
     # evaluation and calculus at points
     # ------------------------------------------------------------------
 
-    @cached_property
-    def exponents(self):
-        """Exponent arrays (A, B), each (dim, nc): monomial m is
-        prod_i x_i^A[m, i] conj(x_i)^B[m, i]."""
-        return tuple(np.array(e, dtype=np.int64) for e in zip(*self.mons))
-
-    def monomial_table(self, points, rows=slice(None)):
-        """Values of the monomials mons[rows] at the points (N, nc), shape
-        (count, N): products of x_i^a_i conj(x_i)^b_i from a power table."""
-        A, B = (e[rows] for e in self.exponents)
+    def power_table(self, points):
+        """The powers x_i^d and conj(x_i)^d, d = 0..maxdeg, of the points
+        (N, nc): a pair of arrays (nc, maxdeg + 1, N)."""
         x = np.asarray(points, dtype=complex).T
         pw = np.ones((self.nc, self.maxdeg + 1, x.shape[1]), dtype=complex)
         for d in range(1, self.maxdeg + 1):
             pw[:, d] = pw[:, d - 1] * x
-        cpw = np.conj(pw)
-        table = np.ones((len(A), x.shape[1]), dtype=complex)
+        return pw, np.conj(pw)
+
+    def monomial_table(self, points, rows=slice(None), powers=None):
+        """Values of the monomials with indices rows at the points (N, nc),
+        shape (count, N): products of x_i^a_i conj(x_i)^b_i from the points'
+        power_table, or from powers, that table made once by the caller."""
+        A, B = (e[rows] for e in self.exponents)
+        pw, cpw = self.power_table(points) if powers is None else powers
+        table = np.ones((len(A), pw.shape[2]), dtype=complex)
         for i in range(self.nc):
             table *= pw[i, A[:, i]]
             table *= cpw[i, B[:, i]]
@@ -160,18 +203,14 @@ class MonomialSpace:
     def wirtinger_maps(self):
         """For d/dx_i (entry i) and d/d conj(x_i) (entry nc + i): the
         monomials it does not kill, their images and the exponent factors.
-        Each map is injective, so images never collide.  A monomial's
-        exponents (a, b), read as digits base maxdeg + 1, give its key, and
-        an image's key is its source's less one unit in the digit lowered."""
-        E = np.concatenate(self.exponents, axis=1)       # (dim, 2 nc): [a | b]
-        unit = (self.maxdeg + 1) ** np.arange(2 * self.nc, dtype=np.int64)
-        keys = E @ unit
-        order = np.argsort(keys)
+        Each map is injective, so images never collide: an image's key is
+        its source's less one unit in the digit lowered."""
         maps = []
         for r in range(2 * self.nc):
-            src = np.flatnonzero(E[:, r])
-            tgt = order[np.searchsorted(keys, keys[src] - unit[r], sorter=order)]
-            maps.append((src, tgt, E[src, r].astype(float)))
+            e = self.exponents[r // self.nc][:, r % self.nc]
+            src = np.flatnonzero(e)
+            maps.append((src, self.lookup(self.keys[src] - self._unit[r]),
+                         e[src].astype(float)))
         return maps
 
     def degree_range(self, m):

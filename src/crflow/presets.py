@@ -9,7 +9,7 @@ import numpy as np
 
 from .conformal import bubble, projection_residual
 from .errors import ConfigError
-from .flow import base_curvature, volume_renormalize
+from .flow import base_curvature, is_json_number, volume_renormalize
 from .polynomials import MonomialSpace, real_coords
 from .spectral import Field
 
@@ -23,6 +23,25 @@ def _band_limited(basis, vals, what):
         raise ConfigError(f"{what} has degree above J = {basis.J}: projection "
                           f"residual {resid:.1e} exceeds 1e-10; increase J")
     return field
+
+
+def _number(value, what, kind=(int, float)):
+    """value if it is a JSON number of kind (int: an integer); ConfigError
+    naming what otherwise, so that a string, a boolean or 1.7 for an
+    integer is not read as one."""
+    if not is_json_number(value, kind):
+        want = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {want}, not {value!r}")
+    return value
+
+
+def _pair(value, what):
+    """The complex number of a JSON pair [re, im] of numbers; ConfigError
+    naming what otherwise."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(is_json_number(v) for v in value)):
+        raise ConfigError(f"{what} must be a pair [re, im] of numbers, not {value!r}")
+    return complex(value[0], value[1])
 
 
 def f_constant(basis):
@@ -87,12 +106,14 @@ def f_from_spec(basis, spec):
     space = MonomialSpace(basis.n + 1, 4)
     coeffs = np.zeros(space.dim, dtype=complex)
     for pos, term in enumerate(spec):
+        what = f"f_spec term {pos}"
         try:
-            a = tuple(int(v) for v in term["powers_x"])
-            b = tuple(int(v) for v in term["powers_xbar"])
+            a, b = (tuple(_number(v, f"{what}: {key} entry", int) for v in term[key])
+                    for key in ("powers_x", "powers_xbar"))
             c = term["coeff"]
-            coeff = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            coeff = (_pair(c, f"{what}: coeff") if isinstance(c, (list, tuple))
+                     else complex(_number(c, f"{what}: coeff")))
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"f_spec term {pos}: {exc}") from exc
         if (a, b) not in space.index:
             raise ConfigError(f"f_spec term {pos}: powers need n+1 nonnegative "
@@ -118,9 +139,10 @@ def u0_from_spec(basis, spec, seed=0):
         return Field.constant(basis, 1.0)
     if kind == "bubble":
         try:
-            p = np.asarray([complex(v[0], v[1]) for v in spec["p"]])
-            eps = float(spec["eps"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            p = np.asarray([_pair(v, f"bubble u0_spec: p[{i}]")
+                            for i, v in enumerate(spec["p"])])
+            eps = float(_number(spec["eps"], "bubble u0_spec: eps"))
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bubble u0_spec: {exc}") from exc
         if abs(np.sum(np.abs(p) ** 2) - 1.0) > 1e-9:
             raise ConfigError("bubble center must be a unit vector")
@@ -133,10 +155,11 @@ def u0_from_spec(basis, spec, seed=0):
         vals = np.ones(len(basis.nodes))
         X = real_coords(basis.nodes)
         for pos, term in enumerate(spec.get("terms", [])):
+            what = f"perturbation term {pos}"
             try:
-                j = int(term["coordinate"])
-                amp = float(term["amplitude"])
-            except (KeyError, TypeError, ValueError) as exc:
+                j = _number(term["coordinate"], f"{what}: coordinate", int)
+                amp = float(_number(term["amplitude"], f"{what}: amplitude"))
+            except (KeyError, TypeError) as exc:
                 raise ConfigError(f"perturbation term {pos}: {exc}") from exc
             if not 0 <= j <= 2 * basis.n + 1:
                 raise ConfigError(f"perturbation term {pos}: coordinate out of range")
@@ -145,10 +168,7 @@ def u0_from_spec(basis, spec, seed=0):
             raise ConfigError("perturbed u0 is not positive")
         return volume_renormalize(Field.from_values(basis, vals))
     if kind == "random":
-        try:
-            amp = float(spec.get("amplitude", 0.05))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"random u0_spec: {exc}") from exc
+        amp = float(_number(spec.get("amplitude", 0.05), "random u0_spec: amplitude"))
         rng = np.random.default_rng(seed)
         vals = np.ones(len(basis.nodes))
         X = real_coords(basis.nodes)

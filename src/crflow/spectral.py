@@ -61,7 +61,7 @@ H_{j,k}.  The pairing is Gamma_b(u, w) = H u . H w / 4.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, pi
+from math import factorial, pi, prod
 from numbers import Real
 
 import numpy as np
@@ -92,6 +92,12 @@ def _gl01(m):
     return (xg + 1.0) / 2.0, wg / 2.0
 
 
+def _level_nodes(level, tdeg):
+    """Gauss-Legendre nodes of the simplex rule's level: the fewest exact
+    for degree tdeg against the weight (1 - xi)^(level - 1)."""
+    return (tdeg + level - 1) // 2 + 1
+
+
 def _simplex_rule(n, tdeg):
     """Nodes (m, n+1) on the simplex sum t = 1 and weights for the uniform
     probability measure, exact for monomials of degree <= tdeg.
@@ -103,12 +109,19 @@ def _simplex_rule(n, tdeg):
     fewest that are exact, suffice.  Nodes run xi outer, sub-simplex inner."""
     if n == 0:
         return np.ones((1, 1)), np.ones(1)
-    xi, w = _gl01((tdeg + n - 1) // 2 + 1)
+    xi, w = _gl01(_level_nodes(n, tdeg))
     Tsub, Wsub = _simplex_rule(n - 1, tdeg)
     rest = ((1.0 - xi)[:, None, None] * Tsub).reshape(-1, n)
     T = np.column_stack([np.repeat(xi, len(Tsub)), rest])
     W = np.outer(w * (1.0 - xi) ** (n - 1), Wsub).ravel()
     return T, W / W.sum()
+
+
+def _grid_size(n, deg):
+    """The number of points of sphere_quadrature(n, deg), without building
+    it: the simplex rule's levels times the phase torus."""
+    simplex = prod(_level_nodes(level, deg // 2) for level in range(1, n + 1))
+    return simplex * (deg + 1) ** (n + 1)
 
 
 def _grid_simplex(n, deg):
@@ -147,7 +160,7 @@ def _harmonic_nullspace(space, j, k):
     if j == 0 or k == 0:                    # the Laplacian kills P_{j,k}
         return np.eye(cols.stop - cols.start)
     rows = space.blocks[(j - 1, k - 1)]
-    sel = (space._lap_cols >= cols.start) & (space._lap_cols < cols.stop)
+    sel = slice(*np.searchsorted(space._lap_cols, (cols.start, cols.stop)))   # sorted
     L = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     L[space._lap_rows[sel] - rows.start, space._lap_cols[sel] - cols.start] = \
         space._lap_vals[sel]
@@ -175,6 +188,12 @@ class Basis:
     and the transforms store it as one row of the fiber table (0.44 MB at
     (1,8), 2.3 MB at (1,12), 6.5 MB at (2,4)).
 
+    The build works per bidegree block on the base points of the fibers:
+    one power table of those points serves every block's monomial table,
+    the conjugate monomials come from space.conjugate (the keys with a and
+    b swapped), and the permutations between grid and fiber order and the
+    table's slots are index arithmetic.
+
     Attributes:
       n, J             : sphere index and truncation degree
       nodes, weights   : quadrature grid, weights sum to vol
@@ -186,7 +205,8 @@ class Basis:
       bidegrees        : list of (j, k), j <= k, per basis function, which
                          lies in H_{j,k} + H_{k,j}
       eigenvalues      : (nb,) sub-Laplacian eigenvalues, >= 0
-      poly             : (nb, dim msJ) complex coefficients in the monomial space
+      poly             : (nb, space.dim) complex coefficients in the monomial
+                         space, allocated once and written block by block
       gradient         : (2(n+1), nb, nb) real derivative matrices, built lazily
       vol              : total measure of the sphere
     """
@@ -206,8 +226,7 @@ class Basis:
         # groups of L rows, each row a pair of basis rows, so L is half the
         # largest group rounded up, and each row 2 S M^n long
         M = deg + 1
-        T, _ = _grid_simplex(n, deg)
-        n_nodes = len(T) * M ** nc
+        n_nodes = _grid_size(n, deg)
         group_rows = np.zeros(J + 1, dtype=np.int64)
         for j, k, null in blocks:
             group_rows[k - j] += null.shape[1] * (1 if j == k else 2)
@@ -221,24 +240,33 @@ class Basis:
         self.nodes, self.weights = sphere_quadrature(n, deg)
         self.vol = float(self.weights.sum())
         # grid point s M^nc + (p_0..p_n) sits at t = p_0 on the fiber over
-        # the base point (s, p_1 - p_0, .., p_n - p_0 mod M)
-        grid = np.arange(n_nodes).reshape((len(T),) + (M,) * nc)
-        self._fiber_to_grid = np.concatenate(
-            [np.roll(grid[:, t], -t, axis=tuple(range(1, nc))).ravel()
-             for t in range(M)])
-        self._grid_to_fiber = np.argsort(self._fiber_to_grid)
+        # the base point (s, p_1 - p_0, .., p_n - p_0 mod M), so fiber point
+        # (t, s, r_1..r_n) is grid point (s, t, r_1 + t, .., r_n + t mod M)
+        t = np.arange(M)
+        shifted = (np.indices((M,) * n).reshape(n, -1) + t[:, None, None]) % M
+        rest = (t * M ** n)[:, None] + M ** np.arange(n - 1, -1, -1) @ shifted
+        self._fiber_to_grid = (np.arange(n_nodes // M ** nc)[:, None] * M ** nc
+                               + rest[:, None, :]).ravel()
+        self._grid_to_fiber = np.empty_like(self._fiber_to_grid)
+        self._grid_to_fiber[self._fiber_to_grid] = np.arange(n_nodes)
         base = self._fiber_to_grid[:n_nodes // M]                # t = 0
         base_nodes, base_weights = self.nodes[base], M * self.weights[base]
 
-        gs, polys, eigs, tags = [], [], [], []
+        # poly is written block by block, in place: rows of H_{j,j} hold
+        # their coefficients on the block's monomials, and the pair of rows
+        # of H_{j,k}, j < k, also the conjugates' on those of H_{k,j}
+        self.nb = int(group_rows.sum())
+        self.poly = np.zeros((self.nb, space.dim), dtype=complex)
+        powers = space.power_table(base_nodes)
+        gs, eigs, tags = [], [], []
         for j, k, null in blocks:
             d = null.shape[1]
             if d == 0:
                 continue
             rows = space.blocks[(j, k)]
-            block = null.T @ space.monomial_table(base_nodes, rows)   # (d, P)
+            block = null.T @ space.monomial_table(base_nodes, rows, powers)   # (d, P)
             coef = null.T                               # coords in the block
-            conj = np.array([space.index[(b, a)] for a, b in space.mons[rows]])
+            conj = space.conjugate[rows]
             if j == k:
                 # conjugation permutes the monomials of P_{j,j}; the Re and
                 # Im parts of the null vectors span the real part of H_{j,j},
@@ -257,27 +285,29 @@ class Basis:
                 raise RuntimeError(f"H_{(j, k)} has a singular Gram matrix")
             R = (evecs / np.sqrt(evals)) @ evecs.conj().T
             onb, onb_poly = R.T @ block, R.T @ coef
-            P = np.zeros((d, space.dim), dtype=complex)
-            P[:, rows] = onb_poly
-            if j < k:
+            start = len(tags)
+            if j == k:
+                self.poly[start:start + d, rows] = onb_poly
+            else:
                 # sqrt2 Re h = (h + conj h) / sqrt2 and sqrt2 Im h =
                 # (h - conj h) / (sqrt2 i), orthonormal as int h h' = 0 for
                 # j != k; along a fiber they are Re(g w^{(j-k) t}) with
-                # g = sqrt2 h and g = -i sqrt2 h
-                Pc = np.zeros_like(P)
-                Pc[:, conj] = np.conj(onb_poly)
+                # g = sqrt2 h and g = -i sqrt2 h.  With P and Pc the
+                # monomial coefficients of h and conj h, on disjoint columns,
+                # the rows are (P + Pc) / sqrt2 and (P - Pc) / 1j / sqrt2;
+                # each adds the other's zero (+ 0, 0 +, 0 -), which fixes
+                # the sign of a zero entry as the sum does
+                re, im = self.poly[start:start + 2 * d:2], self.poly[start + 1:start + 2 * d:2]
+                hc = np.conj(onb_poly)
+                re[:, rows], re[:, conj] = (onb_poly + 0) / np.sqrt(2.0), (0 + hc) / np.sqrt(2.0)
+                im[:, rows], im[:, conj] = onb_poly / 1j / np.sqrt(2.0), (0 - hc) / 1j / np.sqrt(2.0)
                 onb = np.sqrt(2.0) * np.stack([onb, -1j * onb], axis=1).reshape(2 * d, -1)
-                P = np.stack([P + Pc, (P - Pc) / 1j], axis=1).reshape(2 * d, -1)
-                P = P / np.sqrt(2.0)
             gs.append(onb)
-            polys.append(P)
             eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / 4.0] * len(onb)
             tags += [(j, k)] * len(onb)
 
         self.eigenvalues = np.array(eigs)
         self.bidegrees = tags
-        self.poly = np.concatenate(polys)
-        self.nb = len(tags)
 
         # the fiber table: row r is Re(g_r w^{q t}), q = j - k <= 0, so it is
         # Re g_r cos(2 pi |q| t / M) + Im g_r sin(2 pi |q| t / M).  Rows are
@@ -287,9 +317,9 @@ class Basis:
         # Re g_b and Im g_b = -Re g_a; at q = 0 no sin half is read
         g = np.concatenate(gs).real
         group = np.array([k - j for j, k in tags])          # |q|
-        rank = np.zeros(self.nb, dtype=np.int64)
-        for q in range(J + 1):
-            rank[group == q] = np.arange(np.sum(group == q))
+        rank = np.empty(self.nb, dtype=np.int64)            # position in its group
+        rank[np.argsort(group, kind="stable")] = \
+            np.arange(self.nb) - np.repeat(np.cumsum(group_rows) - group_rows, group_rows)
         part, slot = rank % 2, rank // 2
         self._slot = (part * (J + 1) + group) * L + slot    # flat (part, |q|, slot)
         self._n_slots = 2 * (J + 1) * L

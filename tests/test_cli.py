@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import crflow
+from crflow.cli import main as cli_main
 from crflow.config import load_scenario
 from crflow.errors import ConfigError
 
@@ -115,6 +116,42 @@ def test_run_malformed_config_exit_64_no_outputs(tmp_path, overrides, needle):
     assert proc.stderr.startswith("config error:") and needle in proc.stderr
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+# a JSON string, boolean or non-integer in f_spec or u0_spec was read as a
+# number: amplitude "0.05" ran a flow to TimeLimit, true read as 1.0 and a
+# coordinate 1.7 as 1; each must name its term and exit 64
+CONSTANT_TERM = {"powers_x": [0, 0], "powers_xbar": [0, 0], "coeff": 2.0}
+NOT_A_NUMBER = {
+    "random-amplitude": ({"type": "random", "amplitude": "0.05"}, None,
+                         "random u0_spec: amplitude"),
+    "perturbation-coordinate": ({"type": "perturbation", "terms": [
+        {"coordinate": 1.7, "amplitude": 0.05}]}, None,
+        "perturbation term 0: coordinate"),
+    "perturbation-amplitude": ({"type": "perturbation", "terms": [
+        {"coordinate": 0, "amplitude": True}]}, None, "perturbation term 0: amplitude"),
+    "bubble-eps": ({"type": "bubble", "p": [[0, 0], [1, 0]], "eps": "0.5"}, None,
+                   "bubble u0_spec: eps"),
+    "bubble-p": ({"type": "bubble", "p": [[True, 0], [0, 0]], "eps": 0.5}, None,
+                 "bubble u0_spec: p[0]"),
+    "f-powers_x": ("constant", [{**CONSTANT_TERM, "powers_x": [0.0, 0]}],
+                   "f_spec term 0: powers_x"),
+    "f-powers_xbar": ("constant", [{**CONSTANT_TERM, "powers_xbar": [False, 0]}],
+                      "f_spec term 0: powers_xbar"),
+    "f-coeff": ("constant", [{**CONSTANT_TERM, "coeff": "2.0"}], "f_spec term 0: coeff"),
+}
+
+
+@pytest.mark.parametrize("u0_spec,f_spec,needle", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER)
+def test_spec_numbers_must_be_json_numbers(tmp_path, capsys, u0_spec, f_spec, needle):
+    cfgp = tmp_path / "bad.json"
+    write_config(cfgp, u0_spec=u0_spec, f_spec=f_spec or "constant")
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        load_scenario(str(cfgp)).build()
+    assert cli_main(["run", str(cfgp), "--output-dir", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and needle in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("key,old_default", [

@@ -70,6 +70,86 @@ def test_evaluate_blocks_match_unblocked(space):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def tuple_space(nc, maxdeg):
+    """MonomialSpace's enumeration one exponent tuple pair at a time: by
+    total degree, then |a|, each block lexicographic in a outer and b inner;
+    returns the monomials and the blocks' index ranges."""
+    def multi_indices(width, total):
+        if width == 1:
+            return [(total,)]
+        return [(first,) + rest for first in range(total + 1)
+                for rest in multi_indices(width - 1, total - first)]
+
+    mons, blocks = [], {}
+    for total in range(maxdeg + 1):
+        for j in range(total + 1):
+            start = len(mons)
+            mons.extend((a, b) for a in multi_indices(nc, j)
+                        for b in multi_indices(nc, total - j))
+            blocks[(j, total - j)] = slice(start, len(mons))
+    return mons, blocks
+
+
+def loop_ambient_lap(mons, nc):
+    """The ambient Laplacian's (rows, cols, vals), one monomial and one
+    coordinate at a time: 4 a_i b_i x^{a-e_i} conj x^{b-e_i}."""
+    index = {m: i for i, m in enumerate(mons)}
+    rows, cols, vals = [], [], []
+    for col, (a, b) in enumerate(mons):
+        for i in range(nc):
+            if a[i] and b[i]:
+                a2 = tuple(a[t] - (t == i) for t in range(nc))
+                b2 = tuple(b[t] - (t == i) for t in range(nc))
+                rows.append(index[(a2, b2)])
+                cols.append(col)
+                vals.append(4.0 * a[i] * b[i])
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("maxdeg", range(9))
+@pytest.mark.parametrize("nc", [1, 2, 3, 4])
+def test_array_space_matches_the_tuple_enumeration(nc, maxdeg):
+    # exact integer equality, the Laplacian's entry order included: np.add.at
+    # sums in that order
+    space = MonomialSpace(nc, maxdeg)
+    mons, blocks = tuple_space(nc, maxdeg)
+    index = {m: i for i, m in enumerate(mons)}
+    assert space.dim == len(mons)
+    assert space.blocks == blocks
+    assert space.mons == mons and space.index == index
+    A, B = space.exponents
+    assert_same_array(A, np.array([a for a, _ in mons], dtype=np.int64).reshape(-1, nc))
+    assert_same_array(B, np.array([b for _, b in mons], dtype=np.int64).reshape(-1, nc))
+    assert_same_array(space.degree, np.array([sum(a) + sum(b) for a, b in mons]))
+    assert_same_array(space.charge, np.array([sum(a) - sum(b) for a, b in mons]))
+    for got, want in zip((space._lap_rows, space._lap_cols, space._lap_vals),
+                         loop_ambient_lap(mons, nc)):
+        assert_same_array(got, want)
+    assert_same_array(space.conjugate,
+                      np.array([index[(b, a)] for a, b in mons], dtype=np.int64))
+    assert_same_array(space.lookup(space.keys), np.arange(space.dim))
+
+
+def test_lookup_refuses_a_key_outside_the_space():
+    space = MonomialSpace(2, 3)
+    outside = 3 * space._unit[0] + 3 * space._unit[1]     # x_1^3 x_2^3: degree 6
+    with pytest.raises(KeyError):
+        space.lookup(np.array([0, outside]))
+
+
+def test_keys_that_overflow_int64_are_refused():
+    # 4^32 = 2^64 keys
+    with pytest.raises(ValueError, match="overflow int64"):
+        MonomialSpace(16, 3)
+    assert MonomialSpace(2, 3).dim == 35
+
+
 def loop_wirtinger_maps(space):
     """MonomialSpace.wirtinger_maps one monomial at a time: the exponent
     lowered by one, looked up in the space's index."""
