@@ -234,11 +234,14 @@ class MonomialSpace:
             for src, tgt, fac in self.wirtinger_maps:
                 keep = slice(*np.searchsorted(src, (s.start, s.stop)))
                 maps.append((src[keep] - s.start, tgt[keep] - t.start, fac[keep]))
-        wirt = np.zeros((2 * self.nc,) + coeff.shape[:-1] + (width,), dtype=complex)
+        out = np.zeros((2 * self.nc,) + coeff.shape[:-1] + (width,), dtype=complex)
+        # d_i (r = i) and dbar_i (r = nc + i) add into rows 2i and 2i + 1;
+        # each map is injective, so its targets never collide
         for r, (src, tgt, fac) in enumerate(maps):
-            wirt[r][..., tgt] = fac * coeff[..., src]
-        d, dbar = wirt[:self.nc], wirt[self.nc:]
-        return np.stack([d + dbar, 1j * (d - dbar)], axis=1).reshape(wirt.shape)
+            i, part = r % self.nc, fac * coeff[..., src]
+            out[2 * i][..., tgt] += part
+            out[2 * i + 1][..., tgt] += 1j * part if r < self.nc else -1j * part
+        return out
 
 
 def real_coords(points):

@@ -61,7 +61,7 @@ H_{j,k}.  The pairing is Gamma_b(u, w) = H u . H w / 4.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, pi, prod
+from math import comb, factorial, pi, prod
 from numbers import Real
 
 import numpy as np
@@ -169,6 +169,20 @@ def _harmonic_nullspace(space, j, k):
     return vt[rank:].T
 
 
+def _moment_gram(space, block, n, vol):
+    """The exact sphere moments int x^a conj(x)^b conj(x^c conj(x)^d) of the
+    monomials of one bidegree block of space.  x^a conj(x)^b pairs with
+    x^c conj(x)^d only when a - b = c - d, and then to int |x^{a+d}|^2 =
+    vol n! (a + d)! / (n + m)!, m the block's total degree (Rudin, Function
+    Theory in the Unit Ball of C^n, 1.4.9); a_i + d_i <= |a| + |d| = m."""
+    A, B = (e[space.blocks[block]] for e in space.exponents)
+    m = sum(block)
+    fact = np.cumprod([1.0, *range(1, m + 1)])
+    pair = np.all((A - B)[:, None] == (A - B)[None], axis=-1)
+    return np.where(pair, np.prod(fact[A[:, None] + B[None]], axis=-1), 0.0) * \
+        (vol * factorial(n) / factorial(n + m))
+
+
 def _real(x):
     """x as an array; complex input raises TypeError, as fields are real."""
     x = np.asarray(x)
@@ -192,7 +206,14 @@ class Basis:
     one power table of those points serves every block's monomial table,
     the conjugate monomials come from space.conjugate (the keys with a and
     b swapped), and the permutations between grid and fiber order and the
-    table's slots are index arithmetic.
+    table's slots are index arithmetic.  The block sizes, and so the fiber
+    table's, are closed forms, so BudgetExceeded is raised before any of it
+    is built.
+
+    The monomial algebra is held by total degree m: the rows of degree m
+    are contiguous and lie on the degree-m monomials, so the coefficients
+    are one block per degree, and d/dX_r maps degree m to degree m - 1 (0.46
+    MB of blocks and 0.37 MB of maps at (1,8), 3.4 and 2.4 MB at (1,12)).
 
     Attributes:
       n, J             : sphere index and truncation degree
@@ -205,9 +226,14 @@ class Basis:
       bidegrees        : list of (j, k), j <= k, per basis function, which
                          lies in H_{j,k} + H_{k,j}
       eigenvalues      : (nb,) sub-Laplacian eigenvalues, >= 0
-      poly             : (nb, space.dim) complex coefficients in the monomial
-                         space, allocated once and written block by block
-      gradient         : (2(n+1), nb, nb) real derivative matrices, built lazily
+      degree_rows      : slice of the rows of each total degree m = 0..J
+      poly_blocks      : per degree m, the (rows, monomials) complex
+                         coefficients of the degree-m rows on the degree-m
+                         monomials, space.degree_range(m); monomial_coeffs
+                         assembles the space.dim-long vectors
+      derivatives      : coefficients (..., 2(n+1), nb) of d/dX_r, through
+                         per-degree real maps built lazily from the exact
+                         sphere moments of the monomials
       vol              : total measure of the sphere
     """
 
@@ -218,24 +244,28 @@ class Basis:
             raise ValueError("J must be >= 1")
         nc = n + 1
         deg = 2 * J + 4
-        space = self.space = MonomialSpace(nc, J)
-        # H_{k,j} is the conjugate of H_{j,k}, so only j <= k is built
-        blocks = [(j, m - j, _harmonic_nullspace(space, j, m - j))
-                  for m in range(J + 1) for j in range(m // 2 + 1)]
-        # predict the fiber table's size before allocating: J + 1 charge
-        # groups of L rows, each row a pair of basis rows, so L is half the
-        # largest group rounded up, and each row 2 S M^n long
+        # H_{k,j} is the conjugate of H_{j,k}, so only j <= k is built.  The
+        # ambient Laplacian maps P_{j,k} onto P_{j-1,k-1}, so dim H_{j,k} =
+        # dim P_{j,k} - dim P_{j-1,k-1}, with dim P_{j,k} = C(j+n, n) C(k+n, n);
+        # a block gives d rows for j = k and the d pairs' 2 d rows otherwise
+        bidegrees = [(j, m - j) for m in range(J + 1) for j in range(m // 2 + 1)]
+        dims = [comb(j + n, n) * comb(k + n, n) - comb(j - 1 + n, n) * comb(k - 1 + n, n)
+                for j, k in bidegrees]
+        counts = [d * (1 if j == k else 2) for (j, k), d in zip(bidegrees, dims)]
+        # predict the fiber table's size before building anything: J + 1
+        # charge groups of L rows, each row a pair of basis rows, so L is half
+        # the largest group rounded up, and each row 2 S M^n long
         M = deg + 1
         n_nodes = _grid_size(n, deg)
-        group_rows = np.zeros(J + 1, dtype=np.int64)
-        for j, k, null in blocks:
-            group_rows[k - j] += null.shape[1] * (1 if j == k else 2)
+        group_rows = np.bincount([k - j for j, k in bidegrees], counts,
+                                 minlength=J + 1).astype(np.int64)
         L, width = (int(group_rows.max()) + 1) // 2, 2 * (n_nodes // M)
         if (J + 1) * L * width > BUDGET:
             raise BudgetExceeded(
                 f"fiber table needs {J + 1} x {L} x {width} = {(J + 1) * L * width} "
                 f"entries, over budget {BUDGET:.0f}")
 
+        space = self.space = MonomialSpace(nc, J)
         self.n, self.J, self.M = n, J, M
         self.nodes, self.weights = sphere_quadrature(n, deg)
         self.vol = float(self.weights.sum())
@@ -252,15 +282,26 @@ class Basis:
         base = self._fiber_to_grid[:n_nodes // M]                # t = 0
         base_nodes, base_weights = self.nodes[base], M * self.weights[base]
 
-        # poly is written block by block, in place: rows of H_{j,j} hold
-        # their coefficients on the block's monomials, and the pair of rows
-        # of H_{j,k}, j < k, also the conjugates' on those of H_{k,j}
+        # the rows of total degree m are contiguous, degree_rows[m], and lie
+        # on the degree-m monomials, so each degree's coefficients are one
+        # block, written block by block in place: rows of H_{j,j} hold their
+        # coefficients on the block's monomials, and the pair of rows of
+        # H_{j,k}, j < k, also the conjugates' on those of H_{k,j}
         self.nb = int(group_rows.sum())
-        self.poly = np.zeros((self.nb, space.dim), dtype=complex)
+        stop = np.cumsum(np.bincount([j + k for j, k in bidegrees], counts)).astype(int).tolist()
+        self.degree_rows = [slice(a, b) for a, b in zip([0, *stop[:-1]], stop)]
+        self.poly_blocks = []
+        for m, r in enumerate(self.degree_rows):
+            cols = space.degree_range(m)
+            self.poly_blocks.append(
+                np.zeros((r.stop - r.start, cols.stop - cols.start), dtype=complex))
         powers = space.power_table(base_nodes)
         gs, eigs, tags = [], [], []
-        for j, k, null in blocks:
-            d = null.shape[1]
+        nulls = [_harmonic_nullspace(space, j, k) for j, k in bidegrees]
+        for (j, k), d, null in zip(bidegrees, dims, nulls):
+            if null.shape[1] != d:
+                raise RuntimeError(f"H_{(j, k)} has a {null.shape[1]}-dimensional "
+                                   f"nullspace, not {d}")
             if d == 0:
                 continue
             rows = space.blocks[(j, k)]
@@ -285,9 +326,13 @@ class Basis:
                 raise RuntimeError(f"H_{(j, k)} has a singular Gram matrix")
             R = (evecs / np.sqrt(evals)) @ evecs.conj().T
             onb, onb_poly = R.T @ block, R.T @ coef
-            start = len(tags)
+            # this block's rows, and its own and its conjugates' monomials,
+            # within its degree's block
+            first, mono = self.degree_rows[j + k].start, space.degree_range(j + k).start
+            poly = self.poly_blocks[j + k][len(tags) - first:]
+            own, conj = slice(rows.start - mono, rows.stop - mono), conj - mono
             if j == k:
-                self.poly[start:start + d, rows] = onb_poly
+                poly[:d, own] = onb_poly
             else:
                 # sqrt2 Re h = (h + conj h) / sqrt2 and sqrt2 Im h =
                 # (h - conj h) / (sqrt2 i), orthonormal as int h h' = 0 for
@@ -297,10 +342,10 @@ class Basis:
                 # the rows are (P + Pc) / sqrt2 and (P - Pc) / 1j / sqrt2;
                 # each adds the other's zero (+ 0, 0 +, 0 -), which fixes
                 # the sign of a zero entry as the sum does
-                re, im = self.poly[start:start + 2 * d:2], self.poly[start + 1:start + 2 * d:2]
+                re, im = poly[:2 * d:2], poly[1:2 * d:2]
                 hc = np.conj(onb_poly)
-                re[:, rows], re[:, conj] = (onb_poly + 0) / np.sqrt(2.0), (0 + hc) / np.sqrt(2.0)
-                im[:, rows], im[:, conj] = onb_poly / 1j / np.sqrt(2.0), (0 - hc) / 1j / np.sqrt(2.0)
+                re[:, own], re[:, conj] = (onb_poly + 0) / np.sqrt(2.0), (0 + hc) / np.sqrt(2.0)
+                im[:, own], im[:, conj] = onb_poly / 1j / np.sqrt(2.0), (0 - hc) / 1j / np.sqrt(2.0)
                 onb = np.sqrt(2.0) * np.stack([onb, -1j * onb], axis=1).reshape(2 * d, -1)
             gs.append(onb)
             eigs += [(4.0 * j * k + 2.0 * n * (j + k)) / 4.0] * len(onb)
@@ -453,39 +498,71 @@ class Basis:
     # -- first-order calculus -------------------------------------------
 
     @cached_property
-    def gradient(self):
-        """(2(n+1), nb, nb) real coefficient matrices of d/dX_r, X =
-        real_coords (Re x_1, Im x_1, ..): coeffs of the derivative of u are
-        u.coeffs @ gradient[r].
+    def _derivative_maps(self):
+        """Entry m - 1, for m = 1..J: the real (n_m, 2(n+1) n_{m-1}) map of
+        d/dX_r, X = real_coords (Re x_1, Im x_1, ..), from the n_m basis rows
+        of total degree m to the n_{m-1} of degree m - 1, r outer.
 
         d/dX_r commutes with the ambient Laplacian and lowers the degree by
-        one, so it maps the real basis functions of total degree m into the
-        real span of those of degree m - 1; each degree's derivatives are
-        solved, all together, by one real least squares against those
-        functions' polynomials, with real_coords splitting each complex
-        monomial coefficient into its real and imaginary parts.
-        """
-        degree = np.array([j + k for j, k in self.bidegrees])
-        D = 2 * (self.n + 1)
-        out = np.zeros((D, self.nb, self.nb))
+        one, so it maps the degree-m functions into the real span of the
+        orthonormal degree-(m - 1) ones, and the map is the inner products
+        Re dP G P^H: dP the derivatives' monomial coefficients, P those of
+        the degree-(m - 1) rows and G the exact moments of the degree-(m - 1)
+        monomials.  G keeps each bidegree block, so the products run block by
+        block, on the rows that reach or live on it.  Parseval checks the
+        map: each derivative's squared norm dP G dP^H equals that of its row
+        of the map when it stays in the span."""
+        space, D = self.space, 2 * (self.n + 1)
+        j_of = np.array([j for j, _ in self.bidegrees])
+        maps = []
         for m in range(1, self.J + 1):
-            src, tgt = np.flatnonzero(degree == m), np.flatnonzero(degree == m - 1)
-            Q = real_coords(self.poly[tgt, self.space.degree_range(m - 1)])
-            dP = real_coords(self.space.gradients(
-                self.poly[src, self.space.degree_range(m)], degree=m))
-            dP = dP.reshape(-1, Q.shape[1])
-            X = np.linalg.lstsq(Q.T, dP.T, rcond=None)[0].T
-            resid = float(np.abs(X @ Q - dP).max())
-            if resid > 1e-10 * max(1.0, float(np.abs(dP).max())):
+            dP = space.gradients(self.poly_blocks[m], degree=m)    # (D, n_m, dim_{m-1})
+            P = self.poly_blocks[m - 1]
+            src_j, tgt_j = j_of[self.degree_rows[m]], j_of[self.degree_rows[m - 1]]
+            first = space.degree_range(m - 1).start
+            dmap = np.zeros((D, len(src_j), len(P)))
+            norm2 = np.zeros((D, len(src_j)))
+            for p in range(m):
+                # the derivatives of the rows of bidegree {p+1, q} and {p, q+1}
+                # reach the monomial block (p, q), and the rows of {p, q} live
+                # on it; rows run by j, the smaller index, within a degree
+                q, j = m - 1 - p, min(p, m - 1 - p)
+                block = space.blocks[(p, q)]
+                cols = slice(block.start - first, block.stop - first)
+                src = slice(np.searchsorted(src_j, j, "left"),
+                            np.searchsorted(src_j, j + (p != q), "right"))
+                tgt = slice(*np.searchsorted(tgt_j, (j, j + 1)))
+                dPB = dP[:, src, cols]
+                Y = dPB @ _moment_gram(space, (p, q), self.n, self.vol)
+                dmap[:, src, tgt] += (Y @ P[tgt, cols].conj().T).real
+                norm2[:, src] += np.einsum("rsa,rsa->rs", Y, dPB.conj()).real
+            resid = float(np.abs(norm2 - np.einsum("rst,rst->rs", dmap, dmap)).max())
+            if resid > 1e-10 * max(1.0, float(norm2.max())):
                 raise RuntimeError(
                     f"derivative of the degree-{m} functions leaves degree "
-                    f"{m - 1}: residual {resid:.1e}")
-            out[:, src[:, None], tgt] = X.reshape(D, len(src), len(tgt))
+                    f"{m - 1}: squared-norm residual {resid:.1e}")
+            maps.append(dmap.transpose(1, 0, 2).reshape(len(src_j), -1))
+        return maps
+
+    def derivatives(self, coeffs):
+        """Coefficient rows (..., 2(n+1), nb) of the derivatives d/dX_r, X =
+        real_coords (Re x_1, Im x_1, ..), of the real coefficient rows
+        (..., nb): degree by degree, through the maps of _derivative_maps."""
+        c = _real(coeffs)
+        D, rows = 2 * (self.n + 1), self.degree_rows
+        out = np.zeros(c.shape[:-1] + (D, self.nb))
+        for m, dmap in enumerate(self._derivative_maps, start=1):
+            out[..., rows[m - 1]] = (c[..., rows[m]] @ dmap).reshape(c.shape[:-1] + (D, -1))
         return out
 
     def monomial_coeffs(self, coeffs):
-        """Monomial-space representation of a field given basis coefficients."""
-        return np.asarray(coeffs) @ self.poly
+        """Monomial-space coefficients (..., space.dim) of the fields with
+        basis coefficients (..., nb), degree by degree."""
+        c = np.asarray(coeffs)
+        out = np.zeros(c.shape[:-1] + (self.space.dim,), dtype=complex)
+        for m, (rows, P) in enumerate(zip(self.degree_rows, self.poly_blocks)):
+            out[..., self.space.degree_range(m)] = c[..., rows] @ P
+        return out
 
     def gram_error(self):
         G = (self.funcs * self.weights) @ self.funcs.T
@@ -570,10 +647,10 @@ def horizontal_gradient_values(basis, coeffs):
     coefficient rows (..., nb), in the real coordinates X = real_coords(x),
     from one synthesis: the ambient gradient less its parts along the
     orthonormal X and JX = real_coords(i x), which are E u and T u."""
-    dc = (np.asarray(coeffs)[..., None, None, :] @ basis.gradient)[..., 0, :]
-    grad = basis.synthesize(dc)
-    for V in (real_coords(basis.nodes).T, real_coords(1j * basis.nodes).T):
-        grad -= V * np.sum(V * grad, axis=-2, keepdims=True)
+    grad = basis.synthesize(basis.derivatives(coeffs))
+    for V in (real_coords(basis.nodes), real_coords(1j * basis.nodes)):
+        V = np.ascontiguousarray(V.T)                       # (2(n+1), N)
+        grad -= V * np.einsum("...rk,rk->...k", grad, V)[..., None, :]
     return grad
 
 

@@ -924,7 +924,7 @@ def test_diagnostics_synthesize_and_project_once(basis, monkeypatch):
     from crflow.spectral import Basis
     f = f_dipole(basis, amplitude=0.2)
     u = perturbed_factor(basis, 44)
-    diagnostics(u, f)           # builds the lazy Basis.gradient
+    diagnostics(u, f)           # builds the lazy derivative maps
     calls = {name: _count_calls(monkeypatch, Basis, name)
              for name in ("synthesize", "project")}
     diagnostics(u, f)

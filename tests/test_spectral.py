@@ -24,11 +24,17 @@ def random_field(basis, seed, scale=1.0):
     return Field.from_coeffs(basis, scale * rng.normal(size=basis.nb))
 
 
+def dense_poly(basis):
+    # the (nb, dim) monomial coefficients of every basis row, from the
+    # per-degree blocks
+    return basis.monomial_coeffs(np.eye(basis.nb))
+
+
 def jx_derivative(basis, coeffs):
     # T u at the nodes: the ambient gradient's component along the Hopf
     # field JX = real_coords(i x), for coefficient rows (..., nb)
-    grad = basis.synthesize(np.asarray(coeffs) @ basis.gradient)
-    return np.einsum("r...k,kr->...k", grad, real_coords(1j * basis.nodes))
+    grad = basis.synthesize(basis.derivatives(coeffs))
+    return np.einsum("...rk,kr->...k", grad, real_coords(1j * basis.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +171,7 @@ def test_eigenvalues_nondecreasing_within_degree(basis8):
 def test_funcs_are_the_poly_rows_on_the_grid(n, J):
     # the grid and monomial representations of every basis function agree
     basis = crflow.build_basis(n, J)
-    values = basis.space.evaluate(basis.poly, basis.nodes)
+    values = basis.space.evaluate(dense_poly(basis), basis.nodes)
     assert np.abs(values - basis.funcs).max() <= 1e-12
 
 
@@ -184,6 +190,75 @@ def test_budget_counts_the_fiber_table(n, J, monkeypatch):
     monkeypatch.setattr(spectral, "BUDGET", entries - 1)
     with pytest.raises(BudgetExceeded, match=f"= {entries} entries"):
         crflow.build_basis(n, J)
+
+
+@pytest.mark.parametrize("n, J, message", [
+    (2, 8, "fiber table needs 9 x 210 x 31752 = 60011280 entries, over budget 35000000"),
+    (3, 4, "fiber table needs 5 x 80 x 351520 = 140608000 entries, over budget 35000000"),
+])
+def test_budget_refuses_before_building(n, J, message, monkeypatch):
+    # the table size comes from the closed-form dimensions of the H_{j,k},
+    # so a refused size builds no monomial space and runs no nullspace SVD
+    import crflow.spectral as spectral
+
+    def built(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(spectral, "MonomialSpace", built)
+    monkeypatch.setattr(spectral, "_harmonic_nullspace", built)
+    with pytest.raises(BudgetExceeded) as refused:
+        crflow.build_basis(n, J)
+    assert str(refused.value) == message
+
+
+def held_arrays(basis, skip=("funcs", "analysis")):
+    # the distinct numpy buffers held by the basis and its monomial space,
+    # through lists, tuples and dicts; a view counts as its base
+    from crflow.polynomials import MonomialSpace
+    found, stack = {}, [v for k, v in vars(basis).items() if k not in skip]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            found[id(x)] = x
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, MonomialSpace):
+            stack.extend(vars(x).values())
+    return list(found.values())
+
+
+def test_basis_footprint_after_a_record():
+    # the polynomials and the derivatives are held per degree: after one
+    # record at (1,12) the basis holds under 12 MB (about 48 MB with the
+    # dense (nb, dim) polynomials and (2(n+1), nb, nb) derivatives), and no
+    # array of either shape; funcs and analysis, which only tests and the
+    # benchmark's tracer read, are not counted
+    from crflow.flow import diagnostics
+    from crflow.presets import f_dipole
+    basis = crflow.build_basis(1, 12)
+    diagnostics(Field.constant(basis), f_dipole(basis, amplitude=0.2))
+    assert "_derivative_maps" in vars(basis)
+    arrays = held_arrays(basis)
+    assert sum(a.nbytes for a in arrays) < 12e6
+    D = 2 * (basis.n + 1)
+    dense = {(basis.nb, basis.space.dim), (D, basis.nb, basis.nb)}
+    assert not [a.shape for a in arrays if a.shape in dense]
+
+
+def test_derivative_build_refuses_a_non_harmonic_row():
+    # d/dX_r of x_1^2 conj(x_1) holds |x_1|^2, which leaves the degree-2
+    # harmonics: written into a degree-3 row, the build's Parseval check
+    # raises
+    basis = crflow.build_basis(1, 4)
+    space, row = basis.space, np.zeros(basis.poly_blocks[3].shape[1], dtype=complex)
+    row[space.index[((2, 0), (1, 0))] - space.degree_range(3).start] = 1.0
+    basis.poly_blocks[3][0] = row
+    with pytest.raises(RuntimeError, match="degree-3 functions leaves degree 2"):
+        basis.derivatives(np.zeros(basis.nb))
 
 
 @pytest.mark.parametrize("n, J", [(1, 8), (1, 12), (2, 4)])
@@ -268,7 +343,7 @@ def test_field_arithmetic_takes_fields_only(basis8):
 
 def dense_synthesis(basis, coeffs):
     # the basis functions' polynomials evaluated on the whole grid
-    return basis.space.evaluate(np.asarray(coeffs) @ basis.poly, basis.nodes)
+    return basis.space.evaluate(np.asarray(coeffs) @ dense_poly(basis), basis.nodes)
 
 
 def dense_projection(basis, values):
@@ -278,7 +353,7 @@ def dense_projection(basis, values):
     for start in range(0, wv.shape[-1], 2048):
         table = basis.space.monomial_table(basis.nodes[start:start + 2048])
         moments = moments + wv[..., start:start + 2048] @ table.T
-    return moments @ basis.poly.T
+    return moments @ dense_poly(basis).T
 
 
 @pytest.fixture(scope="module", params=[(1, 8), (1, 12), (2, 4)],
@@ -428,7 +503,7 @@ def test_euler_and_hopf_fields_match_the_monomial_oracle(n, J):
     jk = np.array(basis.bidegrees)
     c = np.random.default_rng(23).normal(size=basis.nb)
     mono = basis.monomial_coeffs(c)
-    grad = basis.synthesize(c @ basis.gradient)
+    grad = basis.synthesize(basis.derivatives(c))
     X, JX = real_coords(basis.nodes), real_coords(1j * basis.nodes)
     for field, factor in ((X, space.degree), (JX, 1j * space.charge)):
         got = np.einsum("rk,kr->k", grad, field)
