@@ -231,7 +231,7 @@ class Basis:
                          coefficients of the degree-m rows on the degree-m
                          monomials, space.degree_range(m); monomial_coeffs
                          assembles the space.dim-long vectors
-      derivatives      : coefficients (..., 2(n+1), nb) of d/dX_r, through
+      derivatives(c)   : coefficients (..., 2(n+1), nb) of d/dX_r, through
                          per-degree real maps built lazily from the exact
                          sphere moments of the monomials
       vol              : total measure of the sphere
@@ -529,8 +529,7 @@ class Basis:
                 q, j = m - 1 - p, min(p, m - 1 - p)
                 block = space.blocks[(p, q)]
                 cols = slice(block.start - first, block.stop - first)
-                src = slice(np.searchsorted(src_j, j, "left"),
-                            np.searchsorted(src_j, j + (p != q), "right"))
+                src = slice(*np.searchsorted(src_j, (j, j + 1 + (p != q))))
                 tgt = slice(*np.searchsorted(tgt_j, (j, j + 1)))
                 dPB = dP[:, src, cols]
                 Y = dPB @ _moment_gram(space, (p, q), self.n, self.vol)
